@@ -87,13 +87,15 @@ fuzz-corpus:
 	go test -run Fuzz ./internal/pdl/parser/ ./internal/check/
 
 # race runs the concurrency-bearing packages under the race detector
-# with caching disabled — checkpoint/resume plus the lockstep batch
-# driver (worker pool + work stealing) and the per-lane fault
-# derivation — the focused counterpart of CI's tree-wide
+# with caching disabled — checkpoint/resume, the lockstep batch driver
+# (worker pool + work stealing), the per-lane fault derivation, and the
+# bveq and design-fuzz lanes whose machines share one plan across
+# goroutines — the focused counterpart of CI's tree-wide
 # `go test -race ./...`.
 race:
 	go test -race -count=1 ./internal/sim/ ./internal/cosim/ ./internal/snap/ \
-		./internal/vm/ ./internal/fault/ ./internal/xpdld/
+		./internal/vm/ ./internal/fault/ ./internal/xpdld/ \
+		./internal/bveq/ ./internal/designgen/
 
 # soak proves the kill/resume story on the real binary: a chaos run is
 # cut short by -timeout (exit 7, resumable snapshot written), resumed
@@ -197,5 +199,7 @@ bench-smoke:
 	go test -run='^$$' -bench=. -benchtime=1x -benchmem ./... \
 	| go run ./cmd/benchjson > /dev/null
 
+# clean removes what the build and test targets leave behind; the
+# committed BENCH_*.json snapshots are not build output.
 clean:
-	rm -f BENCH_pr6.json cover.out
+	rm -f cover.out bveq-report.json

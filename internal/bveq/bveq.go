@@ -40,9 +40,10 @@ type Inst struct {
 }
 
 // Target adapts one compiled design to the gate. A target is built
-// once per design (compile once, build many machines — the vm program
-// cache keys on the checked program identity) and must be safe for
-// concurrent Build/Check calls from batch workers.
+// once per design and owns that design's machine plan (compile and
+// resolve once, build many machines — every point shares the plan and
+// its vm Program), and must be safe for concurrent Build/Check calls
+// from batch workers.
 type Target interface {
 	// Name identifies the design in reports and diagnostics.
 	Name() string

@@ -1,0 +1,91 @@
+package bveq
+
+import (
+	"testing"
+
+	"xpdl"
+	"xpdl/internal/core"
+	"xpdl/internal/designs"
+)
+
+// TestStripAbortsSameInfoDistinctPlans: the clean and the abort-stripped
+// translations of one *check.Info are two programs, so they get two
+// plans and two vm Programs. A Program cache keyed by the checked
+// program alone would hand the stripped target the clean bytecode, and
+// the seeded bug would go unseen.
+func TestStripAbortsSameInfoDistinctPlans(t *testing.T) {
+	// vm only: an interpreter spot check would catch the stripped aborts
+	// through the other engine and mask a shared bytecode Program.
+	bounds := Bounds{K: 2, Window: 4, SpotEvery: -1}
+	clean, err := NewVariantTarget(designs.All, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Verify the clean target first, so its vm Program exists before the
+	// stripped target builds any machine.
+	rep, err := Verify(clean, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Verified {
+		t.Fatalf("clean %s not bounded-verified", clean.Name())
+	}
+
+	d := clean.design
+	trs := core.TranslateProgram(d.Info)
+	StripAborts(trs)
+	stripped := *clean
+	stripped.design = &xpdl.Design{Source: d.Source, Prog: d.Prog, Info: d.Info, Translations: trs}
+	rep, err = Verify(&stripped, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verified {
+		t.Fatalf("abort-strip translation of the same check.Info verified clean (%d points)", rep.Points)
+	}
+
+	cp, err := clean.design.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := stripped.design.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp == sp {
+		t.Fatal("clean and stripped translations share one plan")
+	}
+	// The stripped translation is a separate tree: the clean target is
+	// still precise.
+	if rep, err := Verify(clean, bounds); err != nil || !rep.Verified {
+		t.Fatalf("clean target no longer verifies after stripping a second translation: %v", err)
+	}
+}
+
+// maxBuildAllocs pins the allocations of one point's machine build on a
+// warm plan (vm engine, booted, interrupt device attached): measured at
+// 52, plus a margin. Resolving the translated AST per machine instead
+// costs about 250, so per-point resolution cannot creep back unseen.
+const maxBuildAllocs = 64
+
+// TestBuildAllocsWarmPlan guards the per-point cost of a warm-plan
+// VariantTarget.Build.
+func TestBuildAllocsWarmPlan(t *testing.T) {
+	tgt, err := NewVariantTarget(designs.All, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := []uint32{tgt.Alphabet()[0].Word, tgt.ExcLetters()[0].Word}
+	if _, err := tgt.Build(prog, 3, "vm"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := tgt.Build(prog, 3, "vm"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm-plan Build: %.0f allocations", allocs)
+	if allocs > maxBuildAllocs {
+		t.Errorf("warm-plan Build makes %.0f allocations, guard is %d", allocs, maxBuildAllocs)
+	}
+}

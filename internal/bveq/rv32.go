@@ -74,7 +74,8 @@ func letter(spelling, src string) (Inst, error) {
 
 // NewVariantTarget compiles the variant once and builds its projection.
 // width sizes the immediate domain; corrupt, when non-nil, mutates the
-// translation before any machine is built (the seeded-bug hook).
+// translation before any machine is built (the seeded-bug hook). The
+// design's machine plan is built by the first Build, not here.
 func NewVariantTarget(v designs.Variant, width int, corrupt func(map[string]*core.Result)) (*VariantTarget, error) {
 	d, err := xpdl.Compile(designs.Source(v))
 	if err != nil {
@@ -139,8 +140,8 @@ func NewVariantTarget(v designs.Variant, width int, corrupt func(map[string]*cor
 	case designs.Fatal:
 		for _, l := range [][2]string{
 			{".word 0xFFFFFFFF", ".word 0xFFFFFFFF"},
-			{"lw t0, 1(zero)", "lw t0, 1(zero)"},  // misaligned load
-			{"sw t0, 2(zero)", "sw t0, 2(zero)"},  // misaligned store
+			{"lw t0, 1(zero)", "lw t0, 1(zero)"}, // misaligned load
+			{"sw t0, 2(zero)", "sw t0, 2(zero)"}, // misaligned store
 		} {
 			if err := addExc(l[0], l[1]); err != nil {
 				return nil, err
@@ -255,14 +256,13 @@ func (t *VariantTarget) Build(prog []uint32, intr int, engine string) (*sim.Mach
 	if len(prog) > handlerWord-2 {
 		return nil, fmt.Errorf("bveq: program of %d slots exceeds the fixed layout", len(prog))
 	}
-	m, err := sim.New(t.design.Info, t.design.Translations, sim.Config{
-		Engine: engine, Externs: designs.Externs(),
-	})
+	m, err := t.design.NewMachine(sim.Config{Engine: engine, Externs: designs.Externs()})
 	if err != nil {
 		return nil, err
 	}
+	imem := m.Mem("imem")
 	for i, w := range t.image(prog) {
-		m.MemPoke("imem", uint64(i), val.New(uint64(w), 32))
+		imem.Poke(uint64(i), val.New(uint64(w), 32))
 	}
 	for name, v := range t.presets {
 		if t.hasVol(name) {
@@ -402,13 +402,14 @@ func (t *VariantTarget) archDiff(m *sim.Machine, g *golden.Machine, intr int, in
 	state := func(detail string) *Mismatch {
 		return &Mismatch{Stage: "state", Detail: detail, Index: -1, Cycle: -1}
 	}
+	rf, dmem := m.Mem("rf"), m.Mem("dmem")
 	for i := uint64(1); i < 32; i++ {
-		if got, want := uint32(m.MemPeek("rf", i).Uint()), g.Regs[i]; got != want {
+		if got, want := uint32(rf.Peek(i).Uint()), g.Regs[i]; got != want {
 			return state(fmt.Sprintf("x%d = %#x, golden %#x", i, got, want))
 		}
 	}
 	for i := uint64(0); i < designs.DMemWords; i++ {
-		if got, want := uint32(m.MemPeek("dmem", i).Uint()), g.DMem[i]; got != want {
+		if got, want := uint32(dmem.Peek(i).Uint()), g.DMem[i]; got != want {
 			return state(fmt.Sprintf("dmem[%d] = %#x, golden %#x", i, got, want))
 		}
 	}

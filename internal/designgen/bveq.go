@@ -26,8 +26,7 @@ var bveqImmSeries = []uint32{5, 3, 9, 14, 7, 11, 2, 8}
 
 type bveqTarget struct {
 	d    *DesignSpec
-	info *check.Info
-	trs  map[string]*core.Result
+	plan *sim.Plan
 
 	alphabet []bveq.Inst
 	excs     []bveq.Inst
@@ -35,9 +34,9 @@ type bveqTarget struct {
 }
 
 // BveqTarget compiles one generated design (once — machines for every
-// enumeration point share the translation, keeping the vm program cache
-// hot) and builds its micro-ISA projection. corrupt, when non-nil,
-// mutates the translation before any machine exists: the seeded-bug
+// enumeration point share the target's machine plan and its vm
+// Program) and builds its micro-ISA projection. corrupt, when non-nil,
+// mutates the translation before the plan is built: the seeded-bug
 // hook the regression fixtures use.
 func BveqTarget(d *DesignSpec, width int, corrupt func(map[string]*core.Result)) (bveq.Target, error) {
 	src := d.Source()
@@ -55,11 +54,15 @@ func BveqTarget(d *DesignSpec, width int, corrupt func(map[string]*core.Result))
 	if corrupt != nil {
 		corrupt(trs)
 	}
+	plan, err := sim.NewPlan(info, trs)
+	if err != nil {
+		return nil, fmt.Errorf("designgen: bveq target plan: %w", err)
+	}
 
 	// The neutral word is reserved op 14 — a true no-op on every
 	// generated design and in the oracle, so the shrinker can blank
 	// slots without introducing new effects.
-	t := &bveqTarget{d: d, info: info, trs: trs,
+	t := &bveqTarget{d: d, plan: plan,
 		neutral: encode(14, 0, 0, 0, 0)}
 	if width <= 0 {
 		width = 2
@@ -125,12 +128,13 @@ func (t *bveqTarget) image(prog []uint32) []uint32 {
 // interrupt pulse (when intr >= 0) is a one-entry fault.Schedule, so
 // its timing is pure data and its cursor doubles as the wake predictor.
 func (t *bveqTarget) Build(prog []uint32, intr int, engine string) (*sim.Machine, error) {
-	m, err := sim.New(t.info, t.trs, sim.Config{Engine: engine, Externs: externs(t.d)})
+	m, err := t.plan.New(sim.Config{Engine: engine, Externs: externs(t.d)})
 	if err != nil {
 		return nil, err
 	}
+	imem := m.Mem("imem")
 	for i, w := range t.image(prog) {
-		m.MemPoke("imem", uint64(i), val.New(uint64(w), 32))
+		imem.Poke(uint64(i), val.New(uint64(w), 32))
 	}
 	if intr >= 0 && t.d.Interrupts {
 		cur := fault.Schedule{intr}.Cursor()

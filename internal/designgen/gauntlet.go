@@ -114,9 +114,15 @@ func Gauntlet(d *DesignSpec, prog []uint32, opts RunOpts) (div *Divergence) {
 		schedule = stormSchedule(opts.ChaosSeed, maxCycles)
 	}
 
+	// One plan serves every machine of the pass: each engine's run and
+	// the resume pair.
+	plan, err := sim.NewPlan(info, trs)
+	if err != nil {
+		return &Divergence{Stage: "build", Engine: engines[0], Detail: err.Error()}
+	}
 	runs := make([]*engineRun, len(engines))
 	for i, eng := range engines {
-		r, dv := runEngine(d, info, trs, prog, eng, opts.ChaosSeed, maxCycles, schedule)
+		r, dv := runEngine(d, plan, prog, eng, opts.ChaosSeed, maxCycles, schedule)
 		if dv != nil {
 			return dv
 		}
@@ -169,7 +175,7 @@ func Gauntlet(d *DesignSpec, prog []uint32, opts RunOpts) (div *Divergence) {
 	}
 
 	if opts.SaveRestore {
-		if dv := checkResume(d, info, trs, prog, engines[0], opts.ChaosSeed, maxCycles, schedule, ref); dv != nil {
+		if dv := checkResume(d, plan, prog, engines[0], opts.ChaosSeed, maxCycles, schedule, ref); dv != nil {
 			return dv
 		}
 	}
@@ -182,17 +188,18 @@ func Gauntlet(d *DesignSpec, prog []uint32, opts RunOpts) (div *Divergence) {
 }
 
 // buildMachine constructs, loads and boots one engine's machine.
-func buildMachine(d *DesignSpec, info *check.Info, trs map[string]*core.Result, prog []uint32, engine string, chaosSeed uint64, schedule []int) (*sim.Machine, error) {
+func buildMachine(d *DesignSpec, plan *sim.Plan, prog []uint32, engine string, chaosSeed uint64, schedule []int) (*sim.Machine, error) {
 	cfg := sim.Config{Engine: engine, Externs: externs(d)}
 	if chaosSeed != 0 {
 		cfg.Faults = fault.New(fault.Default(chaosSeed))
 	}
-	m, err := sim.New(info, trs, cfg)
+	m, err := plan.New(cfg)
 	if err != nil {
 		return nil, err
 	}
+	imem := m.Mem("imem")
 	for i, w := range prog {
-		m.MemPoke("imem", uint64(i), val.New(uint64(w), 32))
+		imem.Poke(uint64(i), val.New(uint64(w), 32))
 	}
 	if len(schedule) > 0 {
 		attachStorm(m, schedule)
@@ -203,8 +210,8 @@ func buildMachine(d *DesignSpec, info *check.Info, trs map[string]*core.Result, 
 	return m, nil
 }
 
-func runEngine(d *DesignSpec, info *check.Info, trs map[string]*core.Result, prog []uint32, engine string, chaosSeed uint64, maxCycles int, schedule []int) (*engineRun, *Divergence) {
-	m, err := buildMachine(d, info, trs, prog, engine, chaosSeed, schedule)
+func runEngine(d *DesignSpec, plan *sim.Plan, prog []uint32, engine string, chaosSeed uint64, maxCycles int, schedule []int) (*engineRun, *Divergence) {
+	m, err := buildMachine(d, plan, prog, engine, chaosSeed, schedule)
 	if err != nil {
 		return nil, &Divergence{Stage: "build", Engine: engine, Detail: err.Error()}
 	}
@@ -288,14 +295,16 @@ func diffTraces(a, b []Event) string {
 // the halted oracle. ipend is skipped on stormed runs (the device owns
 // it) and ecause/eepc only exist on CSR designs.
 func stateDiff(d *DesignSpec, o *Oracle, m *sim.Machine, stormed bool) string {
+	rf := m.Mem("rf")
 	for i := 0; i < RFRegs; i++ {
-		if got := uint32(m.MemPeek("rf", uint64(i)).Uint()); got != o.RF[i] {
+		if got := uint32(rf.Peek(uint64(i)).Uint()); got != o.RF[i] {
 			return fmt.Sprintf("rf[%d] = %d, oracle %d", i, got, o.RF[i])
 		}
 	}
 	if d.HasDmem {
+		dmem := m.Mem("dmem")
 		for i := 0; i < DMemWords; i++ {
-			if got := uint32(m.MemPeek("dmem", uint64(i)).Uint()); got != o.DMem[i] {
+			if got := uint32(dmem.Peek(uint64(i)).Uint()); got != o.DMem[i] {
 				return fmt.Sprintf("dmem[%d] = %d, oracle %d", i, got, o.DMem[i])
 			}
 		}
@@ -319,12 +328,12 @@ func stateDiff(d *DesignSpec, o *Oracle, m *sim.Machine, stormed bool) string {
 // checkResume snapshots the first engine's run at its midpoint and
 // requires the restored machine to finish cycle-exactly like the
 // reference (the snapshot must also round-trip to identical bytes).
-func checkResume(d *DesignSpec, info *check.Info, trs map[string]*core.Result, prog []uint32, engine string, chaosSeed uint64, maxCycles int, schedule []int, ref *engineRun) *Divergence {
+func checkResume(d *DesignSpec, plan *sim.Plan, prog []uint32, engine string, chaosSeed uint64, maxCycles int, schedule []int, ref *engineRun) *Divergence {
 	if ref.cycles < 2 {
 		return nil
 	}
 	k := ref.cycles / 2
-	mid, err := buildMachine(d, info, trs, prog, engine, chaosSeed, schedule)
+	mid, err := buildMachine(d, plan, prog, engine, chaosSeed, schedule)
 	if err != nil {
 		return &Divergence{Stage: "resume", Engine: engine, Detail: "rebuild: " + err.Error()}
 	}
@@ -337,7 +346,7 @@ func checkResume(d *DesignSpec, info *check.Info, trs map[string]*core.Result, p
 	if err != nil {
 		return &Divergence{Stage: "resume", Engine: engine, Detail: "save: " + err.Error()}
 	}
-	res, err := buildMachine(d, info, trs, prog, engine, chaosSeed, schedule)
+	res, err := buildMachine(d, plan, prog, engine, chaosSeed, schedule)
 	if err != nil {
 		return &Divergence{Stage: "resume", Engine: engine, Detail: "rebuild: " + err.Error()}
 	}

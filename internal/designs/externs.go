@@ -40,8 +40,48 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-func decodeExtern(args []val.Value) sim.V {
-	in := riscv.Decode(uint32(args[0].Uint()))
+// Decode record layout: field indices in sorted-name order, the layout
+// sim.Record produces.
+const (
+	dfCsrf3 = iota
+	dfCsridx
+	dfCsrimm
+	dfCsrok
+	dfHalt
+	dfIllegal
+	dfImm
+	dfIscsr
+	dfIsecall
+	dfIsload
+	dfIsmret
+	dfIsstore
+	dfMemsize
+	dfOp
+	dfRd
+	dfRs1
+	dfRs2
+	dfWen
+	dfCount
+)
+
+// decodeFields names the decode record's fields in sorted order. Every
+// decode record shares this one array, which is never mutated.
+var decodeFields = [dfCount]string{
+	dfCsrf3: "csrf3", dfCsridx: "csridx", dfCsrimm: "csrimm", dfCsrok: "csrok",
+	dfHalt: "halt", dfIllegal: "illegal", dfImm: "imm", dfIscsr: "iscsr",
+	dfIsecall: "isecall", dfIsload: "isload", dfIsmret: "ismret",
+	dfIsstore: "isstore", dfMemsize: "memsize", dfOp: "op", dfRd: "rd",
+	dfRs1: "rs1", dfRs2: "rs2", dfWen: "wen",
+}
+
+// decoded is one instruction word's decode, field by field.
+type decoded struct {
+	op, rd, rs1, rs2, imm, csridx, csrf3, memsize                              uint64
+	wen, isload, isstore, illegal, halt, isecall, ismret, iscsr, csrok, csrimm bool
+}
+
+func decodeWord(raw uint32) decoded {
+	in := riscv.Decode(raw)
 
 	iscsr := in.IsCSR()
 	csridx, csrok := uint32(0), false
@@ -79,28 +119,42 @@ func decodeExtern(args []val.Value) sim.V {
 	case riscv.LH, riscv.LHU, riscv.SH:
 		memsize = 1
 	}
-	wen := in.WritesRd() && !in.IsCSR()
+	return decoded{
+		op: uint64(in.Op), rd: uint64(in.Rd), rs1: uint64(in.Rs1), rs2: uint64(in.Rs2),
+		imm: uint64(uint32(in.Imm)), csridx: uint64(csridx), csrf3: csrf3, memsize: memsize,
+		wen: in.WritesRd() && !in.IsCSR(), isload: in.IsLoad(), isstore: in.IsStore(),
+		illegal: illegal, halt: in.Op == riscv.EBREAK, isecall: in.Op == riscv.ECALL,
+		ismret: in.Op == riscv.MRET, iscsr: iscsr, csrok: csrok, csrimm: csrimm,
+	}
+}
 
-	return sim.Record(map[string]val.Value{
-		"op":      val.New(uint64(in.Op), 6),
-		"rd":      val.New(uint64(in.Rd), 5),
-		"rs1":     val.New(uint64(in.Rs1), 5),
-		"rs2":     val.New(uint64(in.Rs2), 5),
-		"imm":     val.New(uint64(uint32(in.Imm)), 32),
-		"wen":     val.Bool(wen),
-		"isload":  val.Bool(in.IsLoad()),
-		"isstore": val.Bool(in.IsStore()),
-		"illegal": val.Bool(illegal),
-		"halt":    val.Bool(in.Op == riscv.EBREAK),
-		"isecall": val.Bool(in.Op == riscv.ECALL),
-		"ismret":  val.Bool(in.Op == riscv.MRET),
-		"iscsr":   val.Bool(iscsr),
-		"csrok":   val.Bool(csrok),
-		"csrimm":  val.Bool(csrimm),
-		"csridx":  val.New(uint64(csridx), 5),
-		"csrf3":   val.New(csrf3, 3),
-		"memsize": val.New(memsize, 2),
-	})
+// record builds the decode record straight into its sorted layout: one
+// value slice, no name map and no sort.
+func (d decoded) record() sim.V {
+	vals := make([]val.Value, dfCount)
+	vals[dfOp] = val.New(d.op, 6)
+	vals[dfRd] = val.New(d.rd, 5)
+	vals[dfRs1] = val.New(d.rs1, 5)
+	vals[dfRs2] = val.New(d.rs2, 5)
+	vals[dfImm] = val.New(d.imm, 32)
+	vals[dfWen] = val.Bool(d.wen)
+	vals[dfIsload] = val.Bool(d.isload)
+	vals[dfIsstore] = val.Bool(d.isstore)
+	vals[dfIllegal] = val.Bool(d.illegal)
+	vals[dfHalt] = val.Bool(d.halt)
+	vals[dfIsecall] = val.Bool(d.isecall)
+	vals[dfIsmret] = val.Bool(d.ismret)
+	vals[dfIscsr] = val.Bool(d.iscsr)
+	vals[dfCsrok] = val.Bool(d.csrok)
+	vals[dfCsrimm] = val.Bool(d.csrimm)
+	vals[dfCsridx] = val.New(d.csridx, 5)
+	vals[dfCsrf3] = val.New(d.csrf3, 3)
+	vals[dfMemsize] = val.New(d.memsize, 2)
+	return sim.SortedRecord(decodeFields[:], vals)
+}
+
+func decodeExtern(args []val.Value) sim.V {
+	return decodeWord(uint32(args[0].Uint())).record()
 }
 
 func aluExtern(args []val.Value) sim.V {

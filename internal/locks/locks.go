@@ -117,31 +117,30 @@ func boundsCheck(addr uint64, depth int, what string) {
 }
 
 // Plain is an unlocked memory for read-only connections (instruction
-// ROMs). It offers Peek/Poke/Depth only.
+// ROMs). It offers Peek/Poke/Depth only. Words are stored raw, already
+// truncated to the memory's width, so a fresh memory needs no
+// initialization pass.
 type Plain struct {
-	data  []val.Value
+	data  []uint64
 	width int
 }
 
 // NewPlain builds an unlocked memory of depth words of the given width.
 func NewPlain(depth, width int) *Plain {
-	p := &Plain{data: make([]val.Value, depth), width: width}
-	for i := range p.data {
-		p.data[i] = val.New(0, width)
-	}
-	return p
+	val.New(0, width) // validate the width up front
+	return &Plain{data: make([]uint64, depth), width: width}
 }
 
 // Peek reads word addr.
 func (p *Plain) Peek(addr uint64) val.Value {
 	boundsCheck(addr, len(p.data), "plain read")
-	return p.data[addr]
+	return val.New(p.data[addr], p.width)
 }
 
 // Poke writes word addr.
 func (p *Plain) Poke(addr uint64, v val.Value) {
 	boundsCheck(addr, len(p.data), "plain write")
-	p.data[addr] = val.New(v.Uint(), p.width)
+	p.data[addr] = val.New(v.Uint(), p.width).Uint()
 }
 
 // Depth is the number of words.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"xpdl/internal/snap"
+	"xpdl/internal/val"
 )
 
 // SaveState serializes the memory's committed words.
@@ -18,7 +19,7 @@ func (p *Plain) SaveState(w *snap.Writer) {
 	w.Int(len(p.data))
 	w.Int(p.width)
 	for _, v := range p.data {
-		w.Val(v)
+		w.Val(val.New(v, p.width))
 	}
 }
 
@@ -29,7 +30,7 @@ func (p *Plain) RestoreState(r *snap.Reader) error {
 		return err
 	}
 	for i := range p.data {
-		p.data[i] = r.Val()
+		p.data[i] = val.New(r.Val().Uint(), p.width).Uint()
 	}
 	return r.Err()
 }

@@ -2,9 +2,11 @@
 //
 // At machine-build time every stage's statement list is lowered into a
 // slice of pre-bound Go closures (cStmt/cExpr) whose free variables are
-// the results of the build-time resolution pass (resolve.go): variable
-// references are integer slots, constants are baked values, volatile
-// registers and memory locks are direct pointers, record field accesses
+// the plan's build-time resolution tables (plan.go) and the machine's
+// own state: variable references are integer slots, constants are baked
+// values, volatile registers and memory locks are direct pointers (the
+// plan names memories by index; the closures bind this machine's
+// locks), record field accesses
 // are pre-resolved indices, and conditionals/calls hold their
 // pre-compiled branch plans. The per-cycle hot path therefore performs
 // no map lookups, no string hashing, and no AST walking: it only runs
@@ -57,15 +59,15 @@ type compiler struct {
 // first (pre-registered so recursive and mutual references resolve),
 // then every stage of every pipeline.
 func (m *Machine) compileAll() {
-	m.funcPlans = make(map[string]*funcPlan, len(m.funcs))
-	for name := range m.funcs {
+	funcs := m.plan.funcs
+	m.funcPlans = make(map[string]*funcPlan, len(funcs))
+	for name := range funcs {
 		m.funcPlans[name] = &funcPlan{}
 	}
-	for name, fn := range m.funcs {
+	for name, fn := range funcs {
 		m.compileFunc(fn, m.funcPlans[name])
 	}
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
+	for _, ps := range m.pipeList {
 		c := &compiler{m: m, ps: ps}
 		for _, st := range ps.nodes {
 			st.code = c.stmts(st.stmts)
@@ -146,7 +148,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 	if c.fp != nil {
 		return c.funcStmt(s)
 	}
-	m := c.m
+	m, p := c.m, c.m.plan
 	switch n := s.(type) {
 	case *ast.Skip:
 		return nil
@@ -162,7 +164,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 		}
 	case *ast.Assign:
 		rhs := c.expr(n.RHS)
-		if vol, isVol := m.assignVol[s]; isVol {
+		if vol, isVol := p.assignVol[s]; isVol {
 			w := vol.decl.Elem.Width
 			return func(f *firing) {
 				v := rhs(f)
@@ -172,7 +174,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 				f.eff(effectRec{kind: effVolWrite, vol: vol, v: val.New(v.Uint(), w)})
 			}
 		}
-		slot := m.assignSlot[s]
+		slot := p.assignSlot[s]
 		if n.Latched {
 			return func(f *firing) {
 				v := rhs(f)
@@ -190,8 +192,8 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			f.setLocal(slot, v)
 		}
 	case *ast.MemWrite:
-		b := m.memWBind[s]
-		lock := b.lock
+		b := p.memWBind[s]
+		lock := m.memList[b.lock]
 		depth := uint64(b.decl.Depth)
 		w := b.decl.Elem.Width
 		idx := c.expr(n.Index)
@@ -209,7 +211,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			lock.Write(f.in.iid, addr, val.New(v.Uint(), w))
 		}
 	case *ast.VolWrite:
-		vol := m.vols[n.Vol]
+		vol := p.vols[n.Vol]
 		w := vol.decl.Elem.Width
 		rhs := c.expr(n.RHS)
 		return func(f *firing) {
@@ -266,7 +268,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			f.eff(effectRec{kind: effSpecClear, ps: ps})
 		}
 	case *ast.Abort:
-		lock := m.memWBind[s].lock
+		lock := m.memList[p.memWBind[s].lock]
 		return func(f *firing) { lock.Abort() }
 	case *ast.Call:
 		return c.callStmt(n)
@@ -336,8 +338,8 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 }
 
 func (c *compiler) lockStmt(n *ast.Lock, s ast.Stmt) cStmt {
-	b := c.m.memWBind[s]
-	l := b.lock
+	b := c.m.plan.memWBind[s]
+	l := c.m.memList[b.lock]
 	depth := uint64(b.decl.Depth)
 	write := n.Mode == ast.ModeWrite
 	var idx cExpr
@@ -407,7 +409,7 @@ func (c *compiler) lockStmt(n *ast.Lock, s ast.Stmt) cStmt {
 
 func (c *compiler) callStmt(n *ast.Call) cStmt {
 	m := c.m
-	target := m.pipes[n.Pipe]
+	target := m.pipe(n.Pipe)
 	tidx := target.idx
 	capQ := m.cfg.EntryCap
 	argsC := make([]cExpr, len(n.Args))
@@ -448,7 +450,7 @@ func (c *compiler) specCallStmt(n *ast.SpecCall, s ast.Stmt) cStmt {
 	ps := c.ps
 	pidx := ps.idx
 	capQ := m.cfg.EntryCap
-	slot := m.assignSlot[s]
+	slot := m.plan.assignSlot[s]
 	argsC := make([]cExpr, len(n.Args))
 	paramW := make([]int, len(n.Args))
 	for i, a := range n.Args {
@@ -524,7 +526,6 @@ func (c *compiler) exprs(es []ast.Expr) []cExpr {
 }
 
 func (c *compiler) expr(e ast.Expr) cExpr {
-	m := c.m
 	switch n := e.(type) {
 	case *ast.IntLit:
 		w := n.Width
@@ -619,7 +620,7 @@ func (c *compiler) expr(e ast.Expr) cExpr {
 		field := n.Field
 		// Func bodies are never visited by the resolver, so the index may
 		// be absent; treat missing as unknown (-1, name-scan fallback).
-		idx, ok := m.fieldIdx[n]
+		idx, ok := c.m.plan.fieldIdx[n]
 		if !ok {
 			idx = -1
 		}
@@ -650,7 +651,7 @@ func (c *compiler) ident(n *ast.Ident) cExpr {
 		if slot, ok := c.fslots[n.Name]; ok {
 			return func(f *firing) V { return f.frame[slot] }
 		}
-		if con, ok := c.m.consts[n.Name]; ok {
+		if con, ok := c.m.plan.consts[n.Name]; ok {
 			return func(f *firing) V { return con }
 		}
 		name := n.Name
@@ -658,7 +659,7 @@ func (c *compiler) ident(n *ast.Ident) cExpr {
 			panic(fmt.Sprintf("sim: function references unknown name %q", name))
 		}
 	}
-	b, ok := c.m.identBind[n]
+	b, ok := c.m.plan.identBind[n]
 	if !ok {
 		name, pipe := n.Name, c.ps.name
 		return func(f *firing) V {
@@ -739,8 +740,8 @@ func (c *compiler) binary(n *ast.Binary) cExpr {
 	// Width adaptation of unsized literals is decided once, at compile
 	// time (mirrors firing.evalBinary / Machine.isUnsized).
 	adapt := n.Op != ast.OpShl && n.Op != ast.OpShr
-	adaptL := adapt && c.m.isUnsized(n.L)
-	adaptR := adapt && !adaptL && c.m.isUnsized(n.R)
+	adaptL := adapt && c.m.plan.isUnsized(n.L)
+	adaptR := adapt && !adaptL && c.m.plan.isUnsized(n.R)
 	return func(f *firing) V {
 		l := le(f)
 		if f.stalled {
@@ -833,7 +834,7 @@ func (c *compiler) callExpr(n *ast.CallExpr) cExpr {
 	// arena (a stack: nested extern calls nest bases LIFO). The callee
 	// only sees its sub-slice and must copy to retain (see ExternFunc).
 	if ext, ok := m.externs[n.Name]; ok {
-		decl := externDecl(m, n.Name)
+		decl := m.plan.externDecl(n.Name)
 		argsC := c.exprs(n.Args)
 		paramW := make([]int, len(n.Args))
 		for i := range n.Args {
@@ -907,7 +908,7 @@ func (c *compiler) callExpr(n *ast.CallExpr) cExpr {
 }
 
 func (c *compiler) memRead(n *ast.MemRead) cExpr {
-	b := c.m.memBind[n]
+	b := c.m.plan.memBind[n]
 	if b == nil {
 		// Unresolved (e.g. inside a function body, which the checker
 		// forbids for memory reads): fail loudly if ever executed.
@@ -919,8 +920,8 @@ func (c *compiler) memRead(n *ast.MemRead) cExpr {
 	depth := uint64(b.decl.Depth)
 	zero := Scalar(val.New(0, b.decl.Elem.Width))
 	idx := c.expr(n.Index)
-	if b.plain != nil {
-		plain := b.plain
+	if b.plain >= 0 {
+		plain := c.m.plainList[b.plain]
 		return func(f *firing) V {
 			a := idx(f)
 			if f.stalled {
@@ -929,7 +930,7 @@ func (c *compiler) memRead(n *ast.MemRead) cExpr {
 			return Scalar(plain.Peek(a.Uint() % depth))
 		}
 	}
-	lock := b.lock
+	lock := c.m.memList[b.lock]
 	return func(f *firing) V {
 		a := idx(f)
 		if f.stalled {

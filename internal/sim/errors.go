@@ -125,8 +125,7 @@ func (d *Diagnosis) String() string {
 // diagnose builds the bounded snapshot.
 func (m *Machine) diagnose() Diagnosis {
 	var d Diagnosis
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
+	for _, ps := range m.pipeList {
 		for _, n := range ps.nodes {
 			if n.cur == nil {
 				continue
@@ -142,7 +141,7 @@ func (m *Machine) diagnose() Diagnosis {
 			})
 		}
 		if len(ps.entryQ) > 0 || m.gefs[ps.idx] {
-			d.Pipes = append(d.Pipes, PipeDiag{Pipe: name, EntryQ: len(ps.entryQ), Gef: m.gefs[ps.idx]})
+			d.Pipes = append(d.Pipes, PipeDiag{Pipe: ps.name, EntryQ: len(ps.entryQ), Gef: m.gefs[ps.idx]})
 		}
 	}
 	for i, l := range m.memList {
@@ -154,7 +153,7 @@ func (m *Machine) diagnose() Diagnosis {
 			d.LocksTruncated++
 			continue
 		}
-		ld := LockDiag{Mem: m.memOrder[i], Pending: pending, Resvs: l.Resvs(diagMaxResvs)}
+		ld := LockDiag{Mem: m.plan.lockNames[i], Pending: pending, Resvs: l.Resvs(diagMaxResvs)}
 		ld.Truncated = pending - len(ld.Resvs)
 		d.Locks = append(d.Locks, ld)
 	}

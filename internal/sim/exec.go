@@ -324,7 +324,7 @@ func (f *firing) stmt(s ast.Stmt) {
 		}
 		f.exec(n.Body)
 	case *ast.Assign:
-		if vol, isVol := m.assignVol[s]; isVol {
+		if vol, isVol := m.plan.assignVol[s]; isVol {
 			v := f.evalScalar(n.RHS, vol.decl.Elem.Width)
 			if f.stalled {
 				return
@@ -337,20 +337,20 @@ func (f *firing) stmt(s ast.Stmt) {
 			return
 		}
 		if n.Latched {
-			f.setPend(m.assignSlot[s], v)
+			f.setPend(m.plan.assignSlot[s], v)
 		} else {
-			f.setLocal(m.assignSlot[s], v)
+			f.setLocal(m.plan.assignSlot[s], v)
 		}
 	case *ast.MemWrite:
-		b := m.memWBind[s]
+		b := m.plan.memWBind[s]
 		addr := f.evalAddr(n.Index, b.decl)
 		v := f.evalScalar(n.RHS, b.decl.Elem.Width)
 		if f.stalled {
 			return
 		}
-		b.lock.Write(in.iid, addr, v)
+		m.memList[b.lock].Write(in.iid, addr, v)
 	case *ast.VolWrite:
-		vol := m.vols[n.Vol]
+		vol := m.plan.vols[n.Vol]
 		v := f.evalScalar(n.RHS, vol.decl.Elem.Width)
 		if f.stalled {
 			return
@@ -385,7 +385,7 @@ func (f *firing) stmt(s ast.Stmt) {
 	case *ast.SpecClear:
 		f.eff(effectRec{kind: effSpecClear, ps: f.node.pipe})
 	case *ast.Abort:
-		m.memWBind[s].lock.Abort()
+		m.memList[m.plan.memWBind[s].lock].Abort()
 	case *ast.Call:
 		f.call(n)
 	case *ast.SpecCall:
@@ -461,8 +461,8 @@ func (f *firing) die() {
 
 func (f *firing) lockOp(n *ast.Lock) {
 	in := f.in
-	b := f.m.memWBind[ast.Stmt(n)]
-	l := b.lock
+	b := f.m.plan.memWBind[ast.Stmt(n)]
+	l := f.m.memList[b.lock]
 	addr := locks.Whole
 	if n.Index != nil {
 		addr = f.evalAddr(n.Index, b.decl)
@@ -498,7 +498,7 @@ func (f *firing) lockOp(n *ast.Lock) {
 func (f *firing) call(n *ast.Call) {
 	m := f.m
 	in := f.in
-	target := m.pipes[n.Pipe]
+	target := m.pipe(n.Pipe)
 	if len(target.entryQ)+f.spawnCountIdx(target.idx) >= m.cfg.EntryCap {
 		f.stall()
 		return
@@ -543,7 +543,7 @@ func (f *firing) specCall(n *ast.SpecCall) {
 	// run); its hardware footprint is modeled separately (ast.THandle).
 	h := ps.specTab.nextHandle
 	ps.specTab.nextHandle++
-	f.setLocal(f.m.assignSlot[ast.Stmt(n)], Scalar(val.New(h, 48)))
+	f.setLocal(f.m.plan.assignSlot[ast.Stmt(n)], Scalar(val.New(h, 48)))
 	f.addSpawnIdx(ps.idx)
 	f.eff(effectRec{kind: effSpecSpawn, ps: ps, in: in, argOff: argOff, argN: len(n.Args), h: h})
 }
@@ -601,7 +601,6 @@ func (f *firing) evalAddr(e ast.Expr, md *ast.MemDecl) uint64 {
 }
 
 func (f *firing) eval(e ast.Expr) V {
-	m := f.m
 	switch n := e.(type) {
 	case *ast.IntLit:
 		w := n.Width
@@ -666,7 +665,7 @@ func (f *firing) eval(e ast.Expr) V {
 		if x.Rec == nil {
 			panic(fmt.Sprintf("sim: field access .%s on scalar", n.Field))
 		}
-		if idx, ok := f.m.fieldIdx[n]; ok && idx >= 0 &&
+		if idx, ok := f.m.plan.fieldIdx[n]; ok && idx >= 0 &&
 			idx < len(x.Rec.Names) && x.Rec.Names[idx] == n.Field {
 			return Scalar(x.Rec.Vals[idx])
 		}
@@ -676,7 +675,6 @@ func (f *firing) eval(e ast.Expr) V {
 		}
 		return Scalar(fv)
 	}
-	_ = m
 	panic(fmt.Sprintf("sim: unhandled expression %T", e))
 }
 
@@ -689,12 +687,12 @@ func (f *firing) lookup(n *ast.Ident) V {
 		if v, ok := env[n.Name]; ok {
 			return v
 		}
-		if c, ok := f.m.consts[n.Name]; ok {
+		if c, ok := f.m.plan.consts[n.Name]; ok {
 			return c
 		}
 		panic(fmt.Sprintf("sim: function references unknown name %q", n.Name))
 	}
-	b, ok := f.m.identBind[n]
+	b, ok := f.m.plan.identBind[n]
 	if !ok {
 		panic(fmt.Sprintf("sim: unresolved name %q in pipe %s", n.Name, f.in.pipe.name))
 	}
@@ -715,23 +713,6 @@ func (f *firing) lookup(n *ast.Ident) V {
 	return f.in.pipe.zeroes[b.slot]
 }
 
-// isUnsized reports whether an expression is an unsized literal (or a
-// composition of them), whose runtime width adapts to its context.
-func (m *Machine) isUnsized(e ast.Expr) bool {
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return n.Width == 0
-	case *ast.Ident:
-		c, ok := m.info.Consts[n.Name]
-		return ok && !c.IsBool && c.Width == 0
-	case *ast.Unary:
-		return m.isUnsized(n.X)
-	case *ast.Binary:
-		return m.isUnsized(n.L) && m.isUnsized(n.R)
-	}
-	return false
-}
-
 func (f *firing) evalBinary(n *ast.Binary) V {
 	l := f.eval(n.L)
 	if f.stalled {
@@ -744,9 +725,9 @@ func (f *firing) evalBinary(n *ast.Binary) V {
 	lv, rv := l.Val, r.Val
 	if lv.Width() != rv.Width() && n.Op != ast.OpShl && n.Op != ast.OpShr {
 		switch {
-		case f.m.isUnsized(n.L):
+		case f.m.plan.isUnsized(n.L):
 			lv = val.New(lv.Uint(), rv.Width())
-		case f.m.isUnsized(n.R):
+		case f.m.plan.isUnsized(n.R):
 			rv = val.New(rv.Uint(), lv.Width())
 		}
 	}
@@ -875,7 +856,7 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 			f.stall()
 			return Scalar(val.New(0, 1))
 		}
-		decl := externDecl(f.m, n.Name)
+		decl := f.m.plan.externDecl(n.Name)
 		args := make([]val.Value, len(n.Args))
 		for i, a := range n.Args {
 			args[i] = f.evalScalar(a, decl.Params[i].Type.BitWidth())
@@ -887,7 +868,7 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 	}
 
 	// In-language function.
-	fn := f.m.funcs[n.Name]
+	fn := f.m.plan.funcs[n.Name]
 	if fn == nil {
 		panic(fmt.Sprintf("sim: call to unknown function %q", n.Name))
 	}
@@ -900,15 +881,6 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 		args[i] = Scalar(val.New(v.Uint(), fn.Params[i].Type.BitWidth()))
 	}
 	return f.callFunc(fn, args)
-}
-
-func externDecl(m *Machine, name string) *ast.ExternDecl {
-	for _, e := range m.info.Prog.Externs {
-		if e.Name == name {
-			return e
-		}
-	}
-	panic(fmt.Sprintf("sim: extern %q not declared", name))
 }
 
 // callFunc interprets an in-language combinational function.
@@ -955,17 +927,18 @@ func (f *firing) callFunc(fn *ast.FuncDecl, args []V) V {
 }
 
 func (f *firing) evalMemRead(n *ast.MemRead) V {
-	b := f.m.memBind[n]
+	b := f.m.plan.memBind[n]
 	addr := f.evalAddr(n.Index, b.decl)
 	if f.stalled {
 		return Scalar(val.New(0, b.decl.Elem.Width))
 	}
-	if b.plain != nil {
-		return Scalar(b.plain.Peek(addr))
+	if b.plain >= 0 {
+		return Scalar(f.m.plainList[b.plain].Peek(addr))
 	}
-	if !b.lock.ReadReady(f.in.iid, addr) {
+	l := f.m.memList[b.lock]
+	if !l.ReadReady(f.in.iid, addr) {
 		f.stall()
 		return Scalar(val.New(0, b.decl.Elem.Width))
 	}
-	return Scalar(b.lock.Read(f.in.iid, addr))
+	return Scalar(l.Read(f.in.iid, addr))
 }

@@ -26,22 +26,22 @@ type Observer interface {
 
 // PipeNodes reports how many stage nodes a pipeline has in processing
 // order (exception chain downstream-first, commit tail, then body).
-func (m *Machine) PipeNodes(pipe string) int { return len(m.pipes[pipe].nodes) }
+func (m *Machine) PipeNodes(pipe string) int { return len(m.pipe(pipe).nodes) }
 
 // NodeLabel names the node at a processing-order position (diagnostics).
 func (m *Machine) NodeLabel(pipe string, pos int) string {
-	return m.pipes[pipe].nodes[pos].label()
+	return m.pipe(pipe).nodes[pos].label()
 }
 
 // StageOccupied reports whether the node at pos holds an instruction.
 func (m *Machine) StageOccupied(pipe string, pos int) bool {
-	return m.pipes[pipe].nodes[pos].cur != nil
+	return m.pipe(pipe).nodes[pos].cur != nil
 }
 
 // StageLEF reads the local exception flag of the instruction at pos;
 // false when the node is empty.
 func (m *Machine) StageLEF(pipe string, pos int) bool {
-	in := m.pipes[pipe].nodes[pos].cur
+	in := m.pipe(pipe).nodes[pos].cur
 	return in != nil && in.lef
 }
 
@@ -49,7 +49,7 @@ func (m *Machine) StageLEF(pipe string, pos int) bool {
 // at pos (nil when empty or not yet bound). The slice is live machine
 // state; callers must not mutate it.
 func (m *Machine) StageEArgs(pipe string, pos int) []val.Value {
-	in := m.pipes[pipe].nodes[pos].cur
+	in := m.pipe(pipe).nodes[pos].cur
 	if in == nil {
 		return nil
 	}
@@ -59,7 +59,7 @@ func (m *Machine) StageEArgs(pipe string, pos int) []val.Value {
 // SlotNames lists a pipeline's variable slots in slot order (sorted
 // checker variable names — the layout mirrored by synth.RTLPlan.Slots).
 func (m *Machine) SlotNames(pipe string) []string {
-	ps := m.pipes[pipe]
+	ps := m.pipe(pipe)
 	names := make([]string, 0, len(ps.slotOf))
 	for n := range ps.slotOf {
 		names = append(names, n)
@@ -70,7 +70,7 @@ func (m *Machine) SlotNames(pipe string) []string {
 
 // SlotIndex resolves a variable name to its slot index.
 func (m *Machine) SlotIndex(pipe, name string) (int, bool) {
-	s, ok := m.pipes[pipe].slotOf[name]
+	s, ok := m.pipe(pipe).slotOf[name]
 	return s, ok
 }
 
@@ -78,7 +78,7 @@ func (m *Machine) SlotIndex(pipe, name string) (int, bool) {
 // false when the node is empty or the slot has not been assigned yet
 // (an undriven slot — its architectural value is unobservable).
 func (m *Machine) StageSlot(pipe string, pos, slot int) (V, bool) {
-	in := m.pipes[pipe].nodes[pos].cur
+	in := m.pipe(pipe).nodes[pos].cur
 	if in == nil {
 		return V{}, false
 	}
@@ -87,10 +87,10 @@ func (m *Machine) StageSlot(pipe string, pos, slot int) (V, bool) {
 }
 
 // QueueLen reports the entry-queue depth of a pipeline.
-func (m *Machine) QueueLen(pipe string) int { return len(m.pipes[pipe].entryQ) }
+func (m *Machine) QueueLen(pipe string) int { return len(m.pipe(pipe).entryQ) }
 
 // QueueArg reads parameter argIdx of the queued instruction at position
 // i (0 = head).
 func (m *Machine) QueueArg(pipe string, i, argIdx int) val.Value {
-	return m.pipes[pipe].entryQ[i].args[argIdx]
+	return m.pipe(pipe).entryQ[i].args[argIdx]
 }

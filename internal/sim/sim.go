@@ -60,6 +60,15 @@ func Scalar(x val.Value) V { return V{Val: x} }
 // Record wraps named fields as a V.
 func Record(fields map[string]val.Value) V { return vm.Record(fields) }
 
+// SortedRecord wraps parallel field names and values as a V without
+// copying either slice. names must be sorted and unique — the layout
+// Record produces — and neither slice may change afterwards; records are
+// immutable values, so one names slice can serve every record of a
+// layout.
+func SortedRecord(names []string, vals []val.Value) V {
+	return V{Rec: &recVal{Names: names, Vals: vals}}
+}
+
 // ExternFunc implements an extern combinational function in Go — the
 // analogue of an imported Verilog module in PDL. The args slice is only
 // valid for the duration of the call (the compiled executors pass a
@@ -182,30 +191,23 @@ type Retirement struct {
 	Cycle       int
 }
 
-// Machine simulates one compiled XPDL program.
+// Machine simulates one compiled XPDL program. Its immutable half —
+// stage-graph shape, slot layouts, resolution tables, the vm Program —
+// lives in the shared Plan; the machine holds only mutable state.
 type Machine struct {
-	info  *check.Info
-	trs   map[string]*core.Result
-	cfg   Config
-	pipes map[string]*pipeState
-	// pipeOrder is deterministic processing order (declaration order).
-	pipeOrder []string
-	pipeList  []*pipeState // parallel to pipeOrder; indexed by pipeState.idx
-	mems      map[string]locks.Lock
-	memList   []locks.Lock // deterministic iteration for transactions
-	memOrder  []string     // names parallel to memList, for diagnostics
-	plains    map[string]*locks.Plain
-	plainList []*locks.Plain // declaration order (vm memory indices)
-	memDecl   map[string]*ast.MemDecl
-	vols      map[string]*volatileReg
+	plan *Plan
+	cfg  Config
+	// pipeList is deterministic processing order (declaration order),
+	// indexed by pipeState.idx.
+	pipeList  []*pipeState
+	memList   []locks.Lock   // locked memories, declaration order (vm lock indices)
+	plainList []*locks.Plain // plain memories, declaration order (vm plain indices)
 	// volVals is the struct-of-arrays home of every volatile register's
 	// value, in declaration order; volatileReg only carries the index.
 	volVals []val.Value
 	// gefs is the struct-of-arrays home of the per-pipe global exception
 	// flags, indexed by pipeState.idx.
 	gefs    []bool
-	consts  map[string]V
-	funcs   map[string]*ast.FuncDecl
 	externs map[string]ExternFunc
 
 	devices []func(m *Machine)
@@ -215,18 +217,9 @@ type Machine struct {
 	deviceWakes []func(cycle int) int
 	traceW      io.Writer
 
-	// Build-time identifier resolution: every Ident node in pipeline
-	// code resolves once to a slot, a constant, or a volatile register,
-	// so the hot path avoids string hashing.
-	identBind  map[*ast.Ident]identBind
-	memBind    map[*ast.MemRead]*memBinding
-	memWBind   map[ast.Stmt]*memBinding // MemWrite / Lock / Abort nodes
-	assignSlot map[ast.Stmt]int         // Assign/SpecCall target slots
-	assignVol  map[ast.Stmt]*volatileReg
-	fieldIdx   map[*ast.FieldAccess]int // sorted-field index, -1 when unknown
-	scratch    firingScratch
+	scratch firingScratch
 
-	// Compiled execution plans (built once at New unless cfg.Interp).
+	// Compiled function plans (closure engine only).
 	funcPlans map[string]*funcPlan
 
 	// Hot-path arenas, all reused across firings so the steady-state
@@ -259,7 +252,7 @@ type Machine struct {
 	watchdog int           // idle-cycle limit; <= 0 disables the watchdog
 	failed   error         // sticky *InternalError after a recovered panic
 
-	// Bytecode engine state (engine == engVM): the design's shared
+	// Bytecode engine state (engine == engVM): the plan's shared
 	// immutable Program and this machine's dispatch environment, wired to
 	// the machine's own arenas and struct-of-arrays state (see vmexec.go).
 	engine uint8
@@ -303,11 +296,12 @@ type identBind struct {
 	vol  *volatileReg
 }
 
-// memBinding is a resolved memory reference.
+// memBinding is a resolved memory reference, owned by the plan: the
+// memory is named by index into each machine's memory lists.
 type memBinding struct {
 	decl  *ast.MemDecl
-	lock  locks.Lock   // nil for unlocked memories
-	plain *locks.Plain // nil for locked memories
+	lock  int // index into Machine.memList; -1 for unlocked memories
+	plain int // index into Machine.plainList; -1 for locked memories
 }
 
 // firingScratch is the per-machine reusable combinational/latched write
@@ -330,25 +324,16 @@ func (fs *firingScratch) grow(n int) {
 	fs.pendEpoch = make([]uint32, n)
 }
 
+// pipeState is one machine's instance of a pipeline: the plan's shape
+// plus occupancy, the entry queue and the speculation table.
 type pipeState struct {
-	m       *Machine
-	idx     int // position in pipeOrder; indexes Machine.spawnCnt
-	name    string
-	decl    *ast.PipeDecl // translated declaration
-	orig    *ast.PipeDecl // original (pre-translation) declaration
-	res     *core.Result
+	*pipePlan
 	nodes   []*stageNode // processing order: downstream first
 	body    []*stageNode
 	commit  []*stageNode
 	exc     []*stageNode
 	entryQ  []*inst
 	specTab *specTable // gef lives in Machine.gefs[idx] (SoA)
-
-	// Variable storage layout: every name the checker recorded for this
-	// pipeline gets a fixed slot; instruction state and firing scratch
-	// are slot-indexed slices instead of string-keyed maps (hot path).
-	slotOf map[string]int
-	zeroes []V // per-slot zero of the checked type (undriven reads)
 }
 
 type stageKind int
@@ -360,16 +345,12 @@ const (
 )
 
 type stageNode struct {
-	pipe  *pipeState
-	kind  stageKind
-	index int // index within its chain
-	pos   int // index in pipeState.nodes (processing order); Observer coordinate
-	gid   int // machine-global stage id (FaultInjector coordinate)
-	stmts []ast.Stmt
-	code  []cStmt    // compiled plan for stmts (nil under cfg.Interp)
-	next  *stageNode // linear successor; nil means retire
-	fork  *forkInfo  // non-nil on the translated final body stage
-	cur   *inst
+	*nodePlan
+	pipe *pipeState
+	code []cStmt    // compiled plan for stmts (closure engine only)
+	next *stageNode // linear successor; nil means retire
+	fork *forkInfo  // non-nil on the translated final body stage
+	cur  *inst
 }
 
 func (n *stageNode) label() string {
@@ -384,12 +365,11 @@ func (n *stageNode) label() string {
 }
 
 type forkInfo struct {
-	commitStage0 []ast.Stmt
-	excStage0    []ast.Stmt
-	commitCode   []cStmt // compiled commitStage0
-	excCode      []cStmt // compiled excStage0
-	commitNext   *stageNode
-	excNext      *stageNode
+	*forkPlan
+	commitCode []cStmt // compiled commitStage0
+	excCode    []cStmt // compiled excStage0
+	commitNext *stageNode
+	excNext    *stageNode
 }
 
 type specStatus int
@@ -450,210 +430,23 @@ type inst struct {
 	pooled bool // on the machine free list; guards double release
 }
 
-// New builds a machine for a checked, translated program.
+// New builds a machine for a checked, translated program: NewPlan then
+// Plan.New. Callers building many machines of one design keep the plan
+// (xpdl.Design does) instead.
 func New(info *check.Info, trs map[string]*core.Result, cfg Config) (*Machine, error) {
-	if cfg.RenamingExtra <= 0 {
-		cfg.RenamingExtra = 16
-	}
-	if cfg.EntryCap <= 0 {
-		cfg.EntryCap = 8
-	}
-	engName, err := ParseEngine(cfg.Engine)
+	p, err := NewPlan(info, trs)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Engine == "" && cfg.Interp {
-		engName = "interp" // legacy switch; Engine wins when set
-	}
-	var engine uint8
-	switch engName {
-	case "interp":
-		engine = engInterp
-	case "vm":
-		engine = engVM
-	default:
-		engine = engClosure
-	}
-	cfg.Engine = engName
-	cfg.Interp = engine == engInterp
-	m := &Machine{
-		info:    info,
-		trs:     trs,
-		cfg:     cfg,
-		pipes:   make(map[string]*pipeState),
-		mems:    make(map[string]locks.Lock),
-		plains:  make(map[string]*locks.Plain),
-		memDecl: make(map[string]*ast.MemDecl),
-		vols:    make(map[string]*volatileReg),
-		consts:  make(map[string]V),
-		funcs:   make(map[string]*ast.FuncDecl),
-		externs: cfg.Externs,
-		alive:   make(map[uint64]*inst),
-		nextIID: 1,
-	}
-	for name, c := range info.Consts {
-		w := c.Width
-		if w == 0 {
-			w = 64
-		}
-		if c.IsBool {
-			m.consts[name] = Scalar(val.Bool(c.Bool))
-		} else {
-			m.consts[name] = Scalar(val.New(c.Value, w))
-		}
-	}
-	for _, f := range info.Prog.Funcs {
-		m.funcs[f.Name] = f
-	}
-	for _, e := range info.Prog.Externs {
-		if m.externs[e.Name] == nil {
-			return nil, fmt.Errorf("sim: extern %q is not bound", e.Name)
-		}
-	}
-	for _, md := range info.Prog.Mems {
-		m.memDecl[md.Name] = md
-		switch md.Lock {
-		case ast.LockNone:
-			m.plains[md.Name] = locks.NewPlain(md.Depth, md.Elem.Width)
-		case ast.LockBasic:
-			m.mems[md.Name] = locks.NewBasic(md.Depth, md.Elem.Width)
-		case ast.LockBypass:
-			m.mems[md.Name] = locks.NewBypass(md.Depth, md.Elem.Width)
-		case ast.LockRenaming:
-			m.mems[md.Name] = locks.NewRenaming(md.Depth, md.Elem.Width, cfg.RenamingExtra)
-		}
-	}
-	for i, vd := range info.Prog.Vols {
-		m.vols[vd.Name] = &volatileReg{decl: vd, idx: i}
-		m.volVals = append(m.volVals, val.New(0, vd.Elem.Width))
-	}
-	for _, md := range info.Prog.Mems {
-		if l, ok := m.mems[md.Name]; ok {
-			m.memList = append(m.memList, l)
-			m.memOrder = append(m.memOrder, md.Name)
-		} else {
-			m.plainList = append(m.plainList, m.plains[md.Name])
-		}
-	}
-	for _, pd := range info.Prog.Pipes {
-		tr := trs[pd.Name]
-		if tr == nil {
-			return nil, fmt.Errorf("sim: pipe %q has no translation result", pd.Name)
-		}
-		ps, err := m.buildPipe(pd, tr)
-		if err != nil {
-			return nil, err
-		}
-		ps.idx = len(m.pipeOrder)
-		m.pipes[pd.Name] = ps
-		m.pipeOrder = append(m.pipeOrder, pd.Name)
-		m.pipeList = append(m.pipeList, ps)
-	}
-	m.gefs = make([]bool, len(m.pipeOrder))
-	// Machine-global stage ids, in deterministic pipe/processing order:
-	// the StallStage coordinate both executors share.
-	gid := 0
-	for _, name := range m.pipeOrder {
-		for _, n := range m.pipes[name].nodes {
-			n.gid = gid
-			gid++
-		}
-	}
-	m.faults = cfg.Faults
-	m.watchdog = cfg.WatchdogCycles
-	if m.watchdog == 0 {
-		m.watchdog = defaultWatchdog
-	}
-	m.spawnCnt = make([]int, len(m.pipeOrder))
-	m.fr.m = m
-	m.engine = engine
-	switch engine {
-	case engClosure:
-		m.compileAll()
-	case engVM:
-		m.buildVM()
-	}
-	return m, nil
+	return p.New(cfg)
 }
 
-// buildPipe constructs the stage graph from the translated declaration.
-func (m *Machine) buildPipe(orig *ast.PipeDecl, tr *core.Result) (*pipeState, error) {
-	ps := &pipeState{
-		m:       m,
-		name:    orig.Name,
-		decl:    tr.Pipe,
-		orig:    orig,
-		res:     tr,
-		specTab: newSpecTable(),
+// pipe resolves a pipeline by name; nil when the design has none.
+func (m *Machine) pipe(name string) *pipeState {
+	if i, ok := m.plan.pipeIdx[name]; ok {
+		return m.pipeList[i]
 	}
-	stages := ast.SplitStages(tr.Pipe.Body)
-	for i, st := range stages {
-		ps.body = append(ps.body, &stageNode{pipe: ps, kind: kindBody, index: i, stmts: st})
-	}
-	for i := 0; i < len(ps.body)-1; i++ {
-		ps.body[i].next = ps.body[i+1]
-	}
-
-	if tr.Translated {
-		lastStage := ps.body[len(ps.body)-1]
-		guard, ok := lastStage.stmts[0].(*ast.GefGuard)
-		if !ok || len(lastStage.stmts) != 1 {
-			return nil, fmt.Errorf("sim: pipe %s: translated last stage is malformed", ps.name)
-		}
-		forkStmt, ok := guard.Body[len(guard.Body)-1].(*ast.LefBranch)
-		if !ok {
-			return nil, fmt.Errorf("sim: pipe %s: missing LefBranch in final stage", ps.name)
-		}
-		// The fork is handled structurally: execute a trimmed copy of the
-		// guard (the shared translated AST must stay intact for other
-		// backends such as the Verilog emitter and the cost model).
-		trimmed := &ast.GefGuard{Body: guard.Body[:len(guard.Body)-1]}
-		lastStage.stmts = []ast.Stmt{trimmed}
-
-		commitStages := ast.SplitStages(forkStmt.Commit)
-		for i := 1; i < len(commitStages); i++ {
-			ps.commit = append(ps.commit, &stageNode{pipe: ps, kind: kindCommit, index: i, stmts: commitStages[i]})
-		}
-		for i := 0; i < len(ps.commit)-1; i++ {
-			ps.commit[i].next = ps.commit[i+1]
-		}
-		excStages := ast.SplitStages(forkStmt.Except)
-		for i := 1; i < len(excStages); i++ {
-			ps.exc = append(ps.exc, &stageNode{pipe: ps, kind: kindExc, index: i, stmts: excStages[i]})
-		}
-		for i := 0; i < len(ps.exc)-1; i++ {
-			ps.exc[i].next = ps.exc[i+1]
-		}
-		fi := &forkInfo{
-			commitStage0: commitStages[0],
-			excStage0:    excStages[0],
-		}
-		if len(ps.commit) > 0 {
-			fi.commitNext = ps.commit[0]
-		}
-		if len(ps.exc) > 0 {
-			fi.excNext = ps.exc[0]
-		}
-		lastStage.fork = fi
-	}
-
-	// Processing order: exception chain (downstream first), commit tail,
-	// then body, all downstream first.
-	for i := len(ps.exc) - 1; i >= 0; i-- {
-		ps.nodes = append(ps.nodes, ps.exc[i])
-	}
-	for i := len(ps.commit) - 1; i >= 0; i-- {
-		ps.nodes = append(ps.nodes, ps.commit[i])
-	}
-	for i := len(ps.body) - 1; i >= 0; i-- {
-		ps.nodes = append(ps.nodes, ps.body[i])
-	}
-	for i, n := range ps.nodes {
-		n.pos = i
-	}
-
-	m.buildSlots(ps)
-	return ps, nil
+	return nil
 }
 
 // OnCycle registers a device hook invoked at the start of every cycle —
@@ -688,9 +481,8 @@ func (m *Machine) emitTrace() {
 		return
 	}
 	fmt.Fprintf(m.traceW, "cycle %5d", m.cycle)
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
-		fmt.Fprintf(m.traceW, " | %s:", name)
+	for _, ps := range m.pipeList {
+		fmt.Fprintf(m.traceW, " | %s:", ps.name)
 		for _, n := range ps.body {
 			m.emitSlot(n)
 		}
@@ -730,7 +522,7 @@ func (m *Machine) emitSlot(n *stageNode) {
 
 // Start injects the initial instruction into a pipeline.
 func (m *Machine) Start(pipe string, args ...val.Value) error {
-	ps := m.pipes[pipe]
+	ps := m.pipe(pipe)
 	if ps == nil {
 		return fmt.Errorf("sim: unknown pipe %q", pipe)
 	}
@@ -813,42 +605,71 @@ func (m *Machine) Retired() []Retirement { return m.retired }
 // InFlight reports live instructions (in stages or entry queues).
 func (m *Machine) InFlight() int { return len(m.alive) }
 
-// MemPeek reads a memory's committed value.
-func (m *Machine) MemPeek(mem string, addr uint64) val.Value {
-	if p, ok := m.plains[mem]; ok {
-		return p.Peek(addr)
-	}
-	return m.mems[mem].Peek(addr)
+// Mem is a handle on one of a machine's memories, resolved once by name
+// (Machine.Mem) for callers that touch many words. The zero Mem names
+// no memory; using it panics.
+type Mem struct {
+	lock  locks.Lock
+	plain *locks.Plain
 }
 
-// MemPoke sets a memory's committed value (initialization).
-func (m *Machine) MemPoke(mem string, addr uint64, v val.Value) {
-	if p, ok := m.plains[mem]; ok {
-		p.Poke(addr, v)
+// Mem resolves a memory by name with a single lookup in the plan.
+func (m *Machine) Mem(name string) Mem {
+	b := m.plan.memByName[name]
+	if b == nil {
+		return Mem{}
+	}
+	if b.plain >= 0 {
+		return Mem{plain: m.plainList[b.plain]}
+	}
+	return Mem{lock: m.memList[b.lock]}
+}
+
+// Peek reads the memory's committed value.
+func (h Mem) Peek(addr uint64) val.Value {
+	if h.plain != nil {
+		return h.plain.Peek(addr)
+	}
+	return h.lock.Peek(addr)
+}
+
+// Poke sets the memory's committed value (initialization).
+func (h Mem) Poke(addr uint64, v val.Value) {
+	if h.plain != nil {
+		h.plain.Poke(addr, v)
 		return
 	}
-	m.mems[mem].Poke(addr, v)
+	h.lock.Poke(addr, v)
 }
+
+// Depth reports the memory's word count.
+func (h Mem) Depth() int {
+	if h.plain != nil {
+		return h.plain.Depth()
+	}
+	return h.lock.Depth()
+}
+
+// MemPeek reads a memory's committed value.
+func (m *Machine) MemPeek(mem string, addr uint64) val.Value { return m.Mem(mem).Peek(addr) }
+
+// MemPoke sets a memory's committed value (initialization).
+func (m *Machine) MemPoke(mem string, addr uint64, v val.Value) { m.Mem(mem).Poke(addr, v) }
 
 // MemDepth reports the word count of a memory.
-func (m *Machine) MemDepth(mem string) int {
-	if p, ok := m.plains[mem]; ok {
-		return p.Depth()
-	}
-	return m.mems[mem].Depth()
-}
+func (m *Machine) MemDepth(mem string) int { return m.Mem(mem).Depth() }
 
 // VolPeek reads a volatile register.
-func (m *Machine) VolPeek(name string) val.Value { return m.volVals[m.vols[name].idx] }
+func (m *Machine) VolPeek(name string) val.Value { return m.volVals[m.plan.vols[name].idx] }
 
 // VolPoke writes a volatile register, as an external device would.
 func (m *Machine) VolPoke(name string, v val.Value) {
-	reg := m.vols[name]
+	reg := m.plan.vols[name]
 	m.volVals[reg.idx] = val.New(v.Uint(), reg.decl.Elem.Width)
 }
 
 // GefSet reports whether a pipeline is in exception-handling mode.
-func (m *Machine) GefSet(pipe string) bool { return m.gefs[m.pipes[pipe].idx] }
+func (m *Machine) GefSet(pipe string) bool { return m.gefs[m.pipe(pipe).idx] }
 
 // Step advances one cycle. It returns a *DeadlockError when the hang
 // watchdog trips (no stage fired for WatchdogCycles consecutive cycles
@@ -887,8 +708,7 @@ func (m *Machine) step() error {
 	}
 	m.pulledAny = false
 	progressed := false
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
+	for _, ps := range m.pipeList {
 		for _, node := range ps.nodes {
 			if node.cur == nil && node.kind == kindBody && node.index == 0 {
 				m.pullEntry(ps, node)
@@ -1018,8 +838,8 @@ func (m *Machine) quiesceSkip(budgetLeft int) int {
 		if len(m.alive) != 0 {
 			return 0
 		}
-		for _, name := range m.pipeOrder {
-			if len(m.pipes[name].entryQ) != 0 {
+		for _, ps := range m.pipeList {
+			if len(ps.entryQ) != 0 {
 				return 0
 			}
 		}
@@ -1156,7 +976,7 @@ func (m *Machine) removeInst(in *inst) {
 			obs.InstKilled(in.pipe.name, pos, qpos)
 		}
 	}
-	for _, l := range m.mems {
+	for _, l := range m.memList {
 		l.Squash(in.iid)
 	}
 	ps := in.pipe

@@ -61,8 +61,7 @@ func (m *Machine) Save(wr io.Writer) error {
 
 	// Per-pipe control state: gef and the speculation table, entries
 	// sorted by handle.
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
+	for _, ps := range m.pipeList {
 		w.Bool(m.gefs[ps.idx])
 		w.U64(ps.specTab.nextHandle)
 		handles := make([]uint64, 0, len(ps.specTab.entries))
@@ -115,8 +114,7 @@ func (m *Machine) Save(wr io.Writer) error {
 	// Placement: per-pipe entry queues (front first) and stage
 	// registers in processing-node order; 0 marks an empty register
 	// (iids start at 1).
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
+	for _, ps := range m.pipeList {
 		w.Int(len(ps.entryQ))
 		for _, in := range ps.entryQ {
 			w.U64(in.iid)
@@ -152,15 +150,15 @@ func (m *Machine) Save(wr io.Writer) error {
 	}
 
 	// Memories and volatiles, in declaration order.
-	for _, md := range m.info.Prog.Mems {
-		if p, ok := m.plains[md.Name]; ok {
-			p.SaveState(w)
+	for _, b := range m.plan.mems {
+		if b.plain >= 0 {
+			m.plainList[b.plain].SaveState(w)
 		} else {
-			m.mems[md.Name].SaveState(w)
+			m.memList[b.lock].SaveState(w)
 		}
 	}
-	for _, vd := range m.info.Prog.Vols {
-		w.Val(m.volVals[m.vols[vd.Name].idx])
+	for _, v := range m.volVals {
+		w.Val(v)
 	}
 
 	return w.Close()
@@ -219,8 +217,7 @@ func (m *Machine) Restore(rd io.Reader) error {
 	}
 
 	// Drop the current dynamic state: stages, queues, live instructions.
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
+	for _, ps := range m.pipeList {
 		for _, n := range ps.nodes {
 			n.cur = nil
 		}
@@ -237,8 +234,7 @@ func (m *Machine) Restore(rd io.Reader) error {
 	m.firings = firings
 	m.idleFor = idleFor
 
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
+	for _, ps := range m.pipeList {
 		m.gefs[ps.idx] = r.Bool()
 		ps.specTab.nextHandle = r.U64()
 		n := r.Int()
@@ -267,10 +263,10 @@ func (m *Machine) Restore(rd io.Reader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		if pidx >= len(m.pipeOrder) {
+		if pidx < 0 || pidx >= len(m.pipeList) {
 			return fmt.Errorf("sim: snapshot instruction pipe index %d out of range", pidx)
 		}
-		ps := m.pipes[m.pipeOrder[pidx]]
+		ps := m.pipeList[pidx]
 		in.pipe = ps
 		in.parent = r.U64()
 		nargs := r.Int()
@@ -343,8 +339,7 @@ func (m *Machine) Restore(rd io.Reader) error {
 		placed++
 		return in, nil
 	}
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
+	for _, ps := range m.pipeList {
 		nq := r.Int()
 		if err := r.Err(); err != nil {
 			return err
@@ -409,19 +404,19 @@ func (m *Machine) Restore(rd io.Reader) error {
 		m.retired = append(m.retired, rt)
 	}
 
-	for _, md := range m.info.Prog.Mems {
+	for _, b := range m.plan.mems {
 		var err error
-		if p, ok := m.plains[md.Name]; ok {
-			err = p.RestoreState(r)
+		if b.plain >= 0 {
+			err = m.plainList[b.plain].RestoreState(r)
 		} else {
-			err = m.mems[md.Name].RestoreState(r)
+			err = m.memList[b.lock].RestoreState(r)
 		}
 		if err != nil {
-			return fmt.Errorf("sim: memory %s: %w", md.Name, err)
+			return fmt.Errorf("sim: memory %s: %w", b.decl.Name, err)
 		}
 	}
-	for _, vd := range m.info.Prog.Vols {
-		m.volVals[m.vols[vd.Name].idx] = r.Val()
+	for i := range m.volVals {
+		m.volVals[i] = r.Val()
 	}
 
 	return r.Finish()
@@ -431,23 +426,23 @@ func (m *Machine) Restore(rd io.Reader) error {
 // snapshot is only meaningful for a machine with the same pipelines
 // (same stage graphs and variable layouts) and memory shapes.
 func (m *Machine) saveFingerprint(w *snap.Writer) {
-	w.Int(len(m.pipeOrder))
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
-		w.String(name)
+	w.Int(len(m.pipeList))
+	for _, ps := range m.pipeList {
+		w.String(ps.name)
 		w.Int(len(ps.nodes))
 		w.Int(len(ps.zeroes))
 		w.Int(len(ps.decl.Params))
 	}
-	w.Int(len(m.info.Prog.Mems))
-	for _, md := range m.info.Prog.Mems {
+	prog := m.plan.info.Prog
+	w.Int(len(prog.Mems))
+	for _, md := range prog.Mems {
 		w.String(md.Name)
 		w.Int(int(md.Lock))
 		w.Int(md.Depth)
 		w.Int(md.Elem.Width)
 	}
-	w.Int(len(m.info.Prog.Vols))
-	for _, vd := range m.info.Prog.Vols {
+	w.Int(len(prog.Vols))
+	for _, vd := range prog.Vols {
 		w.String(vd.Name)
 		w.Int(vd.Elem.Width)
 	}
@@ -457,11 +452,11 @@ func (m *Machine) checkFingerprint(r *snap.Reader) error {
 	mismatch := func(what string, got, want any) error {
 		return fmt.Errorf("sim: snapshot design mismatch: %s is %v, this machine has %v", what, got, want)
 	}
-	if n := r.Int(); r.Err() == nil && n != len(m.pipeOrder) {
-		return mismatch("pipeline count", n, len(m.pipeOrder))
+	if n := r.Int(); r.Err() == nil && n != len(m.pipeList) {
+		return mismatch("pipeline count", n, len(m.pipeList))
 	}
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
+	for _, ps := range m.pipeList {
+		name := ps.name
 		if got := r.String(); r.Err() == nil && got != name {
 			return mismatch("pipeline", got, name)
 		}
@@ -475,10 +470,11 @@ func (m *Machine) checkFingerprint(r *snap.Reader) error {
 			return mismatch(name+" param count", got, len(ps.decl.Params))
 		}
 	}
-	if n := r.Int(); r.Err() == nil && n != len(m.info.Prog.Mems) {
-		return mismatch("memory count", n, len(m.info.Prog.Mems))
+	prog := m.plan.info.Prog
+	if n := r.Int(); r.Err() == nil && n != len(prog.Mems) {
+		return mismatch("memory count", n, len(prog.Mems))
 	}
-	for _, md := range m.info.Prog.Mems {
+	for _, md := range prog.Mems {
 		if got := r.String(); r.Err() == nil && got != md.Name {
 			return mismatch("memory", got, md.Name)
 		}
@@ -492,10 +488,10 @@ func (m *Machine) checkFingerprint(r *snap.Reader) error {
 			return mismatch(md.Name+" width", got, md.Elem.Width)
 		}
 	}
-	if n := r.Int(); r.Err() == nil && n != len(m.info.Prog.Vols) {
-		return mismatch("volatile count", n, len(m.info.Prog.Vols))
+	if n := r.Int(); r.Err() == nil && n != len(prog.Vols) {
+		return mismatch("volatile count", n, len(prog.Vols))
 	}
-	for _, vd := range m.info.Prog.Vols {
+	for _, vd := range prog.Vols {
 		if got := r.String(); r.Err() == nil && got != vd.Name {
 			return mismatch("volatile", got, vd.Name)
 		}

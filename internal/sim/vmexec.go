@@ -8,65 +8,45 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/vm"
 )
 
-// vmProgCache shares one compiled Program per design: a Program is a
-// pure function of the checked AST (every index space it bakes in —
-// slots, volatiles, memories, externs, functions, pipes, stage gids —
-// is derived deterministically from declaration or sorted-name order),
-// so every machine built from the same *check.Info can run one image.
-// This is what makes Batch lanes cheap: N machines, one decode.
-var vmProgCache sync.Map // *check.Info → *vm.Program
-
-// buildVM attaches the bytecode engine: the (possibly cached) Program
-// plus this machine's dispatch environment.
-func (m *Machine) buildVM() {
-	if p, ok := vmProgCache.Load(m.info); ok {
-		m.vmProg = p.(*vm.Program)
-	} else {
-		p, _ := vmProgCache.LoadOrStore(m.info, m.compileVMProgram())
-		m.vmProg = p.(*vm.Program)
-	}
-	m.initVMEnv()
+// vmProgram returns the plan's bytecode Program, compiling it the first
+// time a vm machine asks. A Program is a pure function of the plan
+// (every index space it bakes in — slots, volatiles, memories, externs,
+// functions, pipes, stage gids — comes from declaration or sorted-name
+// order), so every vm machine of the design runs one image. This is
+// what makes Batch lanes cheap: N machines, one decode. Closure and
+// interpreter machines never pay for the compile.
+func (p *Plan) vmProgram() *vm.Program {
+	p.vmOnce.Do(func() { p.vmProg = p.compileVM() })
+	return p.vmProg
 }
 
-// compileVMProgram lowers the design to bytecode. The hooks close over
-// this machine's resolution tables, but everything they hand the
-// compiler is machine-independent (indices and widths), so the result
-// is shareable.
-func (m *Machine) compileVMProgram() *vm.Program {
-	lockIdx := make(map[string]int, len(m.memOrder))
-	for i, name := range m.memOrder {
-		lockIdx[name] = i
-	}
-	plainIdx := make(map[string]int, len(m.plainList))
-	for _, md := range m.info.Prog.Mems {
-		if _, ok := m.plains[md.Name]; ok {
-			plainIdx[md.Name] = len(plainIdx)
-		}
-	}
-	extIdx := make(map[string]int, len(m.info.Prog.Externs))
-	for i, ed := range m.info.Prog.Externs {
+// compileVM lowers the design to bytecode through hooks over the plan's
+// resolution tables.
+func (p *Plan) compileVM() *vm.Program {
+	extIdx := make(map[string]int, len(p.info.Prog.Externs))
+	for i, ed := range p.info.Prog.Externs {
 		extIdx[ed.Name] = i
 	}
 
 	memRef := func(b *memBinding) vm.MemRef {
-		r := vm.MemRef{Lock: -1, Plain: -1, Depth: uint64(b.decl.Depth), Width: b.decl.Elem.Width}
-		if b.plain != nil {
-			r.Plain = plainIdx[b.decl.Name]
-		} else {
-			r.Lock = lockIdx[b.decl.Name]
+		return vm.MemRef{Lock: b.lock, Plain: b.plain, Depth: uint64(b.decl.Depth), Width: b.decl.Elem.Width}
+	}
+	paramW := func(params []ast.Param) []int {
+		pw := make([]int, len(params))
+		for j, prm := range params {
+			pw[j] = prm.Type.BitWidth()
 		}
-		return r
+		return pw
 	}
 
 	h := vm.Hooks{
 		Ident: func(n *ast.Ident) (vm.IdentBind, bool) {
-			b, ok := m.identBind[n]
+			b, ok := p.identBind[n]
 			if !ok {
 				return vm.IdentBind{}, false
 			}
@@ -79,80 +59,62 @@ func (m *Machine) compileVMProgram() *vm.Program {
 			return vm.IdentBind{Kind: 0, Slot: b.slot}, true
 		},
 		Const: func(name string) (vm.V, bool) {
-			c, ok := m.consts[name]
+			c, ok := p.consts[name]
 			return c, ok
 		},
 		AssignVol: func(s ast.Stmt) (int, int, bool) {
-			vol, ok := m.assignVol[s]
+			vol, ok := p.assignVol[s]
 			if !ok {
 				return 0, 0, false
 			}
 			return vol.idx, vol.decl.Elem.Width, true
 		},
-		AssignSlot: func(s ast.Stmt) int { return m.assignSlot[s] },
+		AssignSlot: func(s ast.Stmt) int { return p.assignSlot[s] },
 		Vol: func(name string) (int, int) {
-			reg := m.vols[name]
+			reg := p.vols[name]
 			return reg.idx, reg.decl.Elem.Width
 		},
-		MemW: func(s ast.Stmt) vm.MemRef { return memRef(m.memWBind[s]) },
+		MemW: func(s ast.Stmt) vm.MemRef { return memRef(p.memWBind[s]) },
 		MemRead: func(n *ast.MemRead) (vm.MemRef, bool) {
-			b, ok := m.memBind[n]
+			b, ok := p.memBind[n]
 			if !ok {
 				return vm.MemRef{}, false
 			}
 			return memRef(b), true
 		},
 		FieldIndex: func(n *ast.FieldAccess) int {
-			if idx, ok := m.fieldIdx[n]; ok {
+			if idx, ok := p.fieldIdx[n]; ok {
 				return idx
 			}
 			return -1
 		},
-		IsUnsized: m.isUnsized,
+		IsUnsized: p.isUnsized,
 		Extern: func(name string) (vm.ExternRef, bool) {
 			i, ok := extIdx[name]
 			if !ok {
 				return vm.ExternRef{}, false
 			}
-			decl := m.info.Prog.Externs[i]
-			pw := make([]int, len(decl.Params))
-			for j, p := range decl.Params {
-				pw[j] = p.Type.BitWidth()
-			}
-			return vm.ExternRef{Idx: i, ParamW: pw, Site: siteKey(name)}, true
+			return vm.ExternRef{Idx: i, ParamW: paramW(p.info.Prog.Externs[i].Params), Site: siteKey(name)}, true
 		},
 		Pipe: func(name string) vm.PipeRef {
-			ps := m.pipes[name]
-			pw := make([]int, len(ps.decl.Params))
-			for j, p := range ps.decl.Params {
-				pw[j] = p.Type.BitWidth()
-			}
-			return vm.PipeRef{Idx: ps.idx, ParamW: pw}
+			pp := p.pipes[p.pipeIdx[name]]
+			return vm.PipeRef{Idx: pp.idx, ParamW: paramW(pp.decl.Params)}
 		},
 	}
 
-	nstages := 0
-	for _, name := range m.pipeOrder {
-		nstages += len(m.pipes[name].nodes)
-	}
-	c := vm.NewCompiler(h, nstages)
-	c.CompileFuncs(m.funcs)
-	for _, name := range m.pipeOrder {
-		ps := m.pipes[name]
-		selfW := make([]int, len(ps.decl.Params))
-		for j, p := range ps.decl.Params {
-			selfW[j] = p.Type.BitWidth()
-		}
-		tr := ps.res
+	c := vm.NewCompiler(h, p.nstages)
+	c.CompileFuncs(p.funcs)
+	for _, pp := range p.pipes {
+		tr := pp.res
 		ctx := vm.StageCtx{
-			PipeIdx: ps.idx, PipeName: ps.name,
-			NSlots: len(ps.zeroes), SelfParamW: selfW,
+			PipeIdx: pp.idx, PipeName: pp.name,
+			NSlots: len(pp.zeroes), SelfParamW: paramW(pp.decl.Params),
 			EArgW: func(i int) int { return tr.EArgs[i].Type.BitWidth() },
 		}
-		for _, node := range ps.nodes {
+		for _, node := range pp.graph {
 			var commit, exc []ast.Stmt
-			if node.fork != nil {
-				commit, exc = node.fork.commitStage0, node.fork.excStage0
+			if node.split != nil {
+				commit, exc = node.split.commitStage0, node.split.excStage0
 			}
 			c.CompileStage(node.gid, ctx, node.stmts, commit, exc)
 		}
@@ -162,8 +124,8 @@ func (m *Machine) compileVMProgram() *vm.Program {
 
 // initVMEnv wires the dispatch environment to the machine's arenas and
 // struct-of-arrays state. This happens once: the referenced slices are
-// fully sized by New (scratch is grown in buildSlots, gefs/volVals in
-// the declaration loops), and Restore mutates them in place.
+// fully sized by Plan.New (scratch to the plan's widest slot layout,
+// gefs/volVals per declaration), and Restore mutates them in place.
 func (m *Machine) initVMEnv() {
 	e := &m.vmEnv
 	e.Regs = make([]vm.V, m.vmProg.MaxStageRegs+64)
@@ -175,8 +137,8 @@ func (m *Machine) initVMEnv() {
 	e.Vols = m.volVals
 	e.Mems = m.memList
 	e.Plains = m.plainList
-	exts := make([]vm.ExternFunc, len(m.info.Prog.Externs))
-	for i, ed := range m.info.Prog.Externs {
+	exts := make([]vm.ExternFunc, len(m.plan.info.Prog.Externs))
+	for i, ed := range m.plan.info.Prog.Externs {
 		exts[i] = m.externs[ed.Name]
 	}
 	e.Externs = exts
@@ -185,7 +147,7 @@ func (m *Machine) initVMEnv() {
 	}
 	e.Host = vmHost{m}
 	e.EntryCap = m.cfg.EntryCap
-	e.SpawnCnt = make([]int, len(m.pipeOrder))
+	e.SpawnCnt = make([]int, len(m.pipeList))
 }
 
 // vmHost exposes the two pieces of machine state the dispatch loop

@@ -604,7 +604,15 @@ func TestStorageFaultStorm(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s2.Close()
-			if temps := globTemps(t, dir); len(temps) != 0 {
+			// Look under the store's write lock: s2's workers are already
+			// resuming the recovered jobs, and an atomic write in progress
+			// (temp written, not yet renamed) is not crash residue.
+			temps := func() []string {
+				s2.store.mu.Lock()
+				defer s2.store.mu.Unlock()
+				return globTemps(t, dir)
+			}()
+			if len(temps) != 0 {
 				t.Errorf("temp files survived the clean restart: %v", temps)
 			}
 			for i, id := range ids {

@@ -15,6 +15,8 @@
 package xpdl
 
 import (
+	"sync"
+
 	"xpdl/internal/check"
 	"xpdl/internal/core"
 	"xpdl/internal/pdl/ast"
@@ -23,7 +25,9 @@ import (
 )
 
 // Design is a compiled XPDL program: parsed, statically checked, and with
-// every pipeline's exception logic translated into base-PDL form.
+// every pipeline's exception logic translated into base-PDL form. A
+// Design owns its machine plan (see Plan), so it must not be copied, and
+// its Translations must not change once a machine has been built.
 type Design struct {
 	// Source is the original program text.
 	Source string
@@ -33,6 +37,10 @@ type Design struct {
 	Info *check.Info
 	// Translations maps each pipeline to its exception translation.
 	Translations map[string]*core.Result
+
+	planOnce sync.Once
+	plan     *sim.Plan
+	planErr  error
 }
 
 // Compile parses, checks and translates an XPDL program.
@@ -53,7 +61,20 @@ func Compile(src string) (*Design, error) {
 	}, nil
 }
 
-// NewMachine builds a cycle-accurate simulator for the design.
+// Plan returns the design's machine plan — the per-design half of every
+// machine, resolved once — building it on first use. It is safe for
+// concurrent use, and the plan lives exactly as long as the design.
+func (d *Design) Plan() (*sim.Plan, error) {
+	d.planOnce.Do(func() { d.plan, d.planErr = sim.NewPlan(d.Info, d.Translations) })
+	return d.plan, d.planErr
+}
+
+// NewMachine builds a cycle-accurate simulator for the design from its
+// plan.
 func (d *Design) NewMachine(cfg sim.Config) (*sim.Machine, error) {
-	return sim.New(d.Info, d.Translations, cfg)
+	p, err := d.Plan()
+	if err != nil {
+		return nil, err
+	}
+	return p.New(cfg)
 }
