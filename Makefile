@@ -14,8 +14,11 @@ vet-xpdl:
 test:
 	go test ./...
 
+# vet also fails on any Go file gofmt would change.
 vet:
 	go vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+	  echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 
 # bveq-smoke runs the bounded exhaustive equivalence gate as a tier-1
 # check: all five hand-written variants must earn the bounded-verified
@@ -37,10 +40,10 @@ bveq-smoke:
 	    cat $(BVEQ_DIR)/corrupt.log; exit 1; }
 	@echo "bveq-smoke: five variants verified, seeded bug rejected"
 
-# bveq-nightly is the deep sweep: K=3 over every variant with the full
+# bveq-nightly is the deep sweep: K=4 over every variant with the full
 # default interrupt window, JSON badges kept as an artifact.
 bveq-nightly:
-	go run ./cmd/xpdlvet -bveq -bveq-len 3 -design all -json > bveq-report.json
+	go run ./cmd/xpdlvet -bveq -bveq-len 4 -design all -json > bveq-report.json
 
 # cover runs the whole suite with statement coverage over internal/...
 # and fails if the aggregate drops below COVER_MIN percent. The floor

@@ -12,24 +12,28 @@
 // counterexample that is shrunk and rendered through internal/diag as
 // an E-BVEQ-* error.
 //
-// The sweep rides the lockstep batch driver (internal/vm.Batch): points
-// of one design are independent lanes over a single compiled program,
-// so the bytecode image stays shared and hot while thousands of lanes
-// advance in parallel. The interpreter cross-checks a sampled subset of
-// points against the primary engine, so the gate also guards the
-// engines against each other.
+// Each point costs a machine reset plus its own run and check. Points
+// of one design share one compiled plan; a target that implements
+// Releaser pools the machines it builds and resets one per point
+// instead of building it. Verify runs the points of each chunk on
+// every core: a worker claims the next point and builds its machine,
+// runs it, checks it against the specification and hands the machine
+// back. The interpreter cross-checks a sampled subset of points
+// against the primary engine, so the gate also guards the engines
+// against each other.
 //
-// Everything is deterministic: enumeration order is fixed, lane results
-// are collected in point order regardless of worker scheduling, and the
-// report's canonical JSON is byte-identical across runs and across
-// engines.
+// Everything is deterministic: enumeration order is fixed, primary
+// machines are built in point order, results are collected in point
+// order regardless of worker scheduling, and the report's canonical
+// JSON is byte-identical across runs, engines and core counts.
 package bveq
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"xpdl/internal/sim"
-	"xpdl/internal/vm"
 )
 
 // Inst is one letter of a target's projected alphabet: a fixed
@@ -43,7 +47,7 @@ type Inst struct {
 // once per design and owns that design's machine plan (compile and
 // resolve once, build many machines — every point shares the plan and
 // its vm Program), and must be safe for concurrent Build/Check calls
-// from batch workers.
+// from Verify's workers.
 type Target interface {
 	// Name identifies the design in reports and diagnostics.
 	Name() string
@@ -67,6 +71,16 @@ type Target interface {
 	// budget elapsed without incident). It returns nil when the point
 	// agrees with the specification.
 	Check(prog []uint32, intr int, m *sim.Machine, runErr error) *Mismatch
+}
+
+// Releaser is an optional Target extension. The gate calls Release
+// with every machine it is done with — a point's primary machine after
+// the point's verdict and spot diff, a spot or CheckPoint machine after
+// its check — so the target can reset the machine and hand it out
+// again from Build instead of building a new one. Machines whose run
+// returned an error are never released.
+type Releaser interface {
+	Release(m *sim.Machine)
 }
 
 // Mismatch is one point's disagreement with the sequential
@@ -100,8 +114,10 @@ type Bounds struct {
 	// disables).
 	Engine    string
 	SpotEvery int
-	// MaxCE caps recorded counterexamples (default 5); Lanes is the
-	// batch width (default 64).
+	// MaxCE caps recorded counterexamples (default 5). Lanes is the
+	// chunk size (default 64): Verify runs a chunk's points in parallel
+	// and tests the early stop (MaxCE reached, a build failed) between
+	// chunks.
 	MaxCE int
 	Lanes int
 }
@@ -160,33 +176,26 @@ func Verify(t Target, bounds Bounds) (*Report, error) {
 		if len(chunk) == 0 || infraErr != nil {
 			return
 		}
-		machines := make([]*sim.Machine, len(chunk))
-		lanes := make([]vm.Stepper, len(chunk))
-		for i, pd := range chunk {
-			m, err := t.Build(pd.Prog, pd.Intr, b.Engine)
-			if err != nil {
-				infraErr = fmt.Errorf("bveq: build point %d: %w", pd.Index, err)
-				return
-			}
-			machines[i] = m
-			lanes[i] = m
+		res, err := runChunk(t, b, chunk)
+		if err != nil {
+			infraErr = err
+			return
 		}
-		batch := vm.NewBatch(lanes)
-		batch.Run(b.Budget)
 		// Collect in point order: the report is independent of worker
 		// interleaving.
 		for i, pd := range chunk {
 			if len(rep.Counterexamples) >= b.MaxCE {
 				break
 			}
-			if mm := t.Check(pd.Prog, pd.Intr, machines[i], batch.Err(i)); mm != nil {
-				rep.Counterexamples = append(rep.Counterexamples, newCounterexample(t, pd, mm))
+			r := &res[i]
+			if r.mm != nil {
+				rep.Counterexamples = append(rep.Counterexamples, newCounterexample(t, pd, r.mm))
 				continue
 			}
-			if b.SpotEvery > 0 && pd.Index%b.SpotEvery == 0 {
+			if r.spotted {
 				rep.SpotChecks++
-				if mm := spotCheck(t, pd, b, machines[i]); mm != nil {
-					rep.Counterexamples = append(rep.Counterexamples, newCounterexample(t, pd, mm))
+				if r.spot != nil {
+					rep.Counterexamples = append(rep.Counterexamples, newCounterexample(t, pd, r.spot))
 				}
 			}
 		}
@@ -208,6 +217,64 @@ func Verify(t Target, bounds Bounds) (*Report, error) {
 	return rep, nil
 }
 
+// pointResult is one point's outcome: its verdict and, when the point
+// was sampled, the spot check's.
+type pointResult struct {
+	mm      *Mismatch
+	spotted bool
+	spot    *Mismatch
+}
+
+// runChunk runs a chunk's points on GOMAXPROCS workers. A worker claims
+// the next point and builds its machine under one lock, so the n-th
+// primary Build is the n-th point; then it advances the machine through
+// the budget, checks it, spot-checks it when sampled and releases it.
+// Results land at their point's index. A failed build stops further
+// claims, so the error returned is the first in point order.
+func runChunk(t Target, b Bounds, chunk []PointDesc) ([]pointResult, error) {
+	res := make([]pointResult, len(chunk))
+	var (
+		mu       sync.Mutex
+		next     int
+		buildErr error
+	)
+	claim := func() (int, *sim.Machine) {
+		mu.Lock()
+		defer mu.Unlock()
+		if next == len(chunk) || buildErr != nil {
+			return -1, nil
+		}
+		i := next
+		next++
+		m, err := t.Build(chunk[i].Prog, chunk[i].Intr, b.Engine)
+		if err != nil {
+			buildErr = fmt.Errorf("bveq: build point %d: %w", chunk[i].Index, err)
+			return -1, nil
+		}
+		return i, m
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(chunk)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, m := claim(); m != nil; i, m = claim() {
+				pd := chunk[i]
+				runErr := m.Advance(b.Budget)
+				r := &res[i]
+				r.mm = t.Check(pd.Prog, pd.Intr, m, runErr)
+				if r.mm == nil && b.SpotEvery > 0 && pd.Index%b.SpotEvery == 0 {
+					r.spotted = true
+					r.spot = spotCheck(t, pd, b, m)
+				}
+				release(t, m, runErr)
+			}
+		}()
+	}
+	wg.Wait()
+	return res, buildErr
+}
+
 // spotCheck reruns one point on the spot engine and requires both the
 // sequential specification and the primary engine's observable run to
 // agree with it.
@@ -216,6 +283,7 @@ func spotCheck(t Target, pd PointDesc, b Bounds, primary *sim.Machine) *Mismatch
 	if m == nil {
 		return &Mismatch{Stage: "engine", Detail: "spot engine machine build failed: " + runErr.Error(), Index: -1, Cycle: -1}
 	}
+	defer release(t, m, runErr)
 	if mm := t.Check(pd.Prog, pd.Intr, m, runErr); mm != nil {
 		mm.Stage = "engine"
 		mm.Detail = spotEngine(b.Engine) + " spot check: " + mm.Detail
@@ -268,7 +336,7 @@ func diffRuns(a, b *sim.Machine) (msg string, index, cycle int) {
 }
 
 // runPoint builds one point's machine and advances it through the full
-// budget (Advance, not Run: the batch path drives devices past drain,
+// budget (Advance, not Run: Verify's workers drive devices past drain,
 // and solo reruns must observe the identical device semantics).
 func runPoint(t Target, prog []uint32, intr int, engine string, budget int) (*sim.Machine, error) {
 	m, err := t.Build(prog, intr, engine)
@@ -281,11 +349,21 @@ func runPoint(t Target, prog []uint32, intr int, engine string, budget int) (*si
 // CheckPoint runs a single enumeration point solo and returns its
 // mismatch (nil when the point agrees). It is the shrinker's property
 // and the CLI's recheck primitive; it observes exactly the semantics of
-// a batch lane.
+// a point in Verify.
 func CheckPoint(t Target, prog []uint32, intr int, engine string, budget int) *Mismatch {
 	m, runErr := runPoint(t, prog, intr, engine, budget)
 	if m == nil {
 		return &Mismatch{Stage: "run", Detail: "build: " + runErr.Error(), Index: -1, Cycle: -1}
 	}
+	defer release(t, m, runErr)
 	return t.Check(prog, intr, m, runErr)
+}
+
+// release hands a machine the gate is done with back to a pooling
+// target. A machine whose run failed is dropped: its state after a
+// deadlock or an internal error is not worth trusting to Reset.
+func release(t Target, m *sim.Machine, runErr error) {
+	if r, ok := t.(Releaser); ok && runErr == nil {
+		r.Release(m)
+	}
 }

@@ -2,6 +2,7 @@ package bveq
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"xpdl/internal/core"
@@ -27,10 +28,11 @@ func sweepCanon(t *testing.T, v designs.Variant, corrupt func(map[string]*core.R
 }
 
 // TestReportDeterminism: same target, same bounds — byte-identical
-// canonical JSON across repeated runs and across all three engines,
-// with and without counterexamples. This is the guard that keeps the
-// badge a pure function of (design, bounds): wall time, engine
-// identity, and worker scheduling are excluded by construction.
+// canonical JSON across repeated runs, across all three engines and
+// across worker counts, with and without counterexamples. This is the
+// guard that keeps the badge a pure function of (design, bounds): wall
+// time, engine identity, and worker scheduling are excluded by
+// construction.
 func TestReportDeterminism(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -43,7 +45,6 @@ func TestReportDeterminism(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
 			ref := sweepCanon(t, tc.v, tc.corrupt, "vm")
 			if again := sweepCanon(t, tc.v, tc.corrupt, "vm"); !bytes.Equal(ref, again) {
 				t.Errorf("vm report differs across identical runs:\n--- run1\n%s\n--- run2\n%s", ref, again)
@@ -51,6 +52,14 @@ func TestReportDeterminism(t *testing.T) {
 			for _, engine := range []string{"closure", "interp"} {
 				if got := sweepCanon(t, tc.v, tc.corrupt, engine); !bytes.Equal(ref, got) {
 					t.Errorf("report differs between vm and %s:\n--- vm\n%s\n--- %s\n%s", engine, ref, engine, got)
+				}
+			}
+			// Subtests run serially: GOMAXPROCS is process-wide.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				if got := sweepCanon(t, tc.v, tc.corrupt, "vm"); !bytes.Equal(ref, got) {
+					t.Errorf("report differs with GOMAXPROCS=%d:\n--- default\n%s\n--- %d\n%s", procs, ref, procs, got)
 				}
 			}
 		})

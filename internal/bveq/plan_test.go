@@ -31,12 +31,17 @@ func TestStripAbortsSameInfoDistinctPlans(t *testing.T) {
 		t.Fatalf("clean %s not bounded-verified", clean.Name())
 	}
 
+	// A second target over the same check.Info: each target owns its
+	// machine pool, so only the plan could carry the clean program over.
 	d := clean.design
 	trs := core.TranslateProgram(d.Info)
 	StripAborts(trs)
-	stripped := *clean
+	stripped, err := NewVariantTarget(designs.All, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	stripped.design = &xpdl.Design{Source: d.Source, Prog: d.Prog, Info: d.Info, Translations: trs}
-	rep, err = Verify(&stripped, bounds)
+	rep, err = Verify(stripped, bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,5 +92,42 @@ func TestBuildAllocsWarmPlan(t *testing.T) {
 	t.Logf("warm-plan Build: %.0f allocations", allocs)
 	if allocs > maxBuildAllocs {
 		t.Errorf("warm-plan Build makes %.0f allocations, guard is %d", allocs, maxBuildAllocs)
+	}
+}
+
+// maxPooledBuildAllocs pins the allocations of one point's Build plus
+// Release once the target's pool is warm: the machine is reset, not
+// built, so what is left is the interrupt device and the boot.
+const maxPooledBuildAllocs = 8
+
+// TestBuildReleaseAllocsWarmPool guards the per-point cost of a pooled
+// VariantTarget.Build.
+func TestBuildReleaseAllocsWarmPool(t *testing.T) {
+	tgt, err := NewVariantTarget(designs.All, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := []uint32{tgt.Alphabet()[0].Word, tgt.ExcLetters()[0].Word}
+	point := func() {
+		m, err := tgt.Build(prog, 3, "vm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Advance(64); err != nil {
+			t.Fatal(err)
+		}
+		tgt.Release(m)
+	}
+	point()
+	allocs := testing.AllocsPerRun(20, func() {
+		m, err := tgt.Build(prog, 3, "vm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt.Release(m)
+	})
+	t.Logf("warm-pool Build+Release: %.0f allocations", allocs)
+	if allocs > maxPooledBuildAllocs {
+		t.Errorf("warm-pool Build+Release makes %.0f allocations, guard is %d", allocs, maxPooledBuildAllocs)
 	}
 }

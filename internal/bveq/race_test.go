@@ -1,0 +1,7 @@
+//go:build race
+
+package bveq
+
+// raceEnabled reports a race-detector build, under which the serial
+// exhaustive sweeps are skipped.
+const raceEnabled = true

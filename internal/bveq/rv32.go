@@ -2,6 +2,7 @@ package bveq
 
 import (
 	"fmt"
+	"sync"
 
 	"xpdl"
 	"xpdl/internal/asm"
@@ -48,8 +49,18 @@ type VariantTarget struct {
 	alphabet []Inst
 	excs     []Inst
 	handler  []uint32
+	// tmpl is the instruction image with every slot ebreak: padding,
+	// the handler at handlerWord, trailing padding. A point's image is
+	// tmpl with its slots over the front; each side lays it out straight
+	// into its own instruction memory.
+	tmpl []uint32
 	// presets are firmware CSR initializations applied to both sides.
 	presets map[string]uint32
+
+	// machines and goldens pool the pipeline machines and golden models
+	// of finished points, so a sweep resets both instead of building.
+	machines Pool
+	goldens  sync.Pool
 }
 
 // asmWords assembles a snippet and returns its text words.
@@ -213,6 +224,11 @@ iret:   mret
 		return nil, err
 	}
 	t.nop = np[0]
+	t.tmpl = make([]uint32, handlerWord+len(t.handler)+2)
+	for i := range t.tmpl {
+		t.tmpl[i] = t.ebreak
+	}
+	copy(t.tmpl[handlerWord:], t.handler)
 	return t, nil
 }
 
@@ -234,19 +250,6 @@ func (t *VariantTarget) IntrCapable() bool {
 // Neutral is nop.
 func (t *VariantTarget) Neutral() uint32 { return t.nop }
 
-// image lays out the full instruction image for a slot program.
-func (t *VariantTarget) image(prog []uint32) []uint32 {
-	n := handlerWord + len(t.handler) + 2
-	img := make([]uint32, n)
-	for i := range img {
-		img[i] = t.ebreak
-	}
-	copy(img, prog)
-	copy(img[handlerWord:], t.handler)
-	// Trailing padding after the handler is ebreak too (set above).
-	return img
-}
-
 func (t *VariantTarget) hasVol(name string) bool {
 	return t.design.Prog.Vol(name) != nil
 }
@@ -256,12 +259,17 @@ func (t *VariantTarget) Build(prog []uint32, intr int, engine string) (*sim.Mach
 	if len(prog) > handlerWord-2 {
 		return nil, fmt.Errorf("bveq: program of %d slots exceeds the fixed layout", len(prog))
 	}
-	m, err := t.design.NewMachine(sim.Config{Engine: engine, Externs: designs.Externs()})
+	m, err := t.machines.Get(engine, func() (*sim.Machine, error) {
+		return t.design.NewMachine(sim.Config{Engine: engine, Externs: designs.Externs()})
+	})
 	if err != nil {
 		return nil, err
 	}
 	imem := m.Mem("imem")
-	for i, w := range t.image(prog) {
+	for i, w := range t.tmpl {
+		if i < len(prog) {
+			w = prog[i]
+		}
 		imem.Poke(uint64(i), val.New(uint64(w), 32))
 	}
 	for name, v := range t.presets {
@@ -283,6 +291,10 @@ func (t *VariantTarget) Build(prog []uint32, intr int, engine string) (*sim.Mach
 	}
 	return m, nil
 }
+
+// Release files a machine the gate is done with for reuse by a later
+// Build (the Releaser extension).
+func (t *VariantTarget) Release(m *sim.Machine) { t.machines.Put(m) }
 
 // rvEvent is one projected retirement.
 type rvEvent struct {
@@ -320,7 +332,14 @@ func (t *VariantTarget) Check(prog []uint32, intr int, m *sim.Machine, runErr er
 	drained := m.InFlight() == 0
 	events := rvEvents(m)
 
-	g := golden.New(t.image(prog), nil, designs.DMemWords)
+	g, _ := t.goldens.Get().(*golden.Machine)
+	if g == nil {
+		g = golden.New(t.tmpl, nil, designs.DMemWords)
+	} else {
+		g.Reset(t.tmpl, nil)
+	}
+	defer t.goldens.Put(g)
+	copy(g.IMem, prog)
 	for name, v := range t.presets {
 		addr := csrAddr(name)
 		if idx, ok := riscv.CSRIndex(addr); ok {

@@ -31,6 +31,9 @@ type bveqTarget struct {
 	alphabet []bveq.Inst
 	excs     []bveq.Inst
 	neutral  uint32
+
+	// machines holds released machines, reset per point by Build.
+	machines bveq.Pool
 }
 
 // BveqTarget compiles one generated design (once — machines for every
@@ -128,7 +131,9 @@ func (t *bveqTarget) image(prog []uint32) []uint32 {
 // interrupt pulse (when intr >= 0) is a one-entry fault.Schedule, so
 // its timing is pure data and its cursor doubles as the wake predictor.
 func (t *bveqTarget) Build(prog []uint32, intr int, engine string) (*sim.Machine, error) {
-	m, err := t.plan.New(sim.Config{Engine: engine, Externs: externs(t.d)})
+	m, err := t.machines.Get(engine, func() (*sim.Machine, error) {
+		return t.plan.New(sim.Config{Engine: engine, Externs: externs(t.d)})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -149,6 +154,10 @@ func (t *bveqTarget) Build(prog []uint32, intr int, engine string) (*sim.Machine
 	}
 	return m, nil
 }
+
+// Release files a machine the gate is done with for reuse by a later
+// Build (the bveq.Releaser extension).
+func (t *bveqTarget) Release(m *sim.Machine) { t.machines.Put(m) }
 
 // Check replays the sequential oracle against the machine's retirement
 // trace — the same discipline as the gauntlet: the pipeline chooses the

@@ -1,8 +1,11 @@
 package designgen
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -97,5 +100,70 @@ func TestCampaignBveqGate(t *testing.T) {
 	}
 	for _, f := range sum.Findings {
 		t.Errorf("clean campaign finding: %s %s: %s", f.Kind, f.Stage, f.Detail)
+	}
+}
+
+// TestBveqFixtureEarlyStop: on the corrupted fixture the sweep stops at
+// the end of the chunk holding its MaxCE-th counterexample, and the
+// counterexamples are the first MaxCE failing points in enumeration
+// order — the same for one worker or several — and the first shrinks
+// to a single instruction.
+func TestBveqFixtureEarlyStop(t *testing.T) {
+	d := loadFixtureSpec(t)
+	b := fixtureBounds()
+	b.MaxCE, b.Lanes = 3, 16
+	tgt, err := BveqTarget(d, 2, bveq.StripAborts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The reference: every point checked alone, in order.
+	var want []int
+	_, total := bveq.Enumerate(tgt, b, func(pd bveq.PointDesc) bool {
+		if len(want) < b.MaxCE && bveq.CheckPoint(tgt, pd.Prog, pd.Intr, "vm", 384) != nil {
+			want = append(want, pd.Index)
+		}
+		return true
+	})
+	if len(want) < b.MaxCE {
+		t.Fatalf("fixture has only %d failing points, want at least %d", len(want), b.MaxCE)
+	}
+	stop := (want[len(want)-1]/b.Lanes + 1) * b.Lanes
+	if stop > total {
+		stop = total
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref []byte
+	for _, procs := range []int{1, runtime.NumCPU(), 4} {
+		runtime.GOMAXPROCS(procs)
+		rep, err := bveq.Verify(tgt, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, ce := range rep.Counterexamples {
+			got = append(got, ce.Point)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: counterexamples at points %v, want %v", procs, got, want)
+		}
+		if rep.Points != stop {
+			t.Errorf("GOMAXPROCS=%d: swept %d points, want a stop at %d", procs, rep.Points, stop)
+		}
+		raw, err := rep.Canon()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = raw
+		} else if !bytes.Equal(ref, raw) {
+			t.Errorf("GOMAXPROCS=%d: report differs from GOMAXPROCS=1", procs)
+		}
+		if procs == 1 {
+			if sc := bveq.ShrinkPoint(tgt, b, rep.Counterexamples[0]); len(sc.Prog) != 1 {
+				t.Errorf("first counterexample shrinks to %d instructions, want 1: %v", len(sc.Prog), sc.Asm)
+			}
+		}
 	}
 }

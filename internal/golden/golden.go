@@ -61,6 +61,25 @@ func New(text, data []uint32, dmemWords int) *Machine {
 	return m
 }
 
+// Reset returns the machine to the state New(text, data, len(m.DMem))
+// builds, reusing its memories and trace storage (the data memory grows
+// only if data is longer). Slices of the old Trace must not be used
+// after it.
+func (m *Machine) Reset(text, data []uint32) {
+	dmem := m.DMem
+	if len(dmem) < len(data) {
+		dmem = make([]uint32, len(data))
+	}
+	clear(dmem)
+	copy(dmem, data)
+	*m = Machine{
+		IMem:     append(m.IMem[:0], text...),
+		DMem:     dmem,
+		Trace:    m.Trace[:0],
+		MaxTrace: 1 << 20,
+	}
+}
+
 func (m *Machine) csr(addr uint32) uint32 {
 	if idx, ok := riscv.CSRIndex(addr); ok {
 		return m.CSR[idx]

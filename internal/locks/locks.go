@@ -74,6 +74,11 @@ type Lock interface {
 	// Abort resets all transient state: every reservation is revoked and
 	// every uncommitted write is discarded (§3.4).
 	Abort()
+	// Reset returns the lock to the state its constructor built — every
+	// committed word zero, no reservations, no open transaction — in
+	// place, reusing its storage (pooled machines are reset, not
+	// rebuilt).
+	Reset()
 
 	// Peek reads the committed (architectural) value; Poke sets it.
 	// They bypass locking and exist for initialization and inspection.
@@ -145,3 +150,6 @@ func (p *Plain) Poke(addr uint64, v val.Value) {
 
 // Depth is the number of words.
 func (p *Plain) Depth() int { return len(p.data) }
+
+// Reset zeroes every word, as NewPlain left them.
+func (p *Plain) Reset() { clear(p.data) }

@@ -11,9 +11,11 @@ import (
 // reservation is not behind any conflicting older reservation, and writes
 // become architectural when the reservation is released. With forwarding
 // enabled it is the bypass queue of §3.4: pending writes are passed to
-// reads by younger instructions before the writer releases.
+// reads by younger instructions before the writer releases. Committed
+// words are stored raw, already truncated to the memory's width, as in
+// Plain: a fresh or reset queue is one zeroed slice.
 type Queue struct {
-	data    []val.Value
+	data    []uint64
 	width   int
 	forward bool
 	resvs   []*qResv
@@ -56,7 +58,7 @@ type qUndo struct {
 	res   *qResv
 	idx   int
 	addr  uint64
-	old   val.Value
+	old   uint64
 	resvs []*qResv
 }
 
@@ -71,11 +73,21 @@ func NewBypass(depth, width int) *Queue {
 }
 
 func newQueue(depth, width int, forward bool) *Queue {
-	q := &Queue{data: make([]val.Value, depth), width: width, forward: forward}
-	for i := range q.data {
-		q.data[i] = val.New(0, width)
+	val.New(0, width) // validate the width up front
+	return &Queue{data: make([]uint64, depth), width: width, forward: forward}
+}
+
+// Reset returns the queue to the state its constructor built: every
+// committed word zero, no reservations, no transaction. Reservation
+// records return to the free pool, so a reset lock reuses its storage.
+func (q *Queue) Reset() {
+	if q.inTxn {
+		q.Rollback()
 	}
-	return q
+	clear(q.data)
+	q.pool = append(q.pool, q.resvs...)
+	clear(q.resvs)
+	q.resvs = q.resvs[:0]
 }
 
 // Begin starts a transaction.
@@ -278,7 +290,7 @@ func (q *Queue) Read(id IID, addr uint64) val.Value {
 			}
 		}
 	}
-	return q.data[addr]
+	return val.New(q.data[addr], q.width)
 }
 
 // Write stages a write by id's write reservation covering addr.
@@ -307,7 +319,7 @@ func (q *Queue) Release(id IID, addr uint64) {
 	}
 	for _, w := range r.wr {
 		q.record(qUndo{kind: qUndoData, addr: w.addr, old: q.data[w.addr]})
-		q.data[w.addr] = w.v
+		q.data[w.addr] = w.v.Uint()
 	}
 	idx := q.removeResv(r)
 	q.record(qUndo{kind: qUndoInsertResv, res: r, idx: idx})
@@ -339,13 +351,13 @@ func (q *Queue) Abort() {
 // Peek reads the committed value at addr.
 func (q *Queue) Peek(addr uint64) val.Value {
 	boundsCheck(addr, len(q.data), "peek")
-	return q.data[addr]
+	return val.New(q.data[addr], q.width)
 }
 
 // Poke sets the committed value at addr (initialization only).
 func (q *Queue) Poke(addr uint64, v val.Value) {
 	boundsCheck(addr, len(q.data), "poke")
-	q.data[addr] = val.New(v.Uint(), q.width)
+	q.data[addr] = val.New(v.Uint(), q.width).Uint()
 }
 
 // Depth is the number of words.

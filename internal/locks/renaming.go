@@ -105,6 +105,31 @@ func NewRenaming(depth, width, extra int) *Renaming {
 	return r
 }
 
+// Reset returns the lock to the state NewRenaming built: the identity
+// map, every physical register zero and ready, the spare registers on
+// the free list in constructor order, no reservations and no
+// transaction. Reservation records return to the free pool.
+func (r *Renaming) Reset() {
+	if r.inTxn {
+		r.Rollback()
+	}
+	depth := len(r.specMap)
+	for i := range r.phys {
+		r.phys[i] = physReg{v: val.New(0, r.width), ready: true}
+	}
+	for i := 0; i < depth; i++ {
+		r.specMap[i] = i
+		r.commMap[i] = i
+	}
+	r.free = r.free[:0]
+	for i := len(r.phys) - 1; i >= depth; i-- {
+		r.free = append(r.free, i)
+	}
+	r.pool = append(r.pool, r.resvs...)
+	clear(r.resvs)
+	r.resvs = r.resvs[:0]
+}
+
 // Begin starts a transaction.
 func (r *Renaming) Begin() {
 	if r.inTxn {

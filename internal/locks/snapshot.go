@@ -59,7 +59,7 @@ func (q *Queue) SaveState(w *snap.Writer) {
 	w.Int(q.width)
 	w.Bool(q.forward)
 	for _, v := range q.data {
-		w.Val(v)
+		w.Val(val.New(v, q.width))
 	}
 	w.Int(len(q.resvs))
 	for _, r := range q.resvs {
@@ -87,7 +87,7 @@ func (q *Queue) RestoreState(r *snap.Reader) error {
 		return fmt.Errorf("locks: snapshot queue forwarding %v, this lock %v", fwd, q.forward)
 	}
 	for i := range q.data {
-		q.data[i] = r.Val()
+		q.data[i] = val.New(r.Val().Uint(), q.width).Uint()
 	}
 	nres := r.Int()
 	if err := r.Err(); err != nil {

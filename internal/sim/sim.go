@@ -596,6 +596,9 @@ func (m *Machine) poolPut(in *inst) {
 // Cycle reports the current cycle count.
 func (m *Machine) Cycle() int { return m.cycle }
 
+// Engine reports the machine's executor: "interp", "closure" or "vm".
+func (m *Machine) Engine() string { return m.cfg.Engine }
+
 // Firings reports total successful stage firings (for utilization stats).
 func (m *Machine) Firings() uint64 { return m.firings }
 

@@ -43,7 +43,7 @@ type Env struct {
 	Gefs []bool      // per-pipe global exception flags (shared)
 	Vols []val.Value // volatile registers (shared)
 
-	Mems   []locks.Lock  // locked memories, memory-list order (shared)
+	Mems   []locks.Lock   // locked memories, memory-list order (shared)
 	Plains []*locks.Plain // plain memories, declaration order (shared)
 
 	Externs []ExternFunc

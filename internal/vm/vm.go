@@ -141,16 +141,16 @@ const (
 // produces; the host translates them to its own effect records and
 // applies them with the same machinery as the other executors.
 const (
-	EffVolWrite  uint8 = iota // A=volatile index, Val=value
-	EffSetGEF                 // A=pipe, Flag=value
-	EffPipeClear              // A=pipe
-	EffSpecClear              // A=pipe
-	EffVerify                 // A=pipe, H=handle
-	EffInvalidate             // A=pipe, H=handle
-	EffSpecResolve            // A=pipe
-	EffReturn                 // V=result value
-	EffSpawn                  // A=pipe, Flag=cross-pipe, ArgOff/ArgN, Str=result var (-1 none)
-	EffSpecSpawn              // A=pipe, ArgOff/ArgN, H=handle
+	EffVolWrite    uint8 = iota // A=volatile index, Val=value
+	EffSetGEF                   // A=pipe, Flag=value
+	EffPipeClear                // A=pipe
+	EffSpecClear                // A=pipe
+	EffVerify                   // A=pipe, H=handle
+	EffInvalidate               // A=pipe, H=handle
+	EffSpecResolve              // A=pipe
+	EffReturn                   // V=result value
+	EffSpawn                    // A=pipe, Flag=cross-pipe, ArgOff/ArgN, Str=result var (-1 none)
+	EffSpecSpawn                // A=pipe, ArgOff/ArgN, H=handle
 )
 
 // Effect is one deferred mutation (see the Eff* kinds).
@@ -310,12 +310,12 @@ const (
 	OpLockAbort // abort lock C (immediate, like the statement)
 
 	// Spawns (sub-pipeline calls).
-	OpStallIfFull   // stall when pipe A's entry queue + pending spawns >= EntryCap
-	OpSpawnPush     // push val.New(Regs[B].Uint(), C) onto the spawn-arg arena
-	OpSpawn         // spawn effect into pipe A: B args, result var Strs[C] (C<0 none), Imm bit0 = cross-pipe
-	OpSpecSpawnFin  // consume pipe B's next spec handle into slot A, spawn effect with C args
-	OpSpecCheck     // resolve/die on the instruction's speculation status (pending: keep going)
-	OpSpecBarrier   // like OpSpecCheck but stall while pending
+	OpStallIfFull  // stall when pipe A's entry queue + pending spawns >= EntryCap
+	OpSpawnPush    // push val.New(Regs[B].Uint(), C) onto the spawn-arg arena
+	OpSpawn        // spawn effect into pipe A: B args, result var Strs[C] (C<0 none), Imm bit0 = cross-pipe
+	OpSpecSpawnFin // consume pipe B's next spec handle into slot A, spawn effect with C args
+	OpSpecCheck    // resolve/die on the instruction's speculation status (pending: keep going)
+	OpSpecBarrier  // like OpSpecCheck but stall while pending
 
 	// Exception bookkeeping.
 	OpSetLEF  // set the local exception flag
