@@ -213,14 +213,13 @@ func RTLFuncs(externs []*ast.ExternDecl, impls map[string]sim.ExternFunc) (map[s
 
 // harness holds both machines and the plan tying their coordinates.
 type harness struct {
-	opts    Options
-	p       *designs.Processor
-	model   *rtl.Model
-	plan    *synth.RTLPlan
-	rec     recorder
-	mirror  []int
-	slotIdx map[string]int // checker variable -> simulator slot index
-	numEArg int
+	opts   Options
+	p      *designs.Processor
+	model  *rtl.Model
+	plan   *synth.RTLPlan
+	pr     probes
+	rec    recorder
+	mirror []int
 
 	// device write captured by the OnCycle hook, replayed onto the
 	// RTL's <devVol>_dev_* ports the same cycle.
@@ -231,9 +230,120 @@ type harness struct {
 	prevRetired int
 }
 
+// probes are the RTL signals and memories the harness drives and
+// compares every cycle, resolved to handles once per run. Names are
+// rebuilt only to report a divergence.
+type probes struct {
+	rst, fire, kill, qKill, entryPop, startValid rtl.Signal
+	start                                        []rtl.Signal // start_<param>
+	vols                                         []volProbe
+	retireV, retireExc                           rtl.Signal
+	retire                                       []rtl.Signal // retire_<param>
+	retireEArg                                   []rtl.Signal // retire_earg<i>
+	nodes                                        []nodeProbe
+	gef, qLen                                    rtl.Signal
+	qv                                           []rtl.Array // qv_<param>
+	mems                                         []memProbe  // plan.Mems
+	plainMems                                    []memProbe  // plan.PlainMems
+}
+
+// volProbe is one volatile register: its device write port and its
+// committed value.
+type volProbe struct {
+	name       string
+	width      int
+	we, din, q rtl.Signal
+}
+
+// nodeProbe is one stage node's registers.
+type nodeProbe struct {
+	pos        int
+	prefix     string
+	valid, lef rtl.Signal
+	slots      []slotProbe
+	eargs      []rtl.Signal // <prefix>_r_earg<i>
+}
+
+// slotProbe pairs one compared architectural slot register with its
+// simulator slot; a record field's position in the simulator's sorted
+// record is remembered after the first lookup.
+type slotProbe struct {
+	name  string // plan slot name, the register's suffix
+	slot  int    // simulator slot index
+	field string // record field, "" for scalars
+	at    int    // last position of field in the record
+	sig   rtl.Signal
+}
+
+// memProbe pairs a memory's RTL array with the simulator's.
+type memProbe struct {
+	mem synth.PlanMem
+	rtl rtl.Array
+	sim sim.Mem
+}
+
 // Run cosimulates one program on one variant and reports the first
 // divergence as a *DivergenceError.
 func Run(opts Options) (*Result, error) {
+	h, err := newHarness(opts)
+	if err != nil {
+		return nil, err
+	}
+	opts, p := h.opts, h.p
+	cycles := 0
+	if opts.Resume != nil {
+		if cycles, err = h.restoreCheckpoint(opts.Resume); err != nil {
+			return nil, err
+		}
+	} else if err := h.boot(); err != nil {
+		return nil, err
+	}
+
+	var done <-chan struct{}
+	if opts.Ctx != nil {
+		done = opts.Ctx.Done()
+	}
+	for p.M.InFlight() > 0 {
+		if cycles >= opts.MaxCycles {
+			return nil, fmt.Errorf("cosim: cycle budget %d exhausted with %d in flight",
+				opts.MaxCycles, p.M.InFlight())
+		}
+		select {
+		case <-done:
+			ce := &CanceledError{Cycle: cycles, Cause: opts.Ctx.Err()}
+			ce.Snapshot, _ = h.checkpoint(cycles)
+			return nil, ce
+		default:
+		}
+		if err := h.cycleContained(cycles == 0, cycles); err != nil {
+			return nil, err
+		}
+		cycles++
+		if opts.CheckpointEvery > 0 && opts.Checkpoint != nil && cycles%opts.CheckpointEvery == 0 {
+			b, err := h.checkpoint(cycles)
+			if err != nil {
+				return nil, fmt.Errorf("cosim: checkpoint at cycle %d: %w", cycles, err)
+			}
+			if err := opts.Checkpoint(b); err != nil {
+				return nil, fmt.Errorf("cosim: checkpoint at cycle %d: %w", cycles, err)
+			}
+		}
+	}
+
+	if err := h.finalDiff(); err != nil {
+		return nil, err
+	}
+	if !opts.SkipGolden {
+		if err := h.goldenDiff(); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Cycles: cycles, Retired: len(p.Retired())}, nil
+}
+
+// newHarness builds both machines for opts, with defaults applied, and
+// resolves the probes; neither machine has been booted yet.
+func newHarness(opts Options) (*harness, error) {
 	if opts.MaxCycles == 0 {
 		opts.MaxCycles = 200000
 	}
@@ -326,19 +436,9 @@ func Run(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("cosim: elaborate: %w", err)
 	}
 	h.model = model
-
-	h.slotIdx = make(map[string]int)
-	for _, s := range plan.Slots {
-		if s.Var == "" {
-			continue
-		}
-		if idx, ok := p.M.SlotIndex("cpu", s.Var); ok {
-			h.slotIdx[s.Var] = idx
-		} else {
-			return nil, fmt.Errorf("cosim: plan slot %s has no simulator slot", s.Var)
-		}
+	if err := h.resolve(); err != nil {
+		return nil, err
 	}
-	h.numEArg = plan.NumEArgs
 
 	// Interrupt sources run as a simulator device at cycle start; the
 	// hook also captures the merged mip value for the RTL's device port.
@@ -377,127 +477,139 @@ func Run(opts Options) (*Result, error) {
 			}
 		})
 	}
+	return h, nil
+}
 
-	cycles := 0
-	if opts.Resume != nil {
-		if cycles, err = h.restoreCheckpoint(opts.Resume); err != nil {
-			return nil, err
+// resolve looks up every RTL signal and memory the harness touches per
+// cycle, and the simulator slot and memory each one is compared with.
+func (h *harness) resolve() error {
+	m, plan, pr := h.model, h.plan, &h.pr
+	var err error
+	sig := func(name string) rtl.Signal {
+		s, e := m.Signal(name)
+		if e != nil && err == nil {
+			err = fmt.Errorf("cosim: %w", e)
 		}
-	} else {
-		if err := h.resetAndLoad(); err != nil {
-			return nil, err
+		return s
+	}
+	arr := func(name string, depth int) rtl.Array {
+		a, e := m.Array(name)
+		if e == nil && a.Depth() < depth {
+			e = fmt.Errorf("rtl memory %s has %d words, want %d", name, a.Depth(), depth)
 		}
-		if err := p.Boot(); err != nil {
-			return nil, err
+		if e != nil && err == nil {
+			err = fmt.Errorf("cosim: %w", e)
 		}
-		// The boot instruction is already in the simulator's entry queue;
-		// on the RTL it arrives through the start_valid strobe during the
-		// first cycle, so it has no cycle-start queue index yet.
-		h.mirror = []int{-1}
+		return a
+	}
+	memProbes := func(mems []synth.PlanMem) []memProbe {
+		out := make([]memProbe, len(mems))
+		for i, mem := range mems {
+			out[i] = memProbe{mem: mem, rtl: arr(mem.Name+"_arr", mem.Depth), sim: h.p.M.Mem(mem.Name)}
+		}
+		return out
 	}
 
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
+	pr.rst, pr.fire, pr.kill, pr.qKill = sig("rst"), sig("fire"), sig("kill"), sig("q_kill")
+	pr.entryPop, pr.startValid = sig("entry_pop"), sig("start_valid")
+	pr.retireV, pr.retireExc = sig("retire_v"), sig("retire_exc")
+	for _, prm := range plan.Params {
+		pr.start = append(pr.start, sig("start_"+prm.Name))
+		pr.retire = append(pr.retire, sig("retire_"+prm.Name))
+		pr.qv = append(pr.qv, arr("qv_"+prm.Name, plan.EntryCap))
 	}
-	for p.M.InFlight() > 0 {
-		if cycles >= opts.MaxCycles {
-			return nil, fmt.Errorf("cosim: cycle budget %d exhausted with %d in flight",
-				opts.MaxCycles, p.M.InFlight())
+	for i := 0; i < plan.NumEArgs; i++ {
+		pr.retireEArg = append(pr.retireEArg, sig(fmt.Sprintf("retire_earg%d", i)))
+	}
+	for _, v := range plan.Vols {
+		pr.vols = append(pr.vols, volProbe{name: v.Name, width: v.Width,
+			we: sig(v.Name + "_dev_we"), din: sig(v.Name + "_dev_din"), q: sig(v.Name + "_q")})
+	}
+	for _, nd := range plan.Nodes {
+		np := nodeProbe{pos: nd.Pos, prefix: nd.Prefix, valid: sig(nd.Prefix + "_valid")}
+		if plan.Translated {
+			np.lef = sig(nd.Prefix + "_lef")
 		}
-		select {
-		case <-done:
-			ce := &CanceledError{Cycle: cycles, Cause: opts.Ctx.Err()}
-			ce.Snapshot, _ = h.checkpoint(cycles)
-			return nil, ce
-		default:
-		}
-		if err := h.cycleContained(cycles == 0, cycles); err != nil {
-			return nil, err
-		}
-		cycles++
-		if opts.CheckpointEvery > 0 && opts.Checkpoint != nil && cycles%opts.CheckpointEvery == 0 {
-			b, err := h.checkpoint(cycles)
-			if err != nil {
-				return nil, fmt.Errorf("cosim: checkpoint at cycle %d: %w", cycles, err)
+		for _, s := range plan.Slots {
+			if s.Var == "" {
+				continue
 			}
-			if err := opts.Checkpoint(b); err != nil {
-				return nil, fmt.Errorf("cosim: checkpoint at cycle %d: %w", cycles, err)
+			idx, ok := h.p.M.SlotIndex("cpu", s.Var)
+			if !ok {
+				return fmt.Errorf("cosim: plan slot %s has no simulator slot", s.Var)
 			}
+			if s.IsHandle || s.IsEArg {
+				continue
+			}
+			np.slots = append(np.slots, slotProbe{name: s.Name, slot: idx, field: s.Field, sig: sig(nd.Prefix + "_r_" + s.Name)})
 		}
-	}
-
-	if err := h.finalDiff(); err != nil {
-		return nil, err
-	}
-	if !opts.SkipGolden {
-		if err := h.goldenDiff(); err != nil {
-			return nil, err
+		for i := 0; i < plan.NumEArgs; i++ {
+			np.eargs = append(np.eargs, sig(fmt.Sprintf("%s_r_earg%d", nd.Prefix, i)))
 		}
+		pr.nodes = append(pr.nodes, np)
 	}
-	return &Result{Cycles: cycles, Retired: len(p.Retired())}, nil
+	if plan.Translated {
+		pr.gef = sig("gef_q")
+	}
+	pr.qLen = sig("q_len")
+	pr.mems = memProbes(plan.Mems)
+	pr.plainMems = memProbes(plan.PlainMems)
+	return err
 }
 
 // stormBits mirrors designs.AttachStorm's line order, so a chaos seed
 // perturbs the cosimulated machine exactly as it does the chaos suite.
 var stormBits = [...]uint32{riscv.MIPMSIP, riscv.MIPMTIP, riscv.MIPMEIP}
 
+// boot resets the RTL, loads it from the simulator and boots the
+// simulator.
+func (h *harness) boot() error {
+	if err := h.resetAndLoad(); err != nil {
+		return err
+	}
+	if err := h.p.Boot(); err != nil {
+		return err
+	}
+	// The boot instruction is already in the simulator's entry queue;
+	// on the RTL it arrives through the start_valid strobe during the
+	// first cycle, so it has no cycle-start queue index yet.
+	h.mirror = []int{-1}
+	return nil
+}
+
 // resetAndLoad pulses reset and initialises the RTL memories to match
 // the loaded simulator.
 func (h *harness) resetAndLoad() error {
-	m := h.model
-	if err := m.Poke("rst", val.New(1, 1)); err != nil {
-		return err
-	}
+	m, pr := h.model, &h.pr
+	pr.rst.Poke(val.New(1, 1))
 	if err := m.Settle(); err != nil {
 		return fmt.Errorf("cosim: settle under reset: %w", err)
 	}
 	if err := m.Clock(); err != nil {
 		return fmt.Errorf("cosim: reset clock: %w", err)
 	}
-	if err := m.Poke("rst", val.New(0, 1)); err != nil {
-		return err
-	}
-	load := func(mem synth.PlanMem) error {
-		for i := 0; i < mem.Depth; i++ {
-			v := h.p.M.MemPeek(mem.Name, uint64(i))
-			if err := m.PokeArray(mem.Name+"_arr", i, val.New(v.Uint(), mem.Width)); err != nil {
-				return err
+	pr.rst.Poke(val.New(0, 1))
+	for _, mems := range [][]memProbe{pr.mems, pr.plainMems} {
+		for _, mp := range mems {
+			for i := 0; i < mp.mem.Depth; i++ {
+				mp.rtl.Poke(i, val.New(mp.sim.Peek(uint64(i)).Uint(), mp.mem.Width))
 			}
-		}
-		return nil
-	}
-	for _, mem := range h.plan.Mems {
-		if err := load(mem); err != nil {
-			return err
-		}
-	}
-	for _, mem := range h.plan.PlainMems {
-		if err := load(mem); err != nil {
-			return err
 		}
 	}
 	// Volatiles boot to their simulator values (normally zero).
-	for _, v := range h.plan.Vols {
-		sv := h.p.M.VolPeek(v.Name)
-		if err := m.Poke(v.Name+"_dev_we", val.New(1, 1)); err != nil {
-			return err
-		}
-		if err := m.Poke(v.Name+"_dev_din", val.New(sv.Uint(), v.Width)); err != nil {
-			return err
-		}
+	for _, v := range pr.vols {
+		v.we.Poke(val.New(1, 1))
+		v.din.Poke(val.New(h.p.M.VolPeek(v.name).Uint(), v.width))
 	}
-	if len(h.plan.Vols) > 0 {
+	if len(pr.vols) > 0 {
 		if err := m.Settle(); err != nil {
 			return err
 		}
 		if err := m.Clock(); err != nil {
 			return err
 		}
-		for _, v := range h.plan.Vols {
-			if err := m.Poke(v.Name+"_dev_we", val.New(0, 1)); err != nil {
-				return err
-			}
+		for _, v := range pr.vols {
+			v.we.Poke(val.New(0, 1))
 		}
 	}
 	return nil
@@ -505,7 +617,7 @@ func (h *harness) resetAndLoad() error {
 
 // cycle advances both machines one clock and compares them.
 func (h *harness) cycle(boot bool) error {
-	p, m := h.p, h.model
+	p, m, pr := h.p, h.model, &h.pr
 	simCycle := p.M.Cycle()
 
 	h.rec.reset(h.mirror)
@@ -518,40 +630,23 @@ func (h *harness) cycle(boot bool) error {
 	}
 
 	// Replay the observed schedule into the module inputs.
-	n := len(h.plan.Nodes)
-	pokes := []struct {
-		name string
-		v    val.Value
-	}{
-		{"fire", val.New(h.rec.fire, n)},
-		{"kill", val.New(h.rec.kill, n)},
-		{"q_kill", val.New(h.rec.qkill, h.plan.EntryCap)},
-		{"entry_pop", val.New(b2u(h.rec.pop), 1)},
-		{"start_valid", val.New(b2u(boot), 1)},
-	}
-	for _, pk := range pokes {
-		if err := m.Poke(pk.name, pk.v); err != nil {
-			return err
-		}
-	}
+	pr.fire.Poke(val.New(h.rec.fire, len(h.plan.Nodes)))
+	pr.kill.Poke(val.New(h.rec.kill, len(h.plan.Nodes)))
+	pr.qKill.Poke(val.New(h.rec.qkill, h.plan.EntryCap))
+	pr.entryPop.Poke(val.New(b2u(h.rec.pop), 1))
+	pr.startValid.Poke(val.New(b2u(boot), 1))
 	if boot {
-		for _, prm := range h.plan.Params {
-			if err := m.Poke("start_"+prm.Name, val.New(0, prm.Width)); err != nil {
-				return err
-			}
+		for i, prm := range h.plan.Params {
+			pr.start[i].Poke(val.New(0, prm.Width))
 		}
 	}
-	for _, v := range h.plan.Vols {
+	for _, v := range pr.vols {
 		we, din := uint64(0), uint64(0)
-		if v.Name == h.devVol && h.devWE {
+		if v.name == h.devVol && h.devWE {
 			we, din = 1, h.devDin
 		}
-		if err := m.Poke(v.Name+"_dev_we", val.New(we, 1)); err != nil {
-			return err
-		}
-		if err := m.Poke(v.Name+"_dev_din", val.New(din, v.Width)); err != nil {
-			return err
-		}
+		v.we.Poke(val.New(we, 1))
+		v.din.Poke(val.New(din, v.width))
 	}
 
 	if err := m.Settle(); err != nil {
@@ -583,19 +678,8 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-func (h *harness) peek(name string) (uint64, error) {
-	v, err := h.model.Peek(name)
-	if err != nil {
-		return 0, fmt.Errorf("cosim: %w", err)
-	}
-	return v.Uint(), nil
-}
-
-func (h *harness) check(cycle int, signal string, got, want uint64, detail string) error {
-	if got != want {
-		return &DivergenceError{Cycle: cycle, Signal: signal, Got: got, Want: want, Detail: detail}
-	}
-	return nil
+func diverge(cycle int, signal string, got, want uint64, detail string) error {
+	return &DivergenceError{Cycle: cycle, Signal: signal, Got: got, Want: want, Detail: detail}
 }
 
 // compareRetire checks the retirement observation ports against the
@@ -604,24 +688,22 @@ func (h *harness) check(cycle int, signal string, got, want uint64, detail strin
 // except tail); the ports then expose the mux-priority one, so the
 // harness matches on the exceptional flag.
 func (h *harness) compareRetire(cycle int) error {
+	pr := &h.pr
 	all := h.p.M.Retired()
 	delta := all[h.prevRetired:]
 	h.prevRetired = len(all)
 
-	rv, err := h.peek("retire_v")
-	if err != nil {
-		return err
-	}
+	rv := pr.retireV.Peek().Uint()
 	if len(delta) == 0 {
-		return h.check(cycle, "retire_v", rv, 0, "no simulator retirement this cycle")
+		if rv != 0 {
+			return diverge(cycle, "retire_v", rv, 0, "no simulator retirement this cycle")
+		}
+		return nil
 	}
 	if rv != 1 {
-		return h.check(cycle, "retire_v", rv, 1, "simulator retired this cycle")
+		return diverge(cycle, "retire_v", rv, 1, "simulator retired this cycle")
 	}
-	rexc, err := h.peek("retire_exc")
-	if err != nil {
-		return err
-	}
+	rexc := pr.retireExc.Peek().Uint()
 	var match *sim.Retirement
 	for i := range delta {
 		if b2u(delta[i].Exceptional) == rexc {
@@ -630,165 +712,138 @@ func (h *harness) compareRetire(cycle int) error {
 		}
 	}
 	if match == nil {
-		return h.check(cycle, "retire_exc", rexc, b2u(delta[0].Exceptional), "exceptional flag")
+		return diverge(cycle, "retire_exc", rexc, b2u(delta[0].Exceptional), "exceptional flag")
 	}
-	for i, prm := range h.plan.Params {
-		got, err := h.peek("retire_" + prm.Name)
-		if err != nil {
-			return err
+	for i, s := range pr.retire {
+		if i >= len(match.Args) {
+			continue
 		}
-		if i < len(match.Args) {
-			if err := h.check(cycle, "retire_"+prm.Name, got, match.Args[i].Uint(), "retired argument"); err != nil {
-				return err
-			}
+		if got, want := s.Peek().Uint(), match.Args[i].Uint(); got != want {
+			return diverge(cycle, "retire_"+h.plan.Params[i].Name, got, want, "retired argument")
 		}
 	}
 	if match.Exceptional {
-		for i := 0; i < h.numEArg && i < len(match.EArgs); i++ {
+		for i := 0; i < len(pr.retireEArg) && i < len(match.EArgs); i++ {
 			if match.EArgs[i].Width() == 0 {
 				continue
 			}
-			got, err := h.peek(fmt.Sprintf("retire_earg%d", i))
-			if err != nil {
-				return err
-			}
-			if err := h.check(cycle, fmt.Sprintf("retire_earg%d", i), got, match.EArgs[i].Uint(), "except argument"); err != nil {
-				return err
+			if got, want := pr.retireEArg[i].Peek().Uint(), match.EArgs[i].Uint(); got != want {
+				return diverge(cycle, fmt.Sprintf("retire_earg%d", i), got, want, "except argument")
 			}
 		}
 	}
 	return nil
 }
 
+// fieldOf reads the probed record field of a slot value, trying the
+// position it was found at last time before searching: every value of
+// a slot shares one sorted record layout.
+func (s *slotProbe) fieldOf(v sim.V) (val.Value, bool) {
+	r := v.Rec
+	if r == nil {
+		return val.Value{}, false
+	}
+	if s.at < len(r.Names) && r.Names[s.at] == s.field {
+		return r.Vals[s.at], true
+	}
+	for i, n := range r.Names {
+		if n == s.field {
+			s.at = i
+			return r.Vals[i], true
+		}
+	}
+	return val.Value{}, false
+}
+
 // compareState diffs committed architectural state after the clock edge.
 func (h *harness) compareState(cycle int) error {
-	p, plan := h.p, h.plan
-	msim := p.M
+	plan, pr := h.plan, &h.pr
+	msim := h.p.M
 
-	for _, nd := range plan.Nodes {
-		occ := msim.StageOccupied("cpu", nd.Pos)
-		v, err := h.peek(nd.Prefix + "_valid")
-		if err != nil {
-			return err
-		}
-		if err := h.check(cycle, nd.Prefix+"_valid", v, b2u(occ), msim.NodeLabel("cpu", nd.Pos)); err != nil {
-			return err
+	for i := range pr.nodes {
+		nd := &pr.nodes[i]
+		occ := msim.StageOccupied("cpu", nd.pos)
+		if got := nd.valid.Peek().Uint(); got != b2u(occ) {
+			return diverge(cycle, nd.prefix+"_valid", got, b2u(occ), msim.NodeLabel("cpu", nd.pos))
 		}
 		if !occ {
 			continue
 		}
 		if plan.Translated {
-			lef, err := h.peek(nd.Prefix + "_lef")
-			if err != nil {
-				return err
-			}
-			if err := h.check(cycle, nd.Prefix+"_lef", lef, b2u(msim.StageLEF("cpu", nd.Pos)), "local exception flag"); err != nil {
-				return err
+			if got, want := nd.lef.Peek().Uint(), b2u(msim.StageLEF("cpu", nd.pos)); got != want {
+				return diverge(cycle, nd.prefix+"_lef", got, want, "local exception flag")
 			}
 		}
-		for _, s := range plan.Slots {
-			if s.IsHandle || s.IsEArg {
-				continue
-			}
-			sv, ok := msim.StageSlot("cpu", nd.Pos, h.slotIdx[s.Var])
+		for j := range nd.slots {
+			s := &nd.slots[j]
+			sv, ok := msim.StageSlot("cpu", nd.pos, s.slot)
 			if !ok {
 				continue // undriven: architecturally unobservable
 			}
-			var want val.Value
-			if s.Field != "" {
-				fv, ok := sv.Field(s.Field)
-				if !ok {
+			want := sv.Val
+			if s.field != "" {
+				if want, ok = s.fieldOf(sv); !ok {
 					continue
 				}
-				want = fv
-			} else {
-				if sv.IsRecord() {
-					continue
-				}
-				want = sv.Val
+			} else if sv.IsRecord() {
+				continue
 			}
-			got, err := h.peek(nd.Prefix + "_r_" + s.Name)
-			if err != nil {
-				return err
-			}
-			if err := h.check(cycle, nd.Prefix+"_r_"+s.Name, got, want.Uint(), "stage slot"); err != nil {
-				return err
+			if got := s.sig.Peek().Uint(); got != want.Uint() {
+				return diverge(cycle, nd.prefix+"_r_"+s.name, got, want.Uint(), "stage slot")
 			}
 		}
-		eargs := msim.StageEArgs("cpu", nd.Pos)
-		for i := 0; i < h.numEArg && i < len(eargs); i++ {
+		eargs := msim.StageEArgs("cpu", nd.pos)
+		for i := 0; i < len(nd.eargs) && i < len(eargs); i++ {
 			if eargs[i].Width() == 0 {
 				continue
 			}
-			got, err := h.peek(fmt.Sprintf("%s_r_earg%d", nd.Prefix, i))
-			if err != nil {
-				return err
-			}
-			if err := h.check(cycle, fmt.Sprintf("%s_r_earg%d", nd.Prefix, i), got, eargs[i].Uint(), "except argument slot"); err != nil {
-				return err
+			if got, want := nd.eargs[i].Peek().Uint(), eargs[i].Uint(); got != want {
+				return diverge(cycle, fmt.Sprintf("%s_r_earg%d", nd.prefix, i), got, want, "except argument slot")
 			}
 		}
 	}
 
 	if plan.Translated {
-		gef, err := h.peek("gef_q")
-		if err != nil {
-			return err
-		}
-		if err := h.check(cycle, "gef_q", gef, b2u(msim.GefSet("cpu")), "global exception flag"); err != nil {
-			return err
+		if got, want := pr.gef.Peek().Uint(), b2u(msim.GefSet("cpu")); got != want {
+			return diverge(cycle, "gef_q", got, want, "global exception flag")
 		}
 	}
-	for _, vd := range plan.Vols {
-		got, err := h.peek(vd.Name + "_q")
-		if err != nil {
-			return err
-		}
-		if err := h.check(cycle, vd.Name+"_q", got, msim.VolPeek(vd.Name).Uint(), "volatile register"); err != nil {
-			return err
+	for _, v := range pr.vols {
+		if got, want := v.q.Peek().Uint(), msim.VolPeek(v.name).Uint(); got != want {
+			return diverge(cycle, v.name+"_q", got, want, "volatile register")
 		}
 	}
 
-	qlen, err := h.peek("q_len")
-	if err != nil {
-		return err
+	qlen := msim.QueueLen("cpu")
+	if got := pr.qLen.Peek().Uint(); got != uint64(qlen) {
+		return diverge(cycle, "q_len", got, uint64(qlen), "entry queue depth")
 	}
-	if err := h.check(cycle, "q_len", qlen, uint64(msim.QueueLen("cpu")), "entry queue depth"); err != nil {
-		return err
-	}
-	for i := 0; i < msim.QueueLen("cpu"); i++ {
-		for j, prm := range plan.Params {
-			gv, err := h.model.PeekArray("qv_"+prm.Name, i)
-			if err != nil {
-				return fmt.Errorf("cosim: %w", err)
+	for i := 0; i < qlen; i++ {
+		for j, qv := range pr.qv {
+			if i >= qv.Depth() {
+				return fmt.Errorf("cosim: entry queue depth %d beyond qv_%s (%d words)", qlen, plan.Params[j].Name, qv.Depth())
 			}
-			if err := h.check(cycle, fmt.Sprintf("qv_%s[%d]", prm.Name, i), gv.Uint(),
-				msim.QueueArg("cpu", i, j).Uint(), "queued argument"); err != nil {
-				return err
+			if got, want := qv.Peek(i).Uint(), msim.QueueArg("cpu", i, j).Uint(); got != want {
+				return diverge(cycle, fmt.Sprintf("qv_%s[%d]", plan.Params[j].Name, i), got, want, "queued argument")
 			}
 		}
 	}
 
-	for _, mem := range plan.Mems {
-		if mem.Depth > 64 && cycle%h.opts.DMemEvery != 0 {
+	for i := range pr.mems {
+		if pr.mems[i].mem.Depth > 64 && cycle%h.opts.DMemEvery != 0 {
 			continue
 		}
-		if err := h.compareMem(cycle, mem); err != nil {
+		if err := compareMem(cycle, &pr.mems[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (h *harness) compareMem(cycle int, mem synth.PlanMem) error {
-	for i := 0; i < mem.Depth; i++ {
-		gv, err := h.model.PeekArray(mem.Name+"_arr", i)
-		if err != nil {
-			return fmt.Errorf("cosim: %w", err)
-		}
-		want := h.p.M.MemPeek(mem.Name, uint64(i)).Uint()
-		if err := h.check(cycle, fmt.Sprintf("%s_arr[%d]", mem.Name, i), gv.Uint(), want, "memory word"); err != nil {
-			return err
+func compareMem(cycle int, mp *memProbe) error {
+	for i := 0; i < mp.mem.Depth; i++ {
+		if got, want := mp.rtl.Peek(i).Uint(), mp.sim.Peek(uint64(i)).Uint(); got != want {
+			return diverge(cycle, fmt.Sprintf("%s_arr[%d]", mp.mem.Name, i), got, want, "memory word")
 		}
 	}
 	return nil
@@ -798,8 +853,8 @@ func (h *harness) compareMem(cycle int, mem synth.PlanMem) error {
 // drained (the per-cycle loop throttles large memories).
 func (h *harness) finalDiff() error {
 	cycle := h.p.M.Cycle()
-	for _, mem := range h.plan.Mems {
-		if err := h.compareMem(cycle, mem); err != nil {
+	for i := range h.pr.mems {
+		if err := compareMem(cycle, &h.pr.mems[i]); err != nil {
 			return err
 		}
 	}
@@ -843,36 +898,35 @@ func (h *harness) goldenDiff() error {
 	}
 
 	cycle := h.p.M.Cycle()
+	rf, err := h.model.Array("rf_arr")
+	if err != nil {
+		return fmt.Errorf("cosim: %w", err)
+	}
+	dmem, err := h.model.Array("dmem_arr")
+	if err != nil {
+		return fmt.Errorf("cosim: %w", err)
+	}
+	if rf.Depth() < 32 || dmem.Depth() < designs.DMemWords {
+		return fmt.Errorf("cosim: rtl register file or data memory smaller than the golden model's")
+	}
 	for i := 1; i < 32; i++ {
-		gv, err := h.model.PeekArray("rf_arr", i)
-		if err != nil {
-			return fmt.Errorf("cosim: %w", err)
-		}
-		if err := h.check(cycle, fmt.Sprintf("rf_arr[%d]", i), gv.Uint(), uint64(g.Regs[i]), "OIAT register"); err != nil {
-			return err
+		if got, want := rf.Peek(i).Uint(), uint64(g.Regs[i]); got != want {
+			return diverge(cycle, fmt.Sprintf("rf_arr[%d]", i), got, want, "OIAT register")
 		}
 	}
 	for i := 0; i < designs.DMemWords; i++ {
-		gv, err := h.model.PeekArray("dmem_arr", i)
-		if err != nil {
-			return fmt.Errorf("cosim: %w", err)
-		}
-		if err := h.check(cycle, fmt.Sprintf("dmem_arr[%d]", i), gv.Uint(), uint64(g.DMem[i]), "OIAT memory word"); err != nil {
-			return err
+		if got, want := dmem.Peek(i).Uint(), uint64(g.DMem[i]); got != want {
+			return diverge(cycle, fmt.Sprintf("dmem_arr[%d]", i), got, want, "OIAT memory word")
 		}
 	}
-	for _, vd := range h.plan.Vols {
-		addr, ok := csrAddrs[vd.Name]
+	for _, v := range h.pr.vols {
+		addr, ok := csrAddrs[v.name]
 		if !ok {
 			continue
 		}
 		idx, _ := riscv.CSRIndex(addr)
-		gv, err := h.peek(vd.Name + "_q")
-		if err != nil {
-			return err
-		}
-		if err := h.check(cycle, vd.Name+"_q", gv, uint64(g.CSR[idx]), "OIAT CSR"); err != nil {
-			return err
+		if got, want := v.q.Peek().Uint(), uint64(g.CSR[idx]); got != want {
+			return diverge(cycle, v.name+"_q", got, want, "OIAT CSR")
 		}
 	}
 	return nil

@@ -369,9 +369,12 @@ func TestSeededEmitterBugCaught(t *testing.T) {
 
 	mutations := []struct {
 		name, from, to string
+		want           DivergenceError
 	}{
-		{"gef-commit-dropped", "gef_q <= gef_cur;", "gef_q <= 1'b0;"},
-		{"mepc-commit-dropped", "mepc_q <= mepc_cur;", "mepc_q <= mepc_q;"},
+		{"gef-commit-dropped", "gef_q <= gef_cur;", "gef_q <= 1'b0;",
+			DivergenceError{Cycle: 6, Signal: "gef_q", Got: 0, Want: 1, Detail: "global exception flag"}},
+		{"mepc-commit-dropped", "mepc_q <= mepc_cur;", "mepc_q <= mepc_q;",
+			DivergenceError{Cycle: 17, Signal: "mepc_q", Got: 0, Want: 0x10, Detail: "volatile register"}},
 	}
 	for _, mut := range mutations {
 		t.Run(mut.name, func(t *testing.T) {
@@ -387,7 +390,48 @@ func TestSeededEmitterBugCaught(t *testing.T) {
 			if !errors.As(err, &div) {
 				t.Fatalf("seeded emitter bug not caught as divergence: %v", err)
 			}
-			t.Logf("caught: %v", div)
+			if *div != mut.want {
+				t.Fatalf("caught %v, want %v", div, &mut.want)
+			}
 		})
+	}
+}
+
+// TestCompareStateAllocFree: once a run is in steady state, a matching
+// compare of every stage register, volatile, queue slot and memory word
+// allocates nothing — names are built only for a divergence.
+func TestCompareStateAllocFree(t *testing.T) {
+	w, err := workloads.ByName("fib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := newHarness(Options{Variant: designs.All, Program: prog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.boot(); err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 200; c++ {
+		if err := h.cycle(c == 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h.p.M.InFlight() == 0 {
+		t.Fatal("fib drained within 200 cycles; pick a later compare point")
+	}
+	// A multiple of DMemEvery, so the data memory is compared too.
+	cycle := 4 * h.opts.DMemEvery
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := h.compareState(cycle); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("compareState allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -2,84 +2,113 @@ package rtl
 
 import "xpdl/internal/val"
 
-// signal is one elaborated scalar net or register. prev holds the
-// value at the start of the current Settle pass: the fixpoint test
-// compares end-of-pass state, not individual assignments, because a
-// default-then-override coding style (scratch = reg; if (...) scratch =
-// x;) legitimately rewrites signals mid-pass on every iteration.
-type signal struct {
-	name    string
-	width   int
-	isInput bool
-	cur     val.Value
-	prev    val.Value
-}
-
 // array is one elaborated unpacked memory.
 type array struct {
 	name  string
+	id    int // index among the model's memories
 	width int
-	depth int
 	cur   []val.Value
+}
+
+// stateRef is one entry of the model's durable state in elaboration
+// order: a scalar slot, or a memory.
+type stateRef struct {
+	slot int
+	arr  *array // nil for scalars
 }
 
 // nbWrite is one staged nonblocking assignment, committed at the end of
 // Clock.
 type nbWrite struct {
-	sig *signal
-	arr *array
-	idx int
-	v   val.Value
+	p *val.Value
+	v val.Value
 }
 
+// group is a run of combinational units (continuous assigns and
+// always @* blocks) in dependency order. An acyclic run executes once
+// per Settle; a cyclic group — a strongly connected set of units, or
+// one block that reads a signal it may not yet have written — repeats
+// until a pass reads nothing it did not leave unchanged.
+type group struct {
+	units  []func()
+	cyclic bool
+}
+
+// staleRead records one read, inside a cyclic group, of a signal the
+// group writes but had not yet written in the current pass: the pass
+// depended on the value it found there.
+type staleRead struct {
+	p *val.Value
+	v val.Value
+}
+
+// evalError carries a run-time *Error out of the compiled closures; the
+// Settle/Clock recover turns it back into the returned error.
+type evalError struct{ err *Error }
+
 // Model is an elaborated module ready for cycle-accurate evaluation.
+// Every scalar lives in one slot of vals and every memory in its own
+// slice; the compiled closures and the Signal/Array handles point
+// straight into them, so evaluation and per-cycle probing do no name
+// lookups.
 //
 // The driving protocol per cycle is:
 //
 //	m.Poke(...)   // set inputs for this cycle
-//	m.Settle()    // combinational fixpoint; outputs readable via Peek
+//	m.Settle()    // combinational logic, one ordered pass; outputs readable via Peek
 //	m.Clock()     // posedge: commit registers
 //
 // Registers hold their committed values after Clock; combinational nets
 // are stale until the next Settle.
 type Model struct {
-	mod     *Module
-	sigs    map[string]*signal
-	sigList []*signal
-	arrs    map[string]*array
-	funcs   map[string]*Func
+	mod   *Module
+	vals  []val.Value // every scalar, by slot
+	width []int       // declared width, by slot
+	slots map[string]int
+	arrs  map[string]*array
+	state []stateRef // ports, then body declarations
 
-	// settle evaluation order: continuous assigns and comb blocks in
-	// source order, iterated to fixpoint.
+	groups  []group  // combinational units in dependency order
+	seqs    []func() // posedge blocks in source order
 	nb      []nbWrite
 	maxIter int
+
+	// Cyclic-group bookkeeping: written[slot] is the pass that last
+	// wrote a feedback signal; stale collects the pass's reads of
+	// feedback signals it had not written yet.
+	pass       uint64
+	written    []uint64
+	stale      []staleRead
+	arrChanged bool
 }
 
 // Elaborate links a parsed module against its extern function bindings
-// and returns a ready-to-run model. All signals and memories start at
-// zero (the emitter's reset convention: rst is synchronous and the
-// harness never asserts it after cycle 0, so zero-init substitutes for
-// an explicit reset sequence).
+// and compiles it into a ready-to-run model. All signals and memories
+// start at zero (the emitter's reset convention: rst is synchronous and
+// the harness never asserts it after cycle 0, so zero-init substitutes
+// for an explicit reset sequence).
 func Elaborate(mod *Module, funcs map[string]*Func) (*Model, error) {
+	n := len(mod.Ports) + len(mod.Decls)
 	m := &Model{
 		mod:   mod,
-		sigs:  make(map[string]*signal),
+		vals:  make([]val.Value, 0, n),
+		width: make([]int, 0, n),
+		slots: make(map[string]int, n),
 		arrs:  make(map[string]*array),
-		funcs: funcs,
+		state: make([]stateRef, 0, n),
 	}
 	for _, p := range mod.Ports {
 		if p.Width <= 0 || p.Width > val.MaxWidth {
 			return nil, errf(mod.Name, "port %s has unsupported width %d", p.Name, p.Width)
 		}
-		m.sigs[p.Name] = &signal{
-			name:    p.Name,
-			width:   p.Width,
-			isInput: p.Dir == Input,
-			cur:     val.New(0, p.Width),
+		if s, dup := m.slots[p.Name]; dup {
+			m.width[s], m.vals[s] = p.Width, val.New(0, p.Width)
+			continue
 		}
+		m.addSignal(p.Name, p.Width)
 	}
 	for _, d := range mod.Decls {
-		if _, dup := m.sigs[d.Name]; dup {
+		if _, dup := m.slots[d.Name]; dup || m.arrs[d.Name] != nil {
 			// Ports re-declared as reg in the body keep the port entry.
 			continue
 		}
@@ -87,274 +116,187 @@ func Elaborate(mod *Module, funcs map[string]*Func) (*Model, error) {
 			return nil, errf(mod.Name, "decl %s has unsupported width %d", d.Name, d.Width)
 		}
 		if d.Depth > 0 {
-			arr := &array{name: d.Name, width: d.Width, depth: d.Depth,
-				cur: make([]val.Value, d.Depth)}
+			arr := &array{name: d.Name, id: len(m.arrs), width: d.Width, cur: make([]val.Value, d.Depth)}
 			zero := val.New(0, d.Width)
 			for i := range arr.cur {
 				arr.cur[i] = zero
 			}
 			m.arrs[d.Name] = arr
+			m.state = append(m.state, stateRef{arr: arr})
 			continue
 		}
-		m.sigs[d.Name] = &signal{name: d.Name, width: d.Width, cur: val.New(0, d.Width)}
+		m.addSignal(d.Name, d.Width)
 	}
-	// Link pass: resolve every name reference once so evaluation does no
-	// map lookups.
-	for i := range mod.Assigns {
-		a := &mod.Assigns[i]
-		if m.sigs[a.LHS] == nil {
-			return nil, errf(mod.Name, "assign to undeclared signal %s", a.LHS)
-		}
-		if err := m.linkExpr(a.RHS); err != nil {
-			return nil, err
-		}
-	}
-	for _, b := range mod.Combs {
-		if err := m.linkStmts(b.Stmts); err != nil {
-			return nil, err
-		}
-	}
-	for _, b := range mod.Seqs {
-		if err := m.linkStmts(b.Stmts); err != nil {
-			return nil, err
-		}
-	}
-	for _, s := range m.sigs {
-		m.sigList = append(m.sigList, s)
-	}
-	// The settle fixpoint converges in at most <longest comb chain>
+	m.written = make([]uint64, len(m.vals))
+	// A cyclic group converges in at most <longest chain through it>
 	// passes; one pass per signal plus slack is a safe ceiling, and
 	// exceeding it means a genuine combinational loop.
-	m.maxIter = len(m.sigs) + len(mod.Assigns) + 8
+	m.maxIter = len(m.vals) + len(mod.Assigns) + 8
+	if err := m.compile(funcs); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
-func (m *Model) linkStmts(stmts []Stmt) error {
-	for _, s := range stmts {
-		switch n := s.(type) {
-		case *AssignStmt:
-			for i := range n.Targets {
-				t := &n.Targets[i]
-				if arr := m.arrs[t.Name]; arr != nil {
-					if t.Index == nil {
-						return errf(m.mod.Name, "array %s assigned without index", t.Name)
-					}
-					t.arr = arr
-				} else if sig := m.sigs[t.Name]; sig != nil {
-					if t.Index != nil {
-						return errf(m.mod.Name, "bit-select assignment to %s unsupported", t.Name)
-					}
-					t.sig = sig
-				} else {
-					return errf(m.mod.Name, "assignment to undeclared %s", t.Name)
-				}
-				if t.Index != nil {
-					if err := m.linkExpr(t.Index); err != nil {
-						return err
-					}
-				}
-			}
-			if err := m.linkExpr(n.RHS); err != nil {
-				return err
-			}
-		case *IfStmt:
-			if err := m.linkExpr(n.Cond); err != nil {
-				return err
-			}
-			if err := m.linkStmts(n.Then); err != nil {
-				return err
-			}
-			if err := m.linkStmts(n.Else); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (m *Model) linkExpr(e Expr) error {
-	switch n := e.(type) {
-	case *Num:
-	case *Ref:
-		sig := m.sigs[n.Name]
-		if sig == nil {
-			return errf(m.mod.Name, "reference to undeclared %s", n.Name)
-		}
-		n.sig = sig
-	case *Index:
-		if arr := m.arrs[n.Name]; arr != nil {
-			n.arr = arr
-		} else if sig := m.sigs[n.Name]; sig != nil {
-			n.sig = sig
-		} else {
-			return errf(m.mod.Name, "index of undeclared %s", n.Name)
-		}
-		return m.linkExpr(n.I)
-	case *PartSel:
-		sig := m.sigs[n.Name]
-		if sig == nil {
-			return errf(m.mod.Name, "part select of undeclared %s", n.Name)
-		}
-		if n.Hi < n.Lo || n.Hi >= sig.width {
-			return errf(m.mod.Name, "part select %s[%d:%d] out of range", n.Name, n.Hi, n.Lo)
-		}
-		n.sig = sig
-	case *Concat:
-		for _, p := range n.Parts {
-			if err := m.linkExpr(p); err != nil {
-				return err
-			}
-		}
-	case *Repl:
-		return m.linkExpr(n.X)
-	case *Unary:
-		return m.linkExpr(n.X)
-	case *Binary:
-		if err := m.linkExpr(n.L); err != nil {
-			return err
-		}
-		return m.linkExpr(n.R)
-	case *Ternary:
-		if err := m.linkExpr(n.Cond); err != nil {
-			return err
-		}
-		if err := m.linkExpr(n.Then); err != nil {
-			return err
-		}
-		return m.linkExpr(n.Else)
-	case *CallExpr:
-		fn := m.funcs[n.Name]
-		if fn == nil {
-			return errf(m.mod.Name, "call of unbound function %s", n.Name)
-		}
-		if len(n.Args) != len(fn.Params) {
-			return errf(m.mod.Name, "%s: %d args, want %d", n.Name, len(n.Args), len(fn.Params))
-		}
-		n.fn = fn
-		for _, a := range n.Args {
-			if err := m.linkExpr(a); err != nil {
-				return err
-			}
-		}
-	case *Signed:
-		return m.linkExpr(n.X)
-	}
-	return nil
+func (m *Model) addSignal(name string, width int) {
+	s := len(m.vals)
+	m.slots[name] = s
+	m.vals = append(m.vals, val.New(0, width))
+	m.width = append(m.width, width)
+	m.state = append(m.state, stateRef{slot: s})
 }
 
 // ---------------------------------------------------------------------------
 // External access
 
+// Signal is a resolved handle on one scalar of a Model, for callers
+// that peek or poke the same signal every cycle. The zero Signal names
+// no signal; using it panics.
+type Signal struct {
+	p     *val.Value
+	width int
+}
+
+// Signal resolves a scalar by name.
+func (m *Model) Signal(name string) (Signal, error) {
+	s, ok := m.slots[name]
+	if !ok {
+		return Signal{}, errf(m.mod.Name, "unknown signal %s", name)
+	}
+	return Signal{p: &m.vals[s], width: m.width[s]}, nil
+}
+
+// Peek reads the signal's current value.
+func (s Signal) Peek() val.Value { return *s.p }
+
+// Poke drives the signal, resized to its declared width.
+func (s Signal) Poke(v val.Value) { *s.p = v.ZeroExt(s.width) }
+
+// Array is a resolved handle on one unpacked memory of a Model. The
+// zero Array names no memory; using it panics, as does an index out of
+// range.
+type Array struct {
+	cur   []val.Value
+	width int
+}
+
+// Array resolves a memory by name.
+func (m *Model) Array(name string) (Array, error) {
+	arr := m.arrs[name]
+	if arr == nil {
+		return Array{}, errf(m.mod.Name, "unknown memory %s", name)
+	}
+	return Array{cur: arr.cur, width: arr.width}, nil
+}
+
+// Peek reads element i.
+func (a Array) Peek(i int) val.Value { return a.cur[i] }
+
+// Poke writes element i, resized to the memory's width.
+func (a Array) Poke(i int, v val.Value) { a.cur[i] = v.ZeroExt(a.width) }
+
+// Depth reports the memory's element count.
+func (a Array) Depth() int { return len(a.cur) }
+
 // Poke drives a signal (normally an input port) for the current cycle.
 // The value is resized to the signal's declared width.
 func (m *Model) Poke(name string, v val.Value) error {
-	sig := m.sigs[name]
-	if sig == nil {
-		return errf(m.mod.Name, "poke of unknown signal %s", name)
+	s, err := m.Signal(name)
+	if err != nil {
+		return err
 	}
-	sig.cur = v.ZeroExt(sig.width)
+	s.Poke(v)
 	return nil
 }
 
 // Peek reads a signal's settled value.
 func (m *Model) Peek(name string) (val.Value, error) {
-	sig := m.sigs[name]
-	if sig == nil {
-		return val.Value{}, errf(m.mod.Name, "peek of unknown signal %s", name)
+	s, err := m.Signal(name)
+	if err != nil {
+		return val.Value{}, err
 	}
-	return sig.cur, nil
+	return s.Peek(), nil
 }
-
-// HasSignal reports whether the module declares the named scalar.
-func (m *Model) HasSignal(name string) bool { return m.sigs[name] != nil }
 
 // PokeArray writes one element of an unpacked memory (used to load
 // program images before the run).
 func (m *Model) PokeArray(name string, idx int, v val.Value) error {
-	arr := m.arrs[name]
-	if arr == nil {
-		return errf(m.mod.Name, "poke of unknown memory %s", name)
+	a, err := m.element(name, idx)
+	if err != nil {
+		return err
 	}
-	if idx < 0 || idx >= arr.depth {
-		return errf(m.mod.Name, "memory %s index %d out of range", name, idx)
-	}
-	arr.cur[idx] = v.ZeroExt(arr.width)
+	a.Poke(idx, v)
 	return nil
 }
 
 // PeekArray reads one element of an unpacked memory.
 func (m *Model) PeekArray(name string, idx int) (val.Value, error) {
-	arr := m.arrs[name]
-	if arr == nil {
-		return val.Value{}, errf(m.mod.Name, "peek of unknown memory %s", name)
+	a, err := m.element(name, idx)
+	if err != nil {
+		return val.Value{}, err
 	}
-	if idx < 0 || idx >= arr.depth {
-		return val.Value{}, errf(m.mod.Name, "memory %s index %d out of range", name, idx)
-	}
-	return arr.cur[idx], nil
+	return a.Peek(idx), nil
 }
 
-// ArrayDepth returns the depth of a declared memory, or 0 if unknown.
-func (m *Model) ArrayDepth(name string) int {
-	if arr := m.arrs[name]; arr != nil {
-		return arr.depth
+func (m *Model) element(name string, idx int) (Array, error) {
+	a, err := m.Array(name)
+	if err == nil && (idx < 0 || idx >= a.Depth()) {
+		err = errf(m.mod.Name, "memory %s index %d out of range", name, idx)
 	}
-	return 0
+	return a, err
 }
 
 // ---------------------------------------------------------------------------
 // Evaluation
 
-// Settle iterates the combinational logic (continuous assigns and
-// always @* blocks, in source order) until no signal changes. A model
-// that fails to converge within the iteration ceiling has a true
-// combinational loop, which is an elaboration-level bug in the emitter.
-// A panic inside evaluation is contained as a *PanicError.
+// Settle evaluates the combinational logic (continuous assigns and
+// always @* blocks) in the dependency order fixed at Elaborate: each
+// unit runs once, and only a cyclic group repeats until it reaches a
+// fixpoint. A group that fails to converge within the iteration
+// ceiling has a true combinational loop, which is an elaboration-level
+// bug in the emitter. A panic inside evaluation is contained as a
+// *PanicError.
 func (m *Model) Settle() (err error) {
 	defer m.containPanic("settle", &err)
-	return m.settle()
-}
-
-func (m *Model) settle() error {
-	for iter := 0; iter < m.maxIter; iter++ {
-		// The fixpoint test compares end-of-pass signal state against
-		// start-of-pass state: mid-pass rewrites (scratch defaults later
-		// overridden inside if-arms) are not progress. Combinational
-		// array writes are rare enough to keep per-element detection.
-		for _, s := range m.sigList {
-			s.prev = s.cur
+	for i := range m.groups {
+		g := &m.groups[i]
+		if g.cyclic {
+			m.fixpoint(g.units)
+			continue
 		}
-		arrChanged := false
-		for i := range m.mod.Assigns {
-			a := &m.mod.Assigns[i]
-			sig := m.sigs[a.LHS]
-			v, err := m.eval(a.RHS)
-			if err != nil {
-				return err
-			}
-			sig.cur = v.ZeroExt(sig.width)
-		}
-		for _, b := range m.mod.Combs {
-			ch, err := m.execStmts(b.Stmts, false)
-			if err != nil {
-				return err
-			}
-			arrChanged = arrChanged || ch
-		}
-		changed := arrChanged
-		if !changed {
-			for _, s := range m.sigList {
-				if s.cur != s.prev {
-					changed = true
-					break
-				}
-			}
-		}
-		if !changed {
-			return nil
+		for _, u := range g.units {
+			u()
 		}
 	}
-	return errf(m.mod.Name, "combinational loop: no fixpoint after %d iterations", m.maxIter)
+	return nil
+}
+
+// fixpoint repeats a cyclic group's units, in source order, until a
+// pass leaves unchanged every feedback value it read before writing it
+// and every memory element it wrote. The next pass would then read
+// exactly what this one did and so compute the same state.
+func (m *Model) fixpoint(units []func()) {
+	for iter := 0; iter < m.maxIter; iter++ {
+		m.pass++
+		m.stale = m.stale[:0]
+		m.arrChanged = false
+		for _, u := range units {
+			u()
+		}
+		if !m.arrChanged && m.staleHeld() {
+			return
+		}
+	}
+	panic(evalError{errf(m.mod.Name, "combinational loop: no fixpoint after %d iterations", m.maxIter)})
+}
+
+func (m *Model) staleHeld() bool {
+	for _, r := range m.stale {
+		if *r.p != r.v {
+			return false
+		}
+	}
+	return true
 }
 
 // Clock runs the posedge blocks in source order. Blocking assigns take
@@ -364,311 +306,12 @@ func (m *Model) settle() error {
 // evaluation is contained as a *PanicError.
 func (m *Model) Clock() (err error) {
 	defer m.containPanic("clock", &err)
-	return m.clock()
-}
-
-func (m *Model) clock() error {
 	m.nb = m.nb[:0]
-	for _, b := range m.mod.Seqs {
-		if _, err := m.execStmts(b.Stmts, true); err != nil {
-			return err
-		}
+	for _, b := range m.seqs {
+		b()
 	}
 	for _, w := range m.nb {
-		if w.arr != nil {
-			w.arr.cur[w.idx] = w.v
-		} else {
-			w.sig.cur = w.v
-		}
+		*w.p = w.v
 	}
 	return nil
-}
-
-// execStmts executes a statement list. In sequential context (seq=true)
-// nonblocking assigns are staged; in combinational context they are an
-// error. Returns whether any blocking assignment changed a signal.
-func (m *Model) execStmts(stmts []Stmt, seq bool) (bool, error) {
-	changed := false
-	for _, s := range stmts {
-		switch n := s.(type) {
-		case *AssignStmt:
-			ch, err := m.execAssign(n, seq)
-			if err != nil {
-				return changed, err
-			}
-			changed = changed || ch
-		case *IfStmt:
-			c, err := m.eval(n.Cond)
-			if err != nil {
-				return changed, err
-			}
-			arm := n.Then
-			if !c.IsTrue() {
-				arm = n.Else
-			}
-			ch, err := m.execStmts(arm, seq)
-			if err != nil {
-				return changed, err
-			}
-			changed = changed || ch
-		}
-	}
-	return changed, nil
-}
-
-func (m *Model) execAssign(n *AssignStmt, seq bool) (bool, error) {
-	if n.NonBlocking && !seq {
-		return false, errf(m.mod.Name, "nonblocking assign in combinational block")
-	}
-	// Evaluate the RHS once; a concat-lvalue binds a multi-result call's
-	// values to the targets in order, everything else is single-target.
-	var results []val.Value
-	if call, ok := n.RHS.(*CallExpr); ok && len(n.Targets) > 1 {
-		rs, err := m.evalCall(call)
-		if err != nil {
-			return false, err
-		}
-		results = rs
-	} else {
-		v, err := m.eval(n.RHS)
-		if err != nil {
-			return false, err
-		}
-		results = []val.Value{v}
-	}
-	if len(results) != len(n.Targets) {
-		return false, errf(m.mod.Name, "%d assignment targets, %d results", len(n.Targets), len(results))
-	}
-	changed := false
-	for i := range n.Targets {
-		t := &n.Targets[i]
-		v := results[i]
-		if t.arr != nil {
-			iv, err := m.eval(t.Index)
-			if err != nil {
-				return changed, err
-			}
-			idx := int(iv.Uint() % uint64(t.arr.depth))
-			v = v.ZeroExt(t.arr.width)
-			if n.NonBlocking {
-				m.nb = append(m.nb, nbWrite{arr: t.arr, idx: idx, v: v})
-			} else if t.arr.cur[idx] != v {
-				t.arr.cur[idx] = v
-				changed = true
-			}
-			continue
-		}
-		// Scalar blocking writes do not feed the change flag: Settle
-		// detects scalar progress by end-of-pass snapshot instead.
-		v = v.ZeroExt(t.sig.width)
-		if n.NonBlocking {
-			m.nb = append(m.nb, nbWrite{sig: t.sig, v: v})
-		} else {
-			t.sig.cur = v
-		}
-	}
-	return changed, nil
-}
-
-// ---------------------------------------------------------------------------
-// Expression evaluation
-
-// isUnsized mirrors the simulator's rule: bare literals and compositions
-// of them adapt their width to the other operand.
-func isUnsized(e Expr) bool {
-	switch n := e.(type) {
-	case *Num:
-		return n.Unsized
-	case *Unary:
-		return isUnsized(n.X)
-	case *Binary:
-		return isUnsized(n.L) && isUnsized(n.R)
-	}
-	return false
-}
-
-// isSignedOperand reports whether an operand is $signed-tagged, selecting
-// the signed variant of comparisons, division and remainder.
-func isSignedOperand(e Expr) bool {
-	_, ok := e.(*Signed)
-	return ok
-}
-
-func (m *Model) eval(e Expr) (val.Value, error) {
-	switch n := e.(type) {
-	case *Num:
-		return val.New(n.Val, n.Width), nil
-	case *Ref:
-		return n.sig.cur, nil
-	case *Index:
-		iv, err := m.eval(n.I)
-		if err != nil {
-			return val.Value{}, err
-		}
-		if n.arr != nil {
-			return n.arr.cur[iv.Uint()%uint64(n.arr.depth)], nil
-		}
-		// Bit select on a scalar.
-		return val.New(n.sig.cur.Bit(int(iv.Uint()%64)), 1), nil
-	case *PartSel:
-		return n.sig.cur.Slice(n.Hi, n.Lo), nil
-	case *Concat:
-		parts := make([]val.Value, len(n.Parts))
-		for i, p := range n.Parts {
-			v, err := m.eval(p)
-			if err != nil {
-				return val.Value{}, err
-			}
-			parts[i] = v
-		}
-		return val.Cat(parts...), nil
-	case *Repl:
-		x, err := m.eval(n.X)
-		if err != nil {
-			return val.Value{}, err
-		}
-		parts := make([]val.Value, n.N)
-		for i := range parts {
-			parts[i] = x
-		}
-		return val.Cat(parts...), nil
-	case *Unary:
-		x, err := m.eval(n.X)
-		if err != nil {
-			return val.Value{}, err
-		}
-		switch n.Op {
-		case '!':
-			return val.Bool(!x.IsTrue()), nil
-		case '~':
-			return x.Not(), nil
-		case '-':
-			return x.Neg(), nil
-		}
-		return val.Value{}, errf(m.mod.Name, "unknown unary operator %q", string(n.Op))
-	case *Binary:
-		return m.evalBinary(n)
-	case *Ternary:
-		c, err := m.eval(n.Cond)
-		if err != nil {
-			return val.Value{}, err
-		}
-		if c.IsTrue() {
-			return m.eval(n.Then)
-		}
-		return m.eval(n.Else)
-	case *CallExpr:
-		rs, err := m.evalCall(n)
-		if err != nil {
-			return val.Value{}, err
-		}
-		if len(rs) != 1 {
-			return val.Value{}, errf(m.mod.Name, "%s returns %d values in single-value context", n.Name, len(rs))
-		}
-		return rs[0], nil
-	case *Signed:
-		return m.eval(n.X)
-	}
-	return val.Value{}, errf(m.mod.Name, "unknown expression node %T", e)
-}
-
-func (m *Model) evalBinary(n *Binary) (val.Value, error) {
-	lv, err := m.eval(n.L)
-	if err != nil {
-		return val.Value{}, err
-	}
-	rv, err := m.eval(n.R)
-	if err != nil {
-		return val.Value{}, err
-	}
-	shift := n.Op == "<<" || n.Op == ">>" || n.Op == ">>>"
-	if lv.Width() != rv.Width() && !shift {
-		// XPDL width adaptation: the unsized side takes the other's width.
-		switch {
-		case isUnsized(n.L):
-			lv = val.New(lv.Uint(), rv.Width())
-		case isUnsized(n.R):
-			rv = val.New(rv.Uint(), lv.Width())
-		}
-	}
-	signed := isSignedOperand(n.L) || isSignedOperand(n.R)
-	switch n.Op {
-	case "+":
-		return lv.Add(rv), nil
-	case "-":
-		return lv.Sub(rv), nil
-	case "*":
-		return lv.Mul(rv), nil
-	case "/":
-		if signed {
-			return lv.DivS(rv), nil
-		}
-		return lv.DivU(rv), nil
-	case "%":
-		if signed {
-			return lv.RemS(rv), nil
-		}
-		return lv.RemU(rv), nil
-	case "&":
-		return lv.And(rv), nil
-	case "|":
-		return lv.Or(rv), nil
-	case "^":
-		return lv.Xor(rv), nil
-	case "<<":
-		return lv.Shl(rv), nil
-	case ">>":
-		return lv.ShrU(rv), nil
-	case ">>>":
-		return lv.ShrS(rv), nil
-	case "&&":
-		return val.Bool(lv.IsTrue() && rv.IsTrue()), nil
-	case "||":
-		return val.Bool(lv.IsTrue() || rv.IsTrue()), nil
-	case "==":
-		return lv.EqV(rv), nil
-	case "!=":
-		return lv.NeV(rv), nil
-	case "<":
-		if signed {
-			return lv.LtS(rv), nil
-		}
-		return lv.LtU(rv), nil
-	case "<=":
-		if signed {
-			return lv.LeS(rv), nil
-		}
-		return lv.LeU(rv), nil
-	case ">":
-		if signed {
-			return lv.GtS(rv), nil
-		}
-		return lv.GtU(rv), nil
-	case ">=":
-		if signed {
-			return lv.GeS(rv), nil
-		}
-		return lv.GeU(rv), nil
-	}
-	return val.Value{}, errf(m.mod.Name, "unknown binary operator %q", n.Op)
-}
-
-func (m *Model) evalCall(n *CallExpr) ([]val.Value, error) {
-	args := make([]val.Value, len(n.Args))
-	for i, a := range n.Args {
-		v, err := m.eval(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v.ZeroExt(n.fn.Params[i])
-	}
-	rs := n.fn.Fn(args)
-	if len(rs) != len(n.fn.Results) {
-		return nil, errf(m.mod.Name, "%s returned %d values, want %d", n.Name, len(rs), len(n.fn.Results))
-	}
-	out := make([]val.Value, len(rs))
-	for i, r := range rs {
-		out[i] = r.ZeroExt(n.fn.Results[i])
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package rtl_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"xpdl/internal/rtl"
@@ -23,6 +24,12 @@ import (
 // The generated text exercises every operator the emitter can produce:
 // all binary/unary ops, ternaries, concats, replications, part- and
 // bit-selects, $signed, and sized/unsized literals.
+//
+// Each expression is also checked in a chain form: every subexpression
+// whose width is fixed by the source is bound to a wire of exactly that
+// width, and the wires' assigns are emitted in reverse order, consumers
+// before producers, so the result depends on the evaluator ordering the
+// assigns by their dependencies.
 func FuzzRTLExpr(f *testing.F) {
 	f.Add([]byte{0, 1, 2}, uint64(5), uint64(7), byte(9))
 	f.Add([]byte{11, 0, 1, 12, 3, 2, 0xff}, uint64(0xffffffff), uint64(1), byte(0))
@@ -31,60 +38,117 @@ func FuzzRTLExpr(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, av, bv uint64, cv byte) {
 		g := &exprGen{data: data}
 		root := g.gen(0)
+		g.av, g.bv, g.cv = val.New(av, 32), val.New(bv, 32), val.New(uint64(cv), 8)
+		want := g.ref(root).ZeroExt(32)
 
-		src := fmt.Sprintf(`module t(
+		var ch chain
+		y := ch.render(root)
+		var body strings.Builder
+		for _, w := range ch.wires {
+			fmt.Fprintf(&body, "    wire [%d:0] %s;\n", w.width-1, w.name)
+		}
+		fmt.Fprintf(&body, "    assign y = %s;\n", y)
+		for i := len(ch.wires) - 1; i >= 0; i-- {
+			fmt.Fprintf(&body, "    assign %s = %s;\n", ch.wires[i].name, ch.wires[i].text)
+		}
+		for _, form := range []string{"    assign y = " + root.text() + ";\n", body.String()} {
+			src := `module t(
     input wire [31:0] a,
     input wire [31:0] b,
     input wire [7:0] c,
     output wire [31:0] y
 );
-    assign y = %s;
-endmodule
-`, root.text)
-
-		file, err := rtl.Parse(src)
-		if err != nil {
-			t.Fatalf("generated Verilog does not parse: %v\n%s", err, src)
-		}
-		m, err := rtl.Elaborate(file.Module("t"), nil)
-		if err != nil {
-			t.Fatalf("generated Verilog does not elaborate: %v\n%s", err, src)
-		}
-		g.av, g.bv, g.cv = val.New(av, 32), val.New(bv, 32), val.New(uint64(cv), 8)
-		if err := m.Poke("a", g.av); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Poke("b", g.bv); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Poke("c", g.cv); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Settle(); err != nil {
-			t.Fatalf("settle: %v\n%s", err, src)
-		}
-		got, err := m.Peek("y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := g.ref(root).ZeroExt(32)
-		if got.Uint() != want.Uint() {
-			t.Fatalf("rtl evaluated %s to %#x, val reference says %#x (a=%#x b=%#x c=%#x)",
-				root.text, got.Uint(), want.Uint(), av, bv, cv)
+` + form + "endmodule\n"
+			got := settleY(t, src, g)
+			if got.Uint() != want.Uint() {
+				t.Fatalf("rtl evaluated y to %#x, val reference says %#x (a=%#x b=%#x c=%#x)\n%s",
+					got.Uint(), want.Uint(), av, bv, cv, src)
+			}
 		}
 	})
 }
 
-// node is one generated subexpression: its Verilog text plus the
-// metadata the reference evaluation needs (the evaluator's isUnsized /
-// isSignedOperand predicates, recomputed structurally at generation
-// time, and a thunk that evaluates the subtree over val.Value).
+// settleY elaborates a generated module, drives its inputs and returns
+// the settled output.
+func settleY(t *testing.T, src string, g *exprGen) val.Value {
+	t.Helper()
+	file, err := rtl.Parse(src)
+	if err != nil {
+		t.Fatalf("generated Verilog does not parse: %v\n%s", err, src)
+	}
+	m, err := rtl.Elaborate(file.Module("t"), nil)
+	if err != nil {
+		t.Fatalf("generated Verilog does not elaborate: %v\n%s", err, src)
+	}
+	for name, v := range map[string]val.Value{"a": g.av, "b": g.bv, "c": g.cv} {
+		if err := m.Poke(name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Settle(); err != nil {
+		t.Fatalf("settle: %v\n%s", err, src)
+	}
+	got, err := m.Peek("y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// chain renders an expression with every composite subexpression of
+// source-fixed width bound to its own wire, innermost first.
+type chain struct {
+	wires []wire
+}
+
+type wire struct {
+	name, text string
+	width      int
+}
+
+func (c *chain) render(n node) string {
+	kids := make([]string, len(n.kids))
+	for i, k := range n.kids {
+		kids[i] = c.render(k)
+	}
+	text := n.format(kids)
+	// A wire of the exact width holds the value unchanged; an unsized
+	// or $signed operand would lose its meaning behind one.
+	if len(n.kids) == 0 || n.ew == 0 || n.unsized || n.signed {
+		return text
+	}
+	name := fmt.Sprintf("w%d", len(c.wires))
+	c.wires = append(c.wires, wire{name: name, text: text, width: n.ew})
+	return name
+}
+
+// node is one generated subexpression: its operands and how to spell
+// it around their Verilog text, plus the metadata the reference
+// evaluation needs (the evaluator's isUnsized / isSignedOperand
+// predicates, recomputed structurally at generation time, and a thunk
+// that evaluates the subtree over val.Value).
 type node struct {
-	text    string
+	kids    []node
+	format  func(kids []string) string
 	unsized bool // mirrors the evaluator's isUnsized
 	signed  bool // node is a direct $signed(...) wrapper
 	w       int  // static upper bound on the result width
+	ew      int  // exact result width, or 0 when it depends on the inputs
 	eval    func(g *exprGen) val.Value
+}
+
+// text spells the subexpression.
+func (n node) text() string {
+	kids := make([]string, len(n.kids))
+	for i, k := range n.kids {
+		kids[i] = k.text()
+	}
+	return n.format(kids)
+}
+
+// leaf spells a node without operands.
+func leaf(text string) func([]string) string {
+	return func([]string) string { return text }
 }
 
 type exprGen struct {
@@ -116,38 +180,42 @@ func (g *exprGen) gen(depth int) node {
 	}
 	switch b % 16 {
 	case 0:
-		return node{text: "a", w: 32, eval: func(g *exprGen) val.Value { return g.av }}
+		return node{format: leaf("a"), w: 32, ew: 32, eval: func(g *exprGen) val.Value { return g.av }}
 	case 1:
-		return node{text: "b", w: 32, eval: func(g *exprGen) val.Value { return g.bv }}
+		return node{format: leaf("b"), w: 32, ew: 32, eval: func(g *exprGen) val.Value { return g.bv }}
 	case 2:
-		return node{text: "c", w: 8, eval: func(g *exprGen) val.Value { return g.cv }}
+		return node{format: leaf("c"), w: 8, ew: 8, eval: func(g *exprGen) val.Value { return g.cv }}
 	case 3: // sized literal
 		w := []int{1, 4, 8, 16, 32, 64}[g.next()%6]
 		v := val.New(uint64(g.next())|uint64(g.next())<<8, w)
 		return node{
-			text: fmt.Sprintf("%d'h%x", w, v.Uint()),
-			w:    w,
-			eval: func(*exprGen) val.Value { return v },
+			format: leaf(fmt.Sprintf("%d'h%x", w, v.Uint())),
+			w:      w,
+			ew:     w,
+			eval:   func(*exprGen) val.Value { return v },
 		}
 	case 4: // unsized decimal literal: width 64 until a binary op adapts it
 		v := val.New(uint64(g.next())|uint64(g.next())<<8, 64)
 		return node{
-			text:    fmt.Sprintf("%d", v.Uint()),
+			format:  leaf(fmt.Sprintf("%d", v.Uint())),
 			unsized: true,
 			w:       64,
+			ew:      64,
 			eval:    func(*exprGen) val.Value { return v },
 		}
 	case 5: // unary
 		op := []string{"!", "~", "-"}[g.next()%3]
 		x := g.gen(depth + 1)
-		uw := x.w
+		uw, ew := x.w, x.ew
 		if op == "!" {
-			uw = 1
+			uw, ew = 1, 1
 		}
 		return node{
-			text:    "(" + op + x.text + ")",
+			kids:    []node{x},
+			format:  func(k []string) string { return "(" + op + k[0] + ")" },
 			unsized: x.unsized,
 			w:       uw,
+			ew:      ew,
 			eval: func(g *exprGen) val.Value {
 				xv := x.eval(g)
 				switch op {
@@ -163,8 +231,10 @@ func (g *exprGen) gen(depth int) node {
 	case 6: // ternary
 		c, th, el := g.gen(depth+1), g.gen(depth+1), g.gen(depth+1)
 		return node{
-			text: "(" + c.text + " ? " + th.text + " : " + el.text + ")",
-			w:    max(th.w, el.w),
+			kids:   []node{c, th, el},
+			format: func(k []string) string { return "(" + k[0] + " ? " + k[1] + " : " + k[2] + ")" },
+			w:      max(th.w, el.w),
+			ew:     sameWidth(th.ew, el.ew),
 			eval: func(g *exprGen) val.Value {
 				if c.eval(g).IsTrue() {
 					return th.eval(g)
@@ -178,9 +248,11 @@ func (g *exprGen) gen(depth int) node {
 			return hi
 		}
 		return node{
-			text: "{" + hi.text + ", " + lo.text + "}",
-			w:    hi.w + lo.w,
-			eval: func(g *exprGen) val.Value { return val.Cat(hi.eval(g), lo.eval(g)) },
+			kids:   []node{hi, lo},
+			format: func(k []string) string { return "{" + k[0] + ", " + k[1] + "}" },
+			w:      hi.w + lo.w,
+			ew:     known(hi.ew, lo.ew, hi.ew+lo.ew),
+			eval:   func(g *exprGen) val.Value { return val.Cat(hi.eval(g), lo.eval(g)) },
 		}
 	case 8: // replication {n{x}}
 		n := 1 + int(g.next()%3)
@@ -189,8 +261,10 @@ func (g *exprGen) gen(depth int) node {
 			return x
 		}
 		return node{
-			text: fmt.Sprintf("{%d{%s}}", n, x.text),
-			w:    n * x.w,
+			kids:   []node{x},
+			format: func(k []string) string { return fmt.Sprintf("{%d{%s}}", n, k[0]) },
+			w:      n * x.w,
+			ew:     n * x.ew,
 			eval: func(g *exprGen) val.Value {
 				parts := make([]val.Value, n)
 				for i := range parts {
@@ -203,16 +277,18 @@ func (g *exprGen) gen(depth int) node {
 		lo := int(g.next() % 32)
 		hi := lo + int(g.next())%(32-lo)
 		return node{
-			text: fmt.Sprintf("a[%d:%d]", hi, lo),
-			w:    hi - lo + 1,
-			eval: func(g *exprGen) val.Value { return g.av.Slice(hi, lo) },
+			format: leaf(fmt.Sprintf("a[%d:%d]", hi, lo)),
+			w:      hi - lo + 1,
+			ew:     hi - lo + 1,
+			eval:   func(g *exprGen) val.Value { return g.av.Slice(hi, lo) },
 		}
 	case 10: // bit-select on a signal, including out-of-range indices
 		idx := int(g.next() % 40)
 		return node{
-			text: fmt.Sprintf("b[%d]", idx),
-			w:    1,
-			eval: func(g *exprGen) val.Value { return val.New(g.bv.Bit(idx%64), 1) },
+			format: leaf(fmt.Sprintf("b[%d]", idx)),
+			w:      1,
+			ew:     1,
+			eval:   func(g *exprGen) val.Value { return val.New(g.bv.Bit(idx%64), 1) },
 		}
 	default: // binary, optionally with a $signed-wrapped operand
 		op := binOps[int(g.next())%len(binOps)]
@@ -228,17 +304,24 @@ func (g *exprGen) gen(depth int) node {
 		// Result-width bound: comparisons and logical ops yield 1 bit;
 		// shifts are self-determined by the left side; everything else
 		// takes the left width, which adaptation can raise to the right.
-		bw := max(l.w, r.w)
+		// The exact width is the left operand's after adaptation: the
+		// right one's when an unsized left operand is adapted to it.
+		bw, ew := max(l.w, r.w), l.ew
+		if l.unsized {
+			ew = r.ew
+		}
 		switch op {
 		case "&&", "||", "==", "!=", "<", "<=", ">", ">=":
-			bw = 1
+			bw, ew = 1, 1
 		case "<<", ">>", ">>>":
-			bw = l.w
+			bw, ew = l.w, l.ew
 		}
 		return node{
-			text:    "(" + l.text + " " + op + " " + r.text + ")",
+			kids:    []node{l, r},
+			format:  func(k []string) string { return "(" + k[0] + " " + op + " " + k[1] + ")" },
 			unsized: l.unsized && r.unsized,
 			w:       bw,
+			ew:      ew,
 			eval: func(g *exprGen) val.Value {
 				lv, rv := l.eval(g), r.eval(g)
 				if lv.Width() != rv.Width() && !shift {
@@ -255,11 +338,30 @@ func (g *exprGen) gen(depth int) node {
 	}
 }
 
+// sameWidth is the exact width of a choice between two operands: known
+// only when both are known and equal.
+func sameWidth(a, b int) int {
+	if a != b {
+		return 0
+	}
+	return a
+}
+
+// known is w when both operand widths are known, else 0.
+func known(a, b, w int) int {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	return w
+}
+
 func signedWrap(x node) node {
 	return node{
-		text:   "$signed(" + x.text + ")",
+		kids:   []node{x},
+		format: func(k []string) string { return "$signed(" + k[0] + ")" },
 		signed: true,
 		w:      x.w,
+		ew:     x.ew,
 		eval:   x.eval,
 	}
 }

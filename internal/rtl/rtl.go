@@ -25,10 +25,16 @@
 // equivalence. Division by zero yields all-ones (RISC-V convention)
 // rather than X; there are no X/Z values at all, matching val.Value.
 //
-// Evaluation is two-phase, like a synchronous netlist: Settle() iterates
-// the combinational logic to a fixpoint (flagging true combinational
-// loops), then Clock() runs the posedge blocks and commits nonblocking
-// assigns atomically.
+// Elaborate compiles a module once: every scalar and memory gets a slot
+// in the model's state, every statement and expression becomes a
+// closure over those slots (names, arities and static errors are all
+// resolved here), and the continuous assigns and always @* blocks are
+// ordered by what they read and write. Evaluation is then two-phase,
+// like a synchronous netlist: Settle() runs the combinational logic in
+// that order, once — only a strongly connected group iterates, to a
+// fixpoint, and one that never converges is a combinational loop —
+// then Clock() runs the posedge blocks and commits nonblocking assigns
+// atomically.
 package rtl
 
 import (
@@ -109,8 +115,6 @@ type Stmt interface{ stmtNode() }
 type LValue struct {
 	Name  string
 	Index Expr // nil for scalars
-	sig   *signal
-	arr   *array
 }
 
 // AssignStmt is a (possibly concat-target) blocking or nonblocking
@@ -145,25 +149,19 @@ type Num struct {
 }
 
 // Ref is a scalar signal reference.
-type Ref struct {
-	Name string
-	sig  *signal
-}
+type Ref struct{ Name string }
 
 // Index is name[expr]: an array element select, or a bit select when the
 // name resolves to a scalar.
 type Index struct {
 	Name string
 	I    Expr
-	sig  *signal
-	arr  *array
 }
 
 // PartSel is name[hi:lo] with constant bounds.
 type PartSel struct {
 	Name   string
 	Hi, Lo int
-	sig    *signal
 }
 
 // Concat is {a, b, ...}, MSB first.
@@ -195,7 +193,6 @@ type Ternary struct{ Cond, Then, Else Expr }
 type CallExpr struct {
 	Name string
 	Args []Expr
-	fn   *Func
 }
 
 // Signed is $signed(x): it marks the operand so comparisons, shifts and
@@ -216,8 +213,9 @@ func (*CallExpr) exprNode() {}
 func (*Signed) exprNode()   {}
 
 // Func binds an extern function name to a Go implementation. Args are
-// resized to Params before the call; Results declares the width of each
-// returned value, in the order they bind to a concat target.
+// resized to Params before the call and are only valid for its
+// duration (the model reuses the slice); Results declares the width of
+// each returned value, in the order they bind to a concat target.
 type Func struct {
 	Params  []int
 	Results []int

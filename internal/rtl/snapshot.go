@@ -2,7 +2,7 @@
 //
 // A Model's durable state is exactly its signal values and unpacked
 // memories: nonblocking staging (Model.nb) is drained within every
-// Clock call and the per-pass prev shadows are Settle-internal, so a
+// Clock call and the fixpoint bookkeeping is Settle-internal, so a
 // model saved after Clock and restored before the next cycle's Poke
 // resumes bit-exactly. Signals serialize in elaboration order (ports,
 // then body declarations) — the same deterministic order Elaborate
@@ -31,53 +31,33 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("rtl: %s: panic during %s: %v", e.Module, e.Op, e.Panic)
 }
 
-// containPanic converts a panic into a *PanicError on the named-return
-// error slot.
+// containPanic converts a panic into the named-return error slot: a
+// run-time *Error raised by the compiled closures is returned as
+// itself, anything else becomes a *PanicError.
 func (m *Model) containPanic(op string, err *error) {
 	if r := recover(); r != nil {
+		if ee, ok := r.(evalError); ok {
+			*err = ee.err
+			return
+		}
 		*err = &PanicError{Module: m.mod.Name, Op: op, Panic: r, Stack: debug.Stack()}
-	}
-}
-
-// stateOrder walks the model's signals and arrays in elaboration order
-// (ports first, then body declarations, port-redeclarations skipped),
-// calling one of the two callbacks for each. Save and Restore share it,
-// which is what makes the two byte-compatible by construction.
-func (m *Model) stateOrder(onSig func(*signal), onArr func(*array)) {
-	seen := make(map[string]bool, len(m.sigs))
-	for _, p := range m.mod.Ports {
-		if seen[p.Name] {
-			continue
-		}
-		seen[p.Name] = true
-		onSig(m.sigs[p.Name])
-	}
-	for _, d := range m.mod.Decls {
-		if seen[d.Name] {
-			continue
-		}
-		seen[d.Name] = true
-		if d.Depth > 0 {
-			onArr(m.arrs[d.Name])
-			continue
-		}
-		onSig(m.sigs[d.Name])
 	}
 }
 
 // SaveState serializes every signal and memory element.
 func (m *Model) SaveState(w *snap.Writer) {
-	w.Int(len(m.sigs))
+	w.Int(len(m.vals))
 	w.Int(len(m.arrs))
-	m.stateOrder(
-		func(s *signal) { w.Val(s.cur) },
-		func(a *array) {
-			w.Int(a.depth)
-			for _, v := range a.cur {
-				w.Val(v)
-			}
-		},
-	)
+	for _, ref := range m.state {
+		if ref.arr == nil {
+			w.Val(m.vals[ref.slot])
+			continue
+		}
+		w.Int(len(ref.arr.cur))
+		for _, v := range ref.arr.cur {
+			w.Val(v)
+		}
+	}
 }
 
 // RestoreState replaces every signal and memory element with a saved
@@ -87,31 +67,27 @@ func (m *Model) RestoreState(r *snap.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if ns != len(m.sigs) || na != len(m.arrs) {
+	if ns != len(m.vals) || na != len(m.arrs) {
 		return errf(m.mod.Name, "snapshot has %d signals and %d memories, this model %d and %d",
-			ns, na, len(m.sigs), len(m.arrs))
+			ns, na, len(m.vals), len(m.arrs))
 	}
-	var restoreErr error
-	m.stateOrder(
-		func(s *signal) {
-			s.cur = r.Val().ZeroExt(s.width)
-		},
-		func(a *array) {
-			d := r.Int()
-			if r.Err() == nil && d != a.depth && restoreErr == nil {
-				restoreErr = errf(m.mod.Name, "snapshot memory %s depth %d, this model %d", a.name, d, a.depth)
-			}
-			if restoreErr != nil || r.Err() != nil {
-				return
-			}
-			for i := range a.cur {
-				a.cur[i] = r.Val().ZeroExt(a.width)
-			}
-		},
-	)
 	m.nb = m.nb[:0]
-	if restoreErr != nil {
-		return restoreErr
+	for _, ref := range m.state {
+		if ref.arr == nil {
+			m.vals[ref.slot] = r.Val().ZeroExt(m.width[ref.slot])
+			continue
+		}
+		a := ref.arr
+		d := r.Int()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if d != len(a.cur) {
+			return errf(m.mod.Name, "snapshot memory %s depth %d, this model %d", a.name, d, len(a.cur))
+		}
+		for i := range a.cur {
+			a.cur[i] = r.Val().ZeroExt(a.width)
+		}
 	}
 	return r.Err()
 }

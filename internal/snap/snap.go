@@ -68,43 +68,28 @@ func (e *CorruptError) Error() string {
 // ---------------------------------------------------------------------------
 // Writer
 
-// Writer encodes a snapshot stream. Errors are sticky: the first write
-// failure is remembered and returned by Close, so codec code can write
+// Writer encodes a snapshot stream. The stream is built in memory and
+// handed to the underlying writer in one Write at Close, after a single
+// checksum pass over it. Errors are sticky: the first failure is
+// remembered and returned by Close, so codec code can write
 // unconditionally and check once.
 type Writer struct {
 	w   io.Writer
-	crc uint64
-	off int64
+	buf []byte
 	err error
-	buf [binary.MaxVarintLen64]byte
 }
 
 // NewWriter starts a snapshot stream on w, emitting the magic and
 // format version.
 func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: w}
-	sw.write([]byte(Magic))
+	sw := &Writer{w: w, buf: make([]byte, 0, 4096)}
+	sw.buf = append(sw.buf, Magic...)
 	sw.U64(Version)
 	return sw
 }
 
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
-		return
-	}
-	w.crc = crc64.Update(w.crc, crcTable, p)
-	n, err := w.w.Write(p)
-	w.off += int64(n)
-	if err != nil {
-		w.err = err
-	}
-}
-
 // U64 writes an unsigned varint.
-func (w *Writer) U64(v uint64) {
-	n := binary.PutUvarint(w.buf[:], v)
-	w.write(w.buf[:n])
-}
+func (w *Writer) U64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
 // Int writes a non-negative int. Negative values poison the stream —
 // the machine codec has no negative quantities, so one indicates a bug.
@@ -128,11 +113,14 @@ func (w *Writer) Bool(b bool) {
 // Bytes writes a length-prefixed byte string.
 func (w *Writer) Bytes(p []byte) {
 	w.Int(len(p))
-	w.write(p)
+	w.buf = append(w.buf, p...)
 }
 
 // String writes a length-prefixed string.
-func (w *Writer) String(s string) { w.Bytes([]byte(s)) }
+func (w *Writer) String(s string) {
+	w.Int(len(s))
+	w.buf = append(w.buf, s...)
+}
 
 // Val writes a sized bit vector as (width, bits). The zero val.Value
 // round-trips as width 0.
@@ -145,15 +133,15 @@ func (w *Writer) Val(v val.Value) {
 	w.U64(v.Uint())
 }
 
-// Close appends the checksum trailer and returns the first error
-// encountered, if any. It does not close the underlying writer.
+// Close appends the checksum trailer, writes the whole stream and
+// returns the first error encountered, if any; after an error nothing
+// is written. It does not close the underlying writer.
 func (w *Writer) Close() error {
 	if w.err != nil {
 		return w.err
 	}
-	var tail [8]byte
-	binary.LittleEndian.PutUint64(tail[:], w.crc)
-	if _, err := w.w.Write(tail[:]); err != nil {
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, crc64.Checksum(w.buf, crcTable))
+	if _, err := w.w.Write(w.buf); err != nil {
 		w.err = err
 	}
 	return w.err

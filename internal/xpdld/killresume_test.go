@@ -27,6 +27,7 @@ import (
 
 var (
 	buildOnce sync.Once
+	buildDir  string // removed by TestMain
 	buildBin  string
 	buildErr  error
 )
@@ -40,6 +41,7 @@ func daemonBinary(t *testing.T) string {
 			buildErr = err
 			return
 		}
+		buildDir = dir
 		buildBin = filepath.Join(dir, "xpdld")
 		out, err := exec.Command("go", "build", "-o", buildBin, "xpdl/cmd/xpdld").CombinedOutput()
 		if err != nil {

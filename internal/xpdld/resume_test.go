@@ -113,7 +113,9 @@ func TestPreemptRestartCompletes(t *testing.T) {
 		Kind: KindChaos, Design: "base", Asm: loopAsm(120_000),
 		Seed: 5, Engine: "vm", CheckpointEvery: 5_000, MaxCycles: 5_000_000,
 	}
+	start := time.Now()
 	want := runToDone(t, sp)
+	uninterrupted := time.Since(start)
 
 	dir := t.TempDir()
 	cfg := Config{StateDir: dir, Workers: 2}
@@ -160,6 +162,11 @@ func TestPreemptRestartCompletes(t *testing.T) {
 	if got := s2.Metrics().Get("xpdld_jobs_recovered_total"); got != 1 {
 		t.Errorf("jobs_recovered_total = %d, want 1", got)
 	}
+	// The recovered run repeats at most the whole job, so its budget
+	// scales with the uninterrupted run's duration: a slow host (or the
+	// race detector) stretches both alike.
+	budget := max(time.Minute, 3*uninterrupted)
+	deadline = time.Now().Add(budget)
 	for {
 		cur, ok := s2.JobStatus(id)
 		if !ok {
@@ -172,7 +179,7 @@ func TestPreemptRestartCompletes(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("recovered job did not finish within a minute")
+			t.Fatalf("recovered job did not finish within %v", budget)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
