@@ -186,13 +186,15 @@ torture:
 # bench vets the tree, runs the whole benchmark suite once as a smoke
 # check (one iteration per benchmark, with allocation stats), then takes
 # a real measurement of the executor-throughput and lockstep-batch
-# benchmarks, and records the machine-readable results (stamped with the
-# run time and git revision by benchjson). BENCH_pr6.json is the
-# committed snapshot of the bytecode-VM PR; rerun `make bench` to
-# refresh it. BENCH_pr1.json is the frozen pre-VM baseline.
+# benchmarks and of the K=2 bveq sweep (points/s), and records the
+# machine-readable results (stamped with the run time and git revision
+# by benchjson). BENCH_pr6.json is the committed snapshot; rerun
+# `make bench` to refresh it. BENCH_pr1.json is the frozen pre-VM
+# baseline.
 bench: vet
 	{ go test -run='^$$' -bench=. -benchtime=1x -benchmem ./... && \
-	  go test -run='^$$' -bench='SimThroughput|SimBatch' -benchtime=500ms -benchmem ./internal/sim/ ; } \
+	  go test -run='^$$' -bench='SimThroughput|SimBatch' -benchtime=500ms -benchmem ./internal/sim/ && \
+	  go test -run='^$$' -bench='BveqSweep' -benchtime=20x -benchmem ./internal/bveq/ ; } \
 	| go run ./cmd/benchjson > BENCH_pr6.json
 
 # bench-smoke is the cheap CI-shaped pass: every benchmark exactly once

@@ -131,3 +131,60 @@ func TestBuildReleaseAllocsWarmPool(t *testing.T) {
 		t.Errorf("warm-pool Build+Release makes %.0f allocations, guard is %d", allocs, maxPooledBuildAllocs)
 	}
 }
+
+// maxPointAllocs pins the allocations of one whole point on a warm
+// pool — Build, Advance through the budget, Check, Release — for a
+// point whose illegal instruction traps, so the rollback stage aborts
+// the renaming register file: measured at 12, plus a margin. The
+// interrupt device and the trapping instruction's except arguments are
+// what is left; an exception rollback that allocates (a fresh snapshot,
+// map and free list per Abort) or a per-word state compare would pass
+// it by far.
+const maxPointAllocs = 16
+
+// TestPointAllocsWarmPool guards the per-point cost of a sweep once the
+// target's machine and check pools are warm.
+func TestPointAllocsWarmPool(t *testing.T) {
+	tgt, err := NewVariantTarget(designs.All, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var illegal Inst
+	for _, in := range tgt.ExcLetters() {
+		if in.Asm == ".word 0xFFFFFFFF" {
+			illegal = in
+		}
+	}
+	if illegal.Word == 0 {
+		t.Fatal("the All variant has no illegal-instruction letter")
+	}
+	prog := []uint32{tgt.Alphabet()[0].Word, illegal.Word, tgt.Alphabet()[1].Word}
+	const intr, budget = 3, 384
+	point := func() {
+		m, err := tgt.Build(prog, intr, "vm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runErr := m.Advance(budget)
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		trapped := false
+		for _, r := range m.Retired() {
+			trapped = trapped || r.Exceptional
+		}
+		if !trapped {
+			t.Fatal("the point took no exception")
+		}
+		if mm := tgt.Check(prog, intr, m, runErr); mm != nil {
+			t.Fatal(mm)
+		}
+		tgt.Release(m)
+	}
+	point()
+	allocs := testing.AllocsPerRun(20, point)
+	t.Logf("warm-pool point: %.0f allocations", allocs)
+	if allocs > maxPointAllocs {
+		t.Errorf("warm-pool point makes %.0f allocations, guard is %d", allocs, maxPointAllocs)
+	}
+}

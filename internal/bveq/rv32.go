@@ -55,12 +55,50 @@ type VariantTarget struct {
 	// into its own instruction memory.
 	tmpl []uint32
 	// presets are firmware CSR initializations applied to both sides.
-	presets map[string]uint32
+	presets []preset
 
-	// machines and goldens pool the pipeline machines and golden models
-	// of finished points, so a sweep resets both instead of building.
+	// vols holds the machine-side volatile indices, resolved by the
+	// first Build: they are the same for every machine of the design.
+	volOnce sync.Once
+	vols    targetVols
+
+	// machines pools the pipeline machines of finished points, checks
+	// the golden models and retirement buffers, so a sweep resets them
+	// instead of building.
 	machines Pool
-	goldens  sync.Pool
+	checks   sync.Pool
+}
+
+// preset is one firmware CSR initialization: the CSR's name, its index
+// in the golden model's CSR file, and the value.
+type preset struct {
+	name string
+	gidx int
+	v    uint32
+}
+
+// csrVol pairs a CSR the variant implements as a volatile register
+// (the machine's VolIndex) with its golden CSR-file index.
+type csrVol struct {
+	name string
+	vol  int
+	gidx int
+}
+
+// targetVols are the volatile registers a point writes and compares.
+type targetVols struct {
+	presets []int    // parallel to VariantTarget.presets; -1 when absent
+	csrs    []csrVol // archDiff's CSRs the variant has, in compare order
+	mip     int
+	// faultcode and faultpc are -1 unless the variant has them (Fatal).
+	faultcode, faultpc int
+}
+
+// pointCheck is one Check's reusable state: the golden model and the
+// projected retirement buffer.
+type pointCheck struct {
+	g      *golden.Machine
+	events []rvEvent
 }
 
 // asmWords assembles a snippet and returns its text words.
@@ -95,7 +133,14 @@ func NewVariantTarget(v designs.Variant, width int, corrupt func(map[string]*cor
 	if corrupt != nil {
 		corrupt(d.Translations)
 	}
-	t := &VariantTarget{v: v, design: d, presets: map[string]uint32{}}
+	t := &VariantTarget{v: v, design: d}
+	addPreset := func(name string, v uint32) {
+		gidx := -1
+		if i, ok := riscv.CSRIndex(csrAddr(name)); ok {
+			gidx = int(i)
+		}
+		t.presets = append(t.presets, preset{name: name, gidx: gidx, v: v})
+	}
 
 	if width <= 0 {
 		width = 2
@@ -173,9 +218,9 @@ func NewVariantTarget(v designs.Variant, width int, corrupt func(map[string]*cor
 		if err != nil {
 			return nil, err
 		}
-		t.presets["mtvec"] = handlerWord * 4
-		t.presets["mstatus"] = riscv.MStatusMIE
-		t.presets["mie"] = riscv.MIPMSIP | riscv.MIPMTIP | riscv.MIPMEIP
+		addPreset("mtvec", handlerWord*4)
+		addPreset("mstatus", riscv.MStatusMIE)
+		addPreset("mie", riscv.MIPMSIP|riscv.MIPMTIP|riscv.MIPMEIP)
 	case designs.CSR:
 		for _, l := range [][2]string{
 			{"csrrw t0, mscratch, t1", "csrrw t0, mscratch, t1"},
@@ -209,9 +254,9 @@ iret:   mret
 		if err != nil {
 			return nil, err
 		}
-		t.presets["mtvec"] = handlerWord * 4
-		t.presets["mstatus"] = riscv.MStatusMIE
-		t.presets["mie"] = riscv.MIPMSIP | riscv.MIPMTIP | riscv.MIPMEIP
+		addPreset("mtvec", handlerWord*4)
+		addPreset("mstatus", riscv.MStatusMIE)
+		addPreset("mie", riscv.MIPMSIP|riscv.MIPMTIP|riscv.MIPMEIP)
 	}
 
 	eb, err := asmWords("ebreak")
@@ -250,8 +295,31 @@ func (t *VariantTarget) IntrCapable() bool {
 // Neutral is nop.
 func (t *VariantTarget) Neutral() uint32 { return t.nop }
 
-func (t *VariantTarget) hasVol(name string) bool {
-	return t.design.Prog.Vol(name) != nil
+// archCSRs are the CSRs archDiff compares, in compare order.
+var archCSRs = []string{"mstatus", "mie", "mtvec", "mscratch", "mepc", "mcause", "mtval", "mip"}
+
+// resolveVols resolves, once per target, every volatile register a
+// point writes or compares to its index on m's plan, which every
+// machine of the design shares.
+func (t *VariantTarget) resolveVols(m *sim.Machine) {
+	idx := func(name string) int {
+		i, ok := m.VolIndex(name)
+		if !ok {
+			return -1
+		}
+		return i
+	}
+	tv := &t.vols
+	for _, p := range t.presets {
+		tv.presets = append(tv.presets, idx(p.name))
+	}
+	for _, name := range archCSRs {
+		if i := idx(name); i >= 0 {
+			gidx, _ := riscv.CSRIndex(csrAddr(name))
+			tv.csrs = append(tv.csrs, csrVol{name: name, vol: i, gidx: int(gidx)})
+		}
+	}
+	tv.mip, tv.faultcode, tv.faultpc = idx("mip"), idx("faultcode"), idx("faultpc")
 }
 
 // Build constructs and boots one enumeration point's machine.
@@ -265,6 +333,7 @@ func (t *VariantTarget) Build(prog []uint32, intr int, engine string) (*sim.Mach
 	if err != nil {
 		return nil, err
 	}
+	t.volOnce.Do(func() { t.resolveVols(m) })
 	imem := m.Mem("imem")
 	for i, w := range t.tmpl {
 		if i < len(prog) {
@@ -272,17 +341,18 @@ func (t *VariantTarget) Build(prog []uint32, intr int, engine string) (*sim.Mach
 		}
 		imem.Poke(uint64(i), val.New(uint64(w), 32))
 	}
-	for name, v := range t.presets {
-		if t.hasVol(name) {
-			m.VolPoke(name, val.New(uint64(v), 32))
+	for i, p := range t.presets {
+		if vi := t.vols.presets[i]; vi >= 0 {
+			m.VolPokeAt(vi, val.New(uint64(p.v), 32))
 		}
 	}
 	if intr >= 0 && t.IntrCapable() {
 		cur := fault.Schedule{intr}.Cursor()
+		mip := t.vols.mip
 		m.OnCycleWake(func(m *sim.Machine) {
 			if cur.Fire(m.Cycle()) {
-				mip := m.VolPeek("mip").Uint()
-				m.VolPoke("mip", val.New(mip|uint64(riscv.MIPMTIP), 32))
+				v := m.VolPeekAt(mip).Uint()
+				m.VolPokeAt(mip, val.New(v|uint64(riscv.MIPMTIP), 32))
 			}
 		}, cur.Next)
 	}
@@ -304,8 +374,8 @@ type rvEvent struct {
 	Cycle int
 }
 
-func rvEvents(m *sim.Machine) []rvEvent {
-	var out []rvEvent
+// rvEvents appends the machine's projected cpu retirements to out.
+func rvEvents(out []rvEvent, m *sim.Machine) []rvEvent {
 	for _, r := range m.Retired() {
 		if r.Pipe != "cpu" {
 			continue
@@ -330,20 +400,19 @@ func (t *VariantTarget) Check(prog []uint32, intr int, m *sim.Machine, runErr er
 		return &Mismatch{Stage: "run", Detail: runErr.Error(), Index: -1, Cycle: -1}
 	}
 	drained := m.InFlight() == 0
-	events := rvEvents(m)
-
-	g, _ := t.goldens.Get().(*golden.Machine)
-	if g == nil {
-		g = golden.New(t.tmpl, nil, designs.DMemWords)
+	pc, _ := t.checks.Get().(*pointCheck)
+	if pc == nil {
+		pc = &pointCheck{g: golden.New(t.tmpl, nil, designs.DMemWords)}
 	} else {
-		g.Reset(t.tmpl, nil)
+		pc.g.Reset(t.tmpl, nil)
 	}
-	defer t.goldens.Put(g)
+	defer t.checks.Put(pc)
+	pc.events = rvEvents(pc.events[:0], m)
+	events, g := pc.events, pc.g
 	copy(g.IMem, prog)
-	for name, v := range t.presets {
-		addr := csrAddr(name)
-		if idx, ok := riscv.CSRIndex(addr); ok {
-			g.CSR[idx] = v
+	for _, p := range t.presets {
+		if p.gidx >= 0 {
+			g.CSR[p.gidx] = p.v
 		}
 	}
 
@@ -389,11 +458,11 @@ func (t *VariantTarget) Check(prog []uint32, intr int, m *sim.Machine, runErr er
 				return &Mismatch{Stage: "drain", Index: i, Cycle: ev.Cycle,
 					Detail: "pipeline still in flight after a fatal exception"}
 			}
-			if fc := uint32(m.VolPeek("faultcode").Uint()); fc != gev.Cause {
+			if fc := uint32(m.VolPeekAt(t.vols.faultcode).Uint()); fc != gev.Cause {
 				return &Mismatch{Stage: "state", Index: -1, Cycle: -1,
 					Detail: fmt.Sprintf("faultcode = %d, golden cause %d", fc, gev.Cause)}
 			}
-			if fp := uint32(m.VolPeek("faultpc").Uint()); fp != gev.PC {
+			if fp := uint32(m.VolPeekAt(t.vols.faultpc).Uint()); fp != gev.PC {
 				return &Mismatch{Stage: "state", Index: -1, Cycle: -1,
 					Detail: fmt.Sprintf("faultpc = %#x, golden %#x", fp, gev.PC)}
 			}
@@ -422,15 +491,11 @@ func (t *VariantTarget) archDiff(m *sim.Machine, g *golden.Machine, intr int, in
 		return &Mismatch{Stage: "state", Detail: detail, Index: -1, Cycle: -1}
 	}
 	rf, dmem := m.Mem("rf"), m.Mem("dmem")
-	for i := uint64(1); i < 32; i++ {
-		if got, want := uint32(rf.Peek(i).Uint()), g.Regs[i]; got != want {
-			return state(fmt.Sprintf("x%d = %#x, golden %#x", i, got, want))
-		}
+	if i := rf.FirstDiff(1, g.Regs[1:]); i >= 0 {
+		return state(fmt.Sprintf("x%d = %#x, golden %#x", i, uint32(rf.Peek(uint64(i)).Uint()), g.Regs[i]))
 	}
-	for i := uint64(0); i < designs.DMemWords; i++ {
-		if got, want := uint32(dmem.Peek(i).Uint()), g.DMem[i]; got != want {
-			return state(fmt.Sprintf("dmem[%d] = %#x, golden %#x", i, got, want))
-		}
+	if i := dmem.FirstDiff(0, g.DMem[:designs.DMemWords]); i >= 0 {
+		return state(fmt.Sprintf("dmem[%d] = %#x, golden %#x", i, uint32(dmem.Peek(uint64(i)).Uint()), g.DMem[i]))
 	}
 	if fatal {
 		// The golden trap wrote CSRs the Fatal design does not have;
@@ -443,13 +508,9 @@ func (t *VariantTarget) archDiff(m *sim.Machine, g *golden.Machine, intr int, in
 		// check). Mirror the pending bit into the golden model.
 		g.RaiseInterrupt(riscv.MIPMTIP)
 	}
-	for _, name := range []string{"mstatus", "mie", "mtvec", "mscratch", "mepc", "mcause", "mtval", "mip"} {
-		if !t.hasVol(name) {
-			continue
-		}
-		idx, _ := riscv.CSRIndex(csrAddr(name))
-		if got, want := uint32(m.VolPeek(name).Uint()), g.CSR[idx]; got != want {
-			return state(fmt.Sprintf("%s = %#x, golden %#x", name, got, want))
+	for _, c := range t.vols.csrs {
+		if got, want := uint32(m.VolPeekAt(c.vol).Uint()), g.CSR[c.gidx]; got != want {
+			return state(fmt.Sprintf("%s = %#x, golden %#x", c.name, got, want))
 		}
 	}
 	return nil

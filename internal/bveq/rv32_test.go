@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"xpdl/internal/designs"
+	"xpdl/internal/sim"
+	"xpdl/internal/val"
 )
 
 // rv32Bounds is the tier-1 sweep: K=2 with a modest interrupt window
@@ -63,5 +65,50 @@ func TestRV32LettersDisjoint(t *testing.T) {
 		if tgt.Neutral() == 0 {
 			t.Errorf("%s: neutral word is zero", v)
 		}
+	}
+}
+
+// TestRV32StateMismatchDetail: a final state that differs from the
+// golden model's is reported at the lowest differing register, data
+// word or CSR, in the detail format counterexamples and E-BVEQ
+// diagnostics carry.
+func TestRV32StateMismatchDetail(t *testing.T) {
+	tgt, err := NewVariantTarget(designs.All, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := []uint32{tgt.Alphabet()[0].Word}
+	for _, tc := range []struct {
+		name   string
+		poke   func(m *sim.Machine)
+		detail string
+	}{
+		{"rf", func(m *sim.Machine) {
+			m.MemPoke("rf", 9, val.New(0x1234, 32))
+			m.MemPoke("rf", 5, val.New(0xbeef, 32))
+		}, "x5 = 0xbeef, golden 0x0"},
+		{"dmem", func(m *sim.Machine) {
+			m.MemPoke("dmem", 1023, val.New(1, 32))
+			m.MemPoke("dmem", 7, val.New(0xdead, 32))
+		}, "dmem[7] = 0xdead, golden 0x0"},
+		{"csr", func(m *sim.Machine) { m.VolPoke("mscratch", val.New(0x42, 32)) }, "mscratch = 0x42, golden 0x0"},
+	} {
+		m, err := tgt.Build(prog, -1, "vm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runErr := m.Advance(384)
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		if mm := tgt.Check(prog, -1, m, runErr); mm != nil {
+			t.Fatalf("%s: clean point mismatched: %s", tc.name, mm)
+		}
+		tc.poke(m)
+		mm := tgt.Check(prog, -1, m, runErr)
+		if mm == nil || mm.Stage != "state" || mm.Detail != tc.detail {
+			t.Errorf("%s: mismatch %v, want state: %s", tc.name, mm, tc.detail)
+		}
+		tgt.Release(m)
 	}
 }

@@ -245,6 +245,7 @@ type probes struct {
 	qv                                           []rtl.Array // qv_<param>
 	mems                                         []memProbe  // plan.Mems
 	plainMems                                    []memProbe  // plan.PlainMems
+	cpu                                          sim.Pipe    // the simulator's cpu pipeline
 }
 
 // volProbe is one volatile register: its device write port and its
@@ -252,6 +253,7 @@ type probes struct {
 type volProbe struct {
 	name       string
 	width      int
+	idx        int // the simulator's VolIndex
 	we, din, q rtl.Signal
 }
 
@@ -510,6 +512,11 @@ func (h *harness) resolve() error {
 		return out
 	}
 
+	cpu, ok := h.p.M.Pipe("cpu")
+	if !ok {
+		return fmt.Errorf("cosim: the simulator has no cpu pipeline")
+	}
+	pr.cpu = cpu
 	pr.rst, pr.fire, pr.kill, pr.qKill = sig("rst"), sig("fire"), sig("kill"), sig("q_kill")
 	pr.entryPop, pr.startValid = sig("entry_pop"), sig("start_valid")
 	pr.retireV, pr.retireExc = sig("retire_v"), sig("retire_exc")
@@ -522,7 +529,11 @@ func (h *harness) resolve() error {
 		pr.retireEArg = append(pr.retireEArg, sig(fmt.Sprintf("retire_earg%d", i)))
 	}
 	for _, v := range plan.Vols {
-		pr.vols = append(pr.vols, volProbe{name: v.Name, width: v.Width,
+		idx, ok := h.p.M.VolIndex(v.Name)
+		if !ok {
+			return fmt.Errorf("cosim: plan volatile %s has no simulator register", v.Name)
+		}
+		pr.vols = append(pr.vols, volProbe{name: v.Name, width: v.Width, idx: idx,
 			we: sig(v.Name + "_dev_we"), din: sig(v.Name + "_dev_din"), q: sig(v.Name + "_q")})
 	}
 	for _, nd := range plan.Nodes {
@@ -665,7 +676,7 @@ func (h *harness) cycle(boot bool) error {
 	// Post-edge, the RTL queue was verified identical to the simulator's,
 	// so next cycle's kill mask indexes it directly.
 	h.mirror = h.mirror[:0]
-	for i := 0; i < p.M.QueueLen("cpu"); i++ {
+	for i := 0; i < h.pr.cpu.QueueLen(); i++ {
 		h.mirror = append(h.mirror, i)
 	}
 	return nil
@@ -758,11 +769,11 @@ func (s *slotProbe) fieldOf(v sim.V) (val.Value, bool) {
 // compareState diffs committed architectural state after the clock edge.
 func (h *harness) compareState(cycle int) error {
 	plan, pr := h.plan, &h.pr
-	msim := h.p.M
+	msim, cpu := h.p.M, pr.cpu
 
 	for i := range pr.nodes {
 		nd := &pr.nodes[i]
-		occ := msim.StageOccupied("cpu", nd.pos)
+		occ := cpu.StageOccupied(nd.pos)
 		if got := nd.valid.Peek().Uint(); got != b2u(occ) {
 			return diverge(cycle, nd.prefix+"_valid", got, b2u(occ), msim.NodeLabel("cpu", nd.pos))
 		}
@@ -770,13 +781,13 @@ func (h *harness) compareState(cycle int) error {
 			continue
 		}
 		if plan.Translated {
-			if got, want := nd.lef.Peek().Uint(), b2u(msim.StageLEF("cpu", nd.pos)); got != want {
+			if got, want := nd.lef.Peek().Uint(), b2u(cpu.StageLEF(nd.pos)); got != want {
 				return diverge(cycle, nd.prefix+"_lef", got, want, "local exception flag")
 			}
 		}
 		for j := range nd.slots {
 			s := &nd.slots[j]
-			sv, ok := msim.StageSlot("cpu", nd.pos, s.slot)
+			sv, ok := cpu.StageSlot(nd.pos, s.slot)
 			if !ok {
 				continue // undriven: architecturally unobservable
 			}
@@ -792,7 +803,7 @@ func (h *harness) compareState(cycle int) error {
 				return diverge(cycle, nd.prefix+"_r_"+s.name, got, want.Uint(), "stage slot")
 			}
 		}
-		eargs := msim.StageEArgs("cpu", nd.pos)
+		eargs := cpu.StageEArgs(nd.pos)
 		for i := 0; i < len(nd.eargs) && i < len(eargs); i++ {
 			if eargs[i].Width() == 0 {
 				continue
@@ -804,17 +815,17 @@ func (h *harness) compareState(cycle int) error {
 	}
 
 	if plan.Translated {
-		if got, want := pr.gef.Peek().Uint(), b2u(msim.GefSet("cpu")); got != want {
+		if got, want := pr.gef.Peek().Uint(), b2u(cpu.Gef()); got != want {
 			return diverge(cycle, "gef_q", got, want, "global exception flag")
 		}
 	}
 	for _, v := range pr.vols {
-		if got, want := v.q.Peek().Uint(), msim.VolPeek(v.name).Uint(); got != want {
+		if got, want := v.q.Peek().Uint(), msim.VolPeekAt(v.idx).Uint(); got != want {
 			return diverge(cycle, v.name+"_q", got, want, "volatile register")
 		}
 	}
 
-	qlen := msim.QueueLen("cpu")
+	qlen := cpu.QueueLen()
 	if got := pr.qLen.Peek().Uint(); got != uint64(qlen) {
 		return diverge(cycle, "q_len", got, uint64(qlen), "entry queue depth")
 	}
@@ -823,7 +834,7 @@ func (h *harness) compareState(cycle int) error {
 			if i >= qv.Depth() {
 				return fmt.Errorf("cosim: entry queue depth %d beyond qv_%s (%d words)", qlen, plan.Params[j].Name, qv.Depth())
 			}
-			if got, want := qv.Peek(i).Uint(), msim.QueueArg("cpu", i, j).Uint(); got != want {
+			if got, want := qv.Peek(i).Uint(), cpu.QueueArg(i, j).Uint(); got != want {
 				return diverge(cycle, fmt.Sprintf("qv_%s[%d]", plan.Params[j].Name, i), got, want, "queued argument")
 			}
 		}

@@ -84,6 +84,11 @@ type Lock interface {
 	// They bypass locking and exist for initialization and inspection.
 	Peek(addr uint64) val.Value
 	Poke(addr uint64, v val.Value)
+	// FirstDiff compares the committed words at off, off+1, ... with
+	// want, each word cut to its low 32 bits, and returns the first
+	// address that differs, or -1: Peek over a range, for checkers that
+	// compare whole memories.
+	FirstDiff(off uint64, want []uint32) int
 	// Depth is the number of words.
 	Depth() int
 	// PendingCount reports live (unreleased) reservations, for tests and
@@ -148,8 +153,27 @@ func (p *Plain) Poke(addr uint64, v val.Value) {
 	p.data[addr] = val.New(v.Uint(), p.width).Uint()
 }
 
+// FirstDiff compares words off, off+1, ... with want (see Lock).
+func (p *Plain) FirstDiff(off uint64, want []uint32) int {
+	return firstDiff(p.data, off, want)
+}
+
 // Depth is the number of words.
 func (p *Plain) Depth() int { return len(p.data) }
+
+// firstDiff is FirstDiff over raw committed words.
+func firstDiff(data []uint64, off uint64, want []uint32) int {
+	if len(want) == 0 {
+		return -1
+	}
+	boundsCheck(off+uint64(len(want))-1, len(data), "compare")
+	for i, w := range data[off : off+uint64(len(want))] {
+		if uint32(w) != want[i] {
+			return int(off) + i
+		}
+	}
+	return -1
+}
 
 // Reset zeroes every word, as NewPlain left them.
 func (p *Plain) Reset() { clear(p.data) }

@@ -29,6 +29,11 @@ type Queue struct {
 	// move to the free pool only on Commit.
 	deadTxn []*qResv
 	pool    []*qResv
+	// snaps[:nsnap] hold the reservation queues the Aborts of the open
+	// transaction revoked, in buffers reused from one transaction to the
+	// next.
+	snaps [][]*qResv
+	nsnap int
 }
 
 type qResv struct {
@@ -50,16 +55,15 @@ const (
 	qUndoPopWrite                    // Write: drop res's latest staged write
 	qUndoData                        // Release: restore committed word
 	qUndoInsertResv                  // Release/Squash: re-link res at idx
-	qUndoResvs                       // Abort: restore the whole queue
+	qUndoResvs                       // Abort: restore the queue in snaps[idx]
 )
 
 type qUndo struct {
-	kind  qUndoKind
-	res   *qResv
-	idx   int
-	addr  uint64
-	old   uint64
-	resvs []*qResv
+	kind qUndoKind
+	res  *qResv
+	idx  int
+	addr uint64
+	old  uint64
 }
 
 // NewBasic builds a basic (non-forwarding) queue lock.
@@ -97,6 +101,7 @@ func (q *Queue) Begin() {
 	}
 	q.inTxn = true
 	q.undo = q.undo[:0]
+	q.nsnap = 0
 }
 
 // Commit keeps the transaction's effects. Reservations unlinked during
@@ -104,6 +109,7 @@ func (q *Queue) Begin() {
 func (q *Queue) Commit() {
 	q.inTxn = false
 	q.undo = q.undo[:0]
+	q.nsnap = 0
 	for _, r := range q.deadTxn {
 		q.pool = append(q.pool, r)
 	}
@@ -125,11 +131,12 @@ func (q *Queue) Rollback() {
 		case qUndoInsertResv:
 			q.insertResv(u.res, u.idx)
 		case qUndoResvs:
-			q.resvs = u.resvs
+			q.resvs = append(q.resvs[:0], q.snaps[u.idx]...)
 		}
 	}
 	q.inTxn = false
 	q.undo = q.undo[:0]
+	q.nsnap = 0
 	// Anything parked in deadTxn was re-linked by the undos above.
 	q.deadTxn = q.deadTxn[:0]
 }
@@ -340,12 +347,23 @@ func (q *Queue) Squash(id IID) {
 }
 
 // Abort revokes all reservations and discards all uncommitted writes,
-// returning the lock to its last committed state (§3.4).
+// returning the lock to its last committed state (§3.4). The revoked
+// reservations return to the pool (after Commit, inside a transaction);
+// only an Abort inside a transaction snapshots the queue it revokes.
 func (q *Queue) Abort() {
-	// Rare (exception rollback): the revoked reservations stay reachable
-	// from the undo record until Commit and are then left to the GC.
-	q.record(qUndo{kind: qUndoResvs, resvs: q.resvs})
-	q.resvs = nil
+	if q.inTxn {
+		if q.nsnap == len(q.snaps) {
+			q.snaps = append(q.snaps, nil)
+		}
+		q.snaps[q.nsnap] = append(q.snaps[q.nsnap][:0], q.resvs...)
+		q.undo = append(q.undo, qUndo{kind: qUndoResvs, idx: q.nsnap})
+		q.nsnap++
+	}
+	for _, r := range q.resvs {
+		q.retireResv(r)
+	}
+	clear(q.resvs)
+	q.resvs = q.resvs[:0]
 }
 
 // Peek reads the committed value at addr.
@@ -358,6 +376,12 @@ func (q *Queue) Peek(addr uint64) val.Value {
 func (q *Queue) Poke(addr uint64, v val.Value) {
 	boundsCheck(addr, len(q.data), "poke")
 	q.data[addr] = val.New(v.Uint(), q.width).Uint()
+}
+
+// FirstDiff compares committed words off, off+1, ... with want (see
+// Lock).
+func (q *Queue) FirstDiff(off uint64, want []uint32) int {
+	return firstDiff(q.data, off, want)
 }
 
 // Depth is the number of words.

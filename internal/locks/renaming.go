@@ -15,7 +15,8 @@ import (
 // Squash undoes a killed instruction's allocations LIFO (squashed
 // instructions are the youngest). Abort restores the committed map — the
 // multi-cycle exception-rollback path the paper contrasts with per-branch
-// snapshots.
+// snapshots. Every exception takes that path, so Abort reuses buffers the
+// lock owns and allocates nothing once they have grown.
 //
 // Renaming locks are per-address only; whole-memory reservations are not
 // supported (the paper uses renaming for register files, which are always
@@ -35,6 +36,15 @@ type Renaming struct {
 	// Reservation recycling; see Queue.deadTxn for the discipline.
 	deadTxn []*rResv
 	pool    []*rResv
+
+	// Abort's working storage: mapped marks the physical registers the
+	// committed map references while the free list is rebuilt (all false
+	// between calls), and snaps[:nsnap] are the undo snapshots of the
+	// Aborts in the open transaction, reused from one transaction to the
+	// next.
+	mapped []bool
+	snaps  []rSnap
+	nsnap  int
 }
 
 type rUndoKind uint8
@@ -47,7 +57,7 @@ const (
 	rUndoSpecMap                     // restore specMap[idx]
 	rUndoCommMap                     // restore commMap[idx]
 	rUndoPhys                        // restore phys[idx]
-	rUndoAbort                       // Abort: restore full snapshot
+	rUndoAbort                       // Abort: restore snapshot snaps[idx]
 )
 
 type rUndo struct {
@@ -56,10 +66,9 @@ type rUndo struct {
 	idx  int
 	old  int
 	reg  physReg
-	snap *rSnap
 }
 
-// rSnap is Abort's (rare, exception-path) rollback snapshot.
+// rSnap is the state an Abort inside a transaction replaces.
 type rSnap struct {
 	specMap []int
 	free    []int
@@ -137,6 +146,7 @@ func (r *Renaming) Begin() {
 	}
 	r.inTxn = true
 	r.undo = r.undo[:0]
+	r.nsnap = 0
 }
 
 // Commit keeps the transaction's effects. Reservations unlinked during
@@ -144,6 +154,7 @@ func (r *Renaming) Begin() {
 func (r *Renaming) Commit() {
 	r.inTxn = false
 	r.undo = r.undo[:0]
+	r.nsnap = 0
 	for _, res := range r.deadTxn {
 		r.pool = append(r.pool, res)
 	}
@@ -171,13 +182,15 @@ func (r *Renaming) Rollback() {
 		case rUndoPhys:
 			r.phys[u.idx] = u.reg
 		case rUndoAbort:
-			copy(r.specMap, u.snap.specMap)
-			r.free = u.snap.free
-			r.resvs = u.snap.resvs
+			sn := &r.snaps[u.idx]
+			copy(r.specMap, sn.specMap)
+			r.free = append(r.free[:0], sn.free...)
+			r.resvs = append(r.resvs[:0], sn.resvs...)
 		}
 	}
 	r.inTxn = false
 	r.undo = r.undo[:0]
+	r.nsnap = 0
 	// Anything parked in deadTxn was re-linked by the undos above.
 	r.deadTxn = r.deadTxn[:0]
 }
@@ -366,28 +379,43 @@ func (r *Renaming) Squash(id IID) {
 
 // Abort restores the committed map: the speculative map becomes the
 // committed one, all reservations disappear, and the free list is rebuilt
-// from the registers the committed map does not reference (§3.4).
+// from the registers the committed map does not reference, highest index
+// first (§3.4). Revoked reservations return to the pool (after Commit,
+// inside a transaction); only an Abort inside a transaction snapshots
+// what it replaces, into the lock's reusable snapshot buffers.
 func (r *Renaming) Abort() {
-	// Rare (exception rollback): snapshots allocate, and the revoked
-	// reservations are left to the GC.
-	r.record(rUndo{kind: rUndoAbort, snap: &rSnap{
-		specMap: append([]int(nil), r.specMap...),
-		free:    r.free,
-		resvs:   r.resvs,
-	}})
+	if r.inTxn {
+		if r.nsnap == len(r.snaps) {
+			r.snaps = append(r.snaps, rSnap{})
+		}
+		sn := &r.snaps[r.nsnap]
+		sn.specMap = append(sn.specMap[:0], r.specMap...)
+		sn.free = append(sn.free[:0], r.free...)
+		sn.resvs = append(sn.resvs[:0], r.resvs...)
+		r.undo = append(r.undo, rUndo{kind: rUndoAbort, idx: r.nsnap})
+		r.nsnap++
+	}
+	for _, res := range r.resvs {
+		r.retireResv(res)
+	}
+	clear(r.resvs)
+	r.resvs = r.resvs[:0]
 
 	copy(r.specMap, r.commMap)
-	used := make(map[int]bool, len(r.commMap))
-	for _, p := range r.commMap {
-		used[p] = true
+	if len(r.mapped) != len(r.phys) {
+		r.mapped = make([]bool, len(r.phys))
 	}
-	r.free = nil
+	for _, p := range r.commMap {
+		r.mapped[p] = true
+	}
+	r.free = r.free[:0]
 	for p := len(r.phys) - 1; p >= 0; p-- {
-		if !used[p] {
+		if r.mapped[p] {
+			r.mapped[p] = false
+		} else {
 			r.free = append(r.free, p)
 		}
 	}
-	r.resvs = nil
 }
 
 // Peek reads the committed value of architectural register addr.
@@ -400,6 +428,21 @@ func (r *Renaming) Peek(addr uint64) val.Value {
 func (r *Renaming) Poke(addr uint64, v val.Value) {
 	boundsCheck(addr, len(r.commMap), "poke")
 	r.phys[r.commMap[addr]] = physReg{v: val.New(v.Uint(), r.width), ready: true}
+}
+
+// FirstDiff compares the committed values of architectural registers
+// off, off+1, ... with want (see Lock).
+func (r *Renaming) FirstDiff(off uint64, want []uint32) int {
+	if len(want) == 0 {
+		return -1
+	}
+	boundsCheck(off+uint64(len(want))-1, len(r.commMap), "compare")
+	for i, p := range r.commMap[off : off+uint64(len(want))] {
+		if uint32(r.phys[p].v.Uint()) != want[i] {
+			return int(off) + i
+		}
+	}
+	return -1
 }
 
 // Depth is the number of architectural registers.

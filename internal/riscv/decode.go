@@ -24,18 +24,15 @@ func Decode(raw uint32) Inst {
 			in.Op, in.Rd, in.Rs1, in.Imm = JALR, rd, rs1, immI(raw)
 		}
 	case OpBranch:
-		ops := map[uint32]Op{0: BEQ, 1: BNE, 4: BLT, 5: BGE, 6: BLTU, 7: BGEU}
-		if op, ok := ops[funct3]; ok {
+		if op := branchOps[funct3]; op != ILLEGAL {
 			in.Op, in.Rs1, in.Rs2, in.Imm = op, rs1, rs2, immB(raw)
 		}
 	case OpLoad:
-		ops := map[uint32]Op{0: LB, 1: LH, 2: LW, 4: LBU, 5: LHU}
-		if op, ok := ops[funct3]; ok {
+		if op := loadOps[funct3]; op != ILLEGAL {
 			in.Op, in.Rd, in.Rs1, in.Imm = op, rd, rs1, immI(raw)
 		}
 	case OpStore:
-		ops := map[uint32]Op{0: SB, 1: SH, 2: SW}
-		if op, ok := ops[funct3]; ok {
+		if op := storeOps[funct3]; op != ILLEGAL {
 			in.Op, in.Rs1, in.Rs2, in.Imm = op, rs1, rs2, immS(raw)
 		}
 	case OpImm:
@@ -74,15 +71,16 @@ func Decode(raw uint32) Inst {
 		}
 	case OpReg:
 		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
-		type key struct{ f7, f3 uint32 }
-		ops := map[key]Op{
-			{0, 0}: ADD, {0x20, 0}: SUB, {0, 1}: SLL, {0, 2}: SLT,
-			{0, 3}: SLTU, {0, 4}: XOR, {0, 5}: SRL, {0x20, 5}: SRA,
-			{0, 6}: OR, {0, 7}: AND,
-			{1, 0}: MUL, {1, 1}: MULH, {1, 2}: MULHSU, {1, 3}: MULHU,
-			{1, 4}: DIV, {1, 5}: DIVU, {1, 6}: REM, {1, 7}: REMU,
+		op := ILLEGAL
+		switch funct7 {
+		case 0:
+			op = regOps[funct3]
+		case 0x20:
+			op = regAltOps[funct3]
+		case 1:
+			op = mulOps[funct3]
 		}
-		if op, ok := ops[key{funct7, funct3}]; ok {
+		if op != ILLEGAL {
 			in.Op = op
 		} else {
 			in.Op, in.Rd, in.Rs1, in.Rs2 = ILLEGAL, 0, 0, 0
@@ -109,8 +107,7 @@ func Decode(raw uint32) Inst {
 				}
 			}
 		case 1, 2, 3, 5, 6, 7:
-			ops := map[uint32]Op{1: CSRRW, 2: CSRRS, 3: CSRRC, 5: CSRRWI, 6: CSRRSI, 7: CSRRCI}
-			in.Op, in.Rd, in.Rs1, in.CSR = ops[funct3], rd, rs1, raw>>20
+			in.Op, in.Rd, in.Rs1, in.CSR = csrOps[funct3], rd, rs1, raw>>20
 		}
 	case OpFence:
 		if funct3 == 0 || funct3 == 1 {
@@ -119,6 +116,18 @@ func Decode(raw uint32) Inst {
 	}
 	return in
 }
+
+// Opcode tables indexed by funct3 (R-type: one per funct7 value);
+// ILLEGAL marks an encoding the supported ISA leaves unused.
+var (
+	branchOps = [8]Op{BEQ, BNE, ILLEGAL, ILLEGAL, BLT, BGE, BLTU, BGEU}
+	loadOps   = [8]Op{LB, LH, LW, ILLEGAL, LBU, LHU, ILLEGAL, ILLEGAL}
+	storeOps  = [8]Op{SB, SH, SW, ILLEGAL, ILLEGAL, ILLEGAL, ILLEGAL, ILLEGAL}
+	regOps    = [8]Op{ADD, SLL, SLT, SLTU, XOR, SRL, OR, AND}
+	regAltOps = [8]Op{SUB, ILLEGAL, ILLEGAL, ILLEGAL, ILLEGAL, SRA, ILLEGAL, ILLEGAL}
+	mulOps    = [8]Op{MUL, MULH, MULHSU, MULHU, DIV, DIVU, REM, REMU}
+	csrOps    = [8]Op{ILLEGAL, CSRRW, CSRRS, CSRRC, ILLEGAL, CSRRWI, CSRRSI, CSRRCI}
+)
 
 func signExtend(x uint32, bits uint) int32 {
 	shift := 32 - bits

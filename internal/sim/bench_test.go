@@ -156,12 +156,14 @@ func runPaced(b *testing.B, engine string) {
 // stage every cycle, no quiet cycles to skip — and so isolates raw
 // dispatch cost; there the three engines are within ~2x of each other.
 // Stage evaluation, not scheduling or lock machinery, dominates: a vm
-// CPU profile of every variant running every kernel puts the bytecode
-// dispatch loop (vm.(*Env).runSeg) at about a third of the time flat,
-// record-field access by name inside it at about a tenth, the
-// per-firing slot write-back in fireVM at ~7% and the renaming lock at
-// ~5%. Run with -benchmem: compiled and vm cycle loops must stay at ~0
-// allocs/op in both shapes.
+// CPU profile of every variant running every kernel, one fresh machine
+// per run, puts the bytecode dispatch loop (vm.(*Env).runSeg) at ~37%
+// of the time flat, its record-layout test for field access at ~3%,
+// the per-firing write-back of the stage's written slots in fireVM at
+// ~3%, effect application at ~8%, the renaming lock at ~8%, and the
+// retirement trace regrowing from empty on each fresh machine
+// (Machine.retire) at ~8%. Run with -benchmem: compiled and vm cycle
+// loops must stay at ~0 allocs/op in both shapes.
 func BenchmarkSimThroughput(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) { runPaced(b, "closure") })
 	b.Run("interp", func(b *testing.B) { runPaced(b, "interp") })

@@ -620,9 +620,9 @@ func (c *compiler) expr(e ast.Expr) cExpr {
 		field := n.Field
 		// Func bodies are never visited by the resolver, so the index may
 		// be absent; treat missing as unknown (-1, name-scan fallback).
-		idx, ok := c.m.plan.fieldIdx[n]
-		if !ok {
-			idx = -1
+		idx := -1
+		if f, ok := c.m.plan.fieldIdx[n]; ok {
+			idx = f.idx
 		}
 		return func(f *firing) V {
 			xv := x(f)

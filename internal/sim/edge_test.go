@@ -136,7 +136,7 @@ pipe p(i: uint<32>)[] {
 	m := build(t, src, Config{})
 	m.Start("p", val.New(0, 32))
 	run(t, m, 5000)
-	if got := len(m.pipe("p").specTab.entries); got > 8 {
+	if got := len(m.pipe("p").specTab.handles()); got > 8 {
 		t.Errorf("speculation table leaked %d entries", got)
 	}
 	if got := len(m.Retired()); got != 501 {

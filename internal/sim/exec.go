@@ -91,11 +91,9 @@ func (m *Machine) applyEffects() {
 		case effSpecClear:
 			e.ps.specTab.clear()
 		case effVerify:
-			if e.ps.specTab.entries[e.h] == specPending {
-				e.ps.specTab.entries[e.h] = specVerified
-			}
+			e.ps.specTab.verify(e.h)
 		case effInvalidate:
-			e.ps.specTab.entries[e.h] = specInvalid
+			e.ps.specTab.set(e.h, specInvalid)
 			for _, other := range m.snapshotAlive() {
 				if other.spec && other.specHandle == e.h {
 					m.squash(other.iid)
@@ -103,7 +101,7 @@ func (m *Machine) applyEffects() {
 			}
 		case effSpecResolve:
 			e.in.spec = false
-			delete(e.ps.specTab.entries, e.in.specHandle)
+			e.ps.specTab.del(e.in.specHandle)
 		case effRemoveInst:
 			m.removeInst(e.in)
 		case effReturn:
@@ -128,7 +126,7 @@ func (m *Machine) applyEffects() {
 				m.enqueue(e.ps, args, e.in.iid, false, 0, 0, "")
 			}
 		case effSpecSpawn:
-			e.ps.specTab.entries[e.h] = specPending
+			e.ps.specTab.set(e.h, specPending)
 			m.enqueue(e.ps, m.spawnArena[e.argOff:e.argOff+e.argN], e.in.iid, true, e.h, 0, "")
 		}
 	}
@@ -665,9 +663,9 @@ func (f *firing) eval(e ast.Expr) V {
 		if x.Rec == nil {
 			panic(fmt.Sprintf("sim: field access .%s on scalar", n.Field))
 		}
-		if idx, ok := f.m.plan.fieldIdx[n]; ok && idx >= 0 &&
-			idx < len(x.Rec.Names) && x.Rec.Names[idx] == n.Field {
-			return Scalar(x.Rec.Vals[idx])
+		if fr, ok := f.m.plan.fieldIdx[n]; ok && fr.idx >= 0 &&
+			fr.idx < len(x.Rec.Names) && x.Rec.Names[fr.idx] == n.Field {
+			return Scalar(x.Rec.Vals[fr.idx])
 		}
 		fv, ok := x.Rec.Field(n.Field)
 		if !ok {

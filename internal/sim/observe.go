@@ -33,28 +33,63 @@ func (m *Machine) NodeLabel(pipe string, pos int) string {
 	return m.pipe(pipe).nodes[pos].label()
 }
 
-// StageOccupied reports whether the node at pos holds an instruction.
-func (m *Machine) StageOccupied(pipe string, pos int) bool {
-	return m.pipe(pipe).nodes[pos].cur != nil
+// Pipe is a handle on one of a machine's pipelines, resolved once by
+// name (Machine.Pipe) for observers that read its stages and entry
+// queue every cycle. The zero Pipe names no pipeline; using it panics.
+type Pipe struct {
+	m  *Machine
+	ps *pipeState
 }
+
+// Pipe resolves a pipeline by name; ok is false when the design has
+// none.
+func (m *Machine) Pipe(name string) (Pipe, bool) {
+	ps := m.pipe(name)
+	return Pipe{m: m, ps: ps}, ps != nil
+}
+
+// StageOccupied reports whether the node at pos holds an instruction.
+func (p Pipe) StageOccupied(pos int) bool { return p.ps.nodes[pos].cur != nil }
 
 // StageLEF reads the local exception flag of the instruction at pos;
 // false when the node is empty.
-func (m *Machine) StageLEF(pipe string, pos int) bool {
-	in := m.pipe(pipe).nodes[pos].cur
+func (p Pipe) StageLEF(pos int) bool {
+	in := p.ps.nodes[pos].cur
 	return in != nil && in.lef
 }
 
 // StageEArgs returns the canonical except arguments of the instruction
 // at pos (nil when empty or not yet bound). The slice is live machine
 // state; callers must not mutate it.
-func (m *Machine) StageEArgs(pipe string, pos int) []val.Value {
-	in := m.pipe(pipe).nodes[pos].cur
+func (p Pipe) StageEArgs(pos int) []val.Value {
+	in := p.ps.nodes[pos].cur
 	if in == nil {
 		return nil
 	}
 	return in.eargs
 }
+
+// StageSlot reads one variable slot of the instruction at pos. ok is
+// false when the node is empty or the slot has not been assigned yet
+// (an undriven slot — its architectural value is unobservable).
+func (p Pipe) StageSlot(pos, slot int) (V, bool) {
+	in := p.ps.nodes[pos].cur
+	if in == nil {
+		return V{}, false
+	}
+	sv := in.vars[slot]
+	return sv.V, sv.OK
+}
+
+// QueueLen reports the depth of the pipeline's entry queue.
+func (p Pipe) QueueLen() int { return len(p.ps.entryQ) }
+
+// QueueArg reads parameter argIdx of the queued instruction at position
+// i (0 = head).
+func (p Pipe) QueueArg(i, argIdx int) val.Value { return p.ps.entryQ[i].args[argIdx] }
+
+// Gef reports whether the pipeline is in exception-handling mode.
+func (p Pipe) Gef() bool { return p.m.gefs[p.ps.idx] }
 
 // SlotNames lists a pipeline's variable slots in slot order (sorted
 // checker variable names — the layout mirrored by synth.RTLPlan.Slots).
@@ -72,25 +107,4 @@ func (m *Machine) SlotNames(pipe string) []string {
 func (m *Machine) SlotIndex(pipe, name string) (int, bool) {
 	s, ok := m.pipe(pipe).slotOf[name]
 	return s, ok
-}
-
-// StageSlot reads one variable slot of the instruction at pos. ok is
-// false when the node is empty or the slot has not been assigned yet
-// (an undriven slot — its architectural value is unobservable).
-func (m *Machine) StageSlot(pipe string, pos, slot int) (V, bool) {
-	in := m.pipe(pipe).nodes[pos].cur
-	if in == nil {
-		return V{}, false
-	}
-	sv := in.vars[slot]
-	return sv.V, sv.OK
-}
-
-// QueueLen reports the entry-queue depth of a pipeline.
-func (m *Machine) QueueLen(pipe string) int { return len(m.pipe(pipe).entryQ) }
-
-// QueueArg reads parameter argIdx of the queued instruction at position
-// i (0 = head).
-func (m *Machine) QueueArg(pipe string, i, argIdx int) val.Value {
-	return m.pipe(pipe).entryQ[i].args[argIdx]
 }

@@ -52,7 +52,7 @@ type Plan struct {
 	memWBind   map[ast.Stmt]*memBinding // MemWrite / Lock / Abort nodes
 	assignSlot map[ast.Stmt]int         // Assign/SpecCall target slots
 	assignVol  map[ast.Stmt]*volatileReg
-	fieldIdx   map[*ast.FieldAccess]int // sorted-field index, -1 when unknown
+	fieldIdx   map[*ast.FieldAccess]fieldRef
 
 	vmOnce sync.Once
 	vmProg *vm.Program
@@ -76,6 +76,9 @@ type pipePlan struct {
 	zeroes []V // per-slot zero of the checked type (undriven reads)
 	// recFields holds the sorted field names of each record variable.
 	recFields map[string][]string
+	// paramW and paramSlot are each declared parameter's bit width and
+	// slot, for the enqueue of every spawned instruction.
+	paramW, paramSlot []int
 }
 
 // nodePlan is one stage node's shape.
@@ -116,7 +119,7 @@ func NewPlan(info *check.Info, trs map[string]*core.Result) (*Plan, error) {
 		memWBind:   make(map[ast.Stmt]*memBinding),
 		assignSlot: make(map[ast.Stmt]int),
 		assignVol:  make(map[ast.Stmt]*volatileReg),
-		fieldIdx:   make(map[*ast.FieldAccess]int),
+		fieldIdx:   make(map[*ast.FieldAccess]fieldRef),
 	}
 	for name, c := range info.Consts {
 		w := c.Width
@@ -240,7 +243,7 @@ func buildPipe(name string, tr *core.Result) (*pipePlan, error) {
 // instantiate builds one machine's copy of the stage graph: the same
 // shape, with its own occupancy, entry queue and speculation table.
 func (pp *pipePlan) instantiate() *pipeState {
-	ps := &pipeState{pipePlan: pp, specTab: newSpecTable()}
+	ps := &pipeState{pipePlan: pp, specTab: &specTable{}}
 	nodes := make([]stageNode, len(pp.graph))
 	ps.nodes = make([]*stageNode, len(pp.graph))
 	for i, np := range pp.graph {
@@ -385,6 +388,10 @@ func (p *Plan) buildSlots(pp *pipePlan) {
 	if len(names) > p.maxSlots {
 		p.maxSlots = len(names)
 	}
+	for _, prm := range pp.decl.Params {
+		pp.paramW = append(pp.paramW, prm.Type.BitWidth())
+		pp.paramSlot = append(pp.paramSlot, pp.slotOf[prm.Name])
+	}
 
 	for _, st := range pp.graph {
 		p.resolveStmts(pp, st.stmts)
@@ -511,20 +518,29 @@ func (p *Plan) resolveExpr(pp *pipePlan, e ast.Expr) {
 	}
 }
 
-// staticFieldIndex computes the sorted-field index of a record access
-// when the operand's checked type is known (an Ident bound to a record
-// variable); -1 otherwise, falling back to a name scan at run time.
-func staticFieldIndex(pp *pipePlan, n *ast.FieldAccess) int {
+// fieldRef is a record access resolved at plan time: the field's index
+// in the record type's sorted field names (layout), or -1 and nil when
+// the operand's type is unknown.
+type fieldRef struct {
+	idx    int
+	layout []string
+}
+
+// staticFieldIndex resolves a record access when the operand's checked
+// type is known (an Ident bound to a record variable); otherwise the
+// executors fall back to a name scan at run time.
+func staticFieldIndex(pp *pipePlan, n *ast.FieldAccess) fieldRef {
 	id, ok := n.X.(*ast.Ident)
 	if !ok {
-		return -1
+		return fieldRef{idx: -1}
 	}
-	for i, name := range pp.recFields[id.Name] {
+	layout := pp.recFields[id.Name]
+	for i, name := range layout {
 		if name == n.Field {
-			return i
+			return fieldRef{idx: i, layout: layout}
 		}
 	}
-	return -1
+	return fieldRef{idx: -1}
 }
 
 // isUnsized reports whether an expression is an unsized literal (or a

@@ -27,8 +27,8 @@ func (m *Machine) Reset() {
 		}
 		clear(ps.entryQ)
 		ps.entryQ = ps.entryQ[:0]
+		ps.specTab.clear()
 		ps.specTab.nextHandle = 0
-		clear(ps.specTab.entries)
 	}
 	for _, l := range m.memList {
 		l.Reset()

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"slices"
 
 	"xpdl/internal/check"
 	"xpdl/internal/core"
@@ -380,17 +381,94 @@ const (
 	specInvalid
 )
 
+// specTable maps a pipe's speculation handles to their status. Handles
+// are issued in increasing order and nearly every entry is made,
+// verified and resolved (deleted) within a few handles of the newest,
+// so an entry lives in ring slot h%len(ring) while no younger handle
+// needs that slot. The entries that outlive the ring — invalidated
+// handles, which stay until the next specclear — move to the map.
 type specTable struct {
 	nextHandle uint64
-	entries    map[uint64]specStatus
+	ring       [specRing]specSlot
+	spill      map[uint64]specStatus
+	// spillMax bounds the handles in spill (none above it), so a lookup
+	// of a newer handle skips the map.
+	spillMax uint64
 }
 
-func newSpecTable() *specTable {
-	return &specTable{entries: make(map[uint64]specStatus)}
+// specRing is the ring's size: well above the handles a pipeline keeps
+// in flight.
+const specRing = 64
+
+type specSlot struct {
+	h  uint64
+	st specStatus
+	ok bool
+}
+
+// get returns h's entry; ok is false when it has none.
+func (t *specTable) get(h uint64) (specStatus, bool) {
+	if s := &t.ring[h%specRing]; s.ok && s.h == h {
+		return s.st, true
+	}
+	if len(t.spill) > 0 && h <= t.spillMax {
+		st, ok := t.spill[h]
+		return st, ok
+	}
+	return 0, false
+}
+
+// set makes or updates h's entry.
+func (t *specTable) set(h uint64, st specStatus) {
+	s := &t.ring[h%specRing]
+	if s.ok && s.h == h {
+		s.st = st
+		return
+	}
+	if len(t.spill) > 0 && h <= t.spillMax {
+		if _, ok := t.spill[h]; ok {
+			t.spill[h] = st
+			return
+		}
+	}
+	if s.ok {
+		if t.spill == nil {
+			t.spill = make(map[uint64]specStatus)
+		}
+		t.spill[s.h] = s.st
+		t.spillMax = max(t.spillMax, s.h)
+	}
+	*s = specSlot{h: h, st: st, ok: true}
+}
+
+// del removes h's entry, if any.
+func (t *specTable) del(h uint64) {
+	if s := &t.ring[h%specRing]; s.ok && s.h == h {
+		s.ok = false
+		return
+	}
+	if len(t.spill) > 0 && h <= t.spillMax {
+		delete(t.spill, h)
+	}
+}
+
+// handles lists the handles that have entries, in increasing order.
+func (t *specTable) handles() []uint64 {
+	var hs []uint64
+	for i := range t.ring {
+		if t.ring[i].ok {
+			hs = append(hs, t.ring[i].h)
+		}
+	}
+	for h := range t.spill {
+		hs = append(hs, h)
+	}
+	slices.Sort(hs)
+	return hs
 }
 
 func (t *specTable) status(h uint64) specStatus {
-	if s, ok := t.entries[h]; ok {
+	if s, ok := t.get(h); ok {
 		return s
 	}
 	// A missing entry means it was resolved and reclaimed; treat as
@@ -398,8 +476,17 @@ func (t *specTable) status(h uint64) specStatus {
 	return specVerified
 }
 
+// verify marks a pending (or absent) entry verified.
+func (t *specTable) verify(h uint64) {
+	if st, _ := t.get(h); st == specPending {
+		t.set(h, specVerified)
+	}
+}
+
 func (t *specTable) clear() {
-	t.entries = make(map[uint64]specStatus)
+	t.ring = [specRing]specSlot{}
+	clear(t.spill)
+	t.spillMax = 0
 	// Handles keep increasing so stale handle values never alias.
 }
 
@@ -551,19 +638,17 @@ func (m *Machine) enqueue(ps *pipeState, args []val.Value, parent uint64, spec b
 		in.args = make([]val.Value, len(args))
 	}
 	for i, a := range args {
-		in.args[i] = val.New(a.Uint(), ps.decl.Params[i].Type.BitWidth())
+		in.args[i] = val.New(a.Uint(), ps.paramW[i])
 	}
 	if n := len(ps.zeroes); cap(in.vars) >= n {
 		in.vars = in.vars[:n]
-		for i := range in.vars {
-			in.vars[i] = slotVal{}
-		}
+		clear(in.vars)
 	} else {
 		in.vars = make([]slotVal, n)
 	}
 	m.nextIID++
-	for i, p := range ps.decl.Params {
-		in.vars[ps.slotOf[p.Name]] = slotVal{V: Scalar(in.args[i]), OK: true}
+	for i, s := range ps.paramSlot {
+		in.vars[s] = slotVal{V: Scalar(in.args[i]), OK: true}
 	}
 	ps.entryQ = append(ps.entryQ, in)
 	m.alive[in.iid] = in
@@ -645,6 +730,17 @@ func (h Mem) Poke(addr uint64, v val.Value) {
 	h.lock.Poke(addr, v)
 }
 
+// FirstDiff compares the memory's committed words at off, off+1, ...
+// with want, each cut to its low 32 bits, and returns the first address
+// that differs, or -1. It reads every word without building a value per
+// word, for checkers that compare whole memories.
+func (h Mem) FirstDiff(off uint64, want []uint32) int {
+	if h.plain != nil {
+		return h.plain.FirstDiff(off, want)
+	}
+	return h.lock.FirstDiff(off, want)
+}
+
 // Depth reports the memory's word count.
 func (h Mem) Depth() int {
 	if h.plain != nil {
@@ -669,6 +765,27 @@ func (m *Machine) VolPeek(name string) val.Value { return m.volVals[m.plan.vols[
 func (m *Machine) VolPoke(name string, v val.Value) {
 	reg := m.plan.vols[name]
 	m.volVals[reg.idx] = val.New(v.Uint(), reg.decl.Elem.Width)
+}
+
+// VolIndex resolves a volatile register by name to its index, which is
+// the same for every machine of the plan, so a caller resolves it once
+// and reads or writes through VolPeekAt and VolPokeAt. ok is false when
+// the design declares no such register.
+func (m *Machine) VolIndex(name string) (int, bool) {
+	reg, ok := m.plan.vols[name]
+	if !ok {
+		return -1, false
+	}
+	return reg.idx, true
+}
+
+// VolPeekAt reads the volatile register at a VolIndex index.
+func (m *Machine) VolPeekAt(i int) val.Value { return m.volVals[i] }
+
+// VolPokeAt writes the volatile register at a VolIndex index, as an
+// external device would.
+func (m *Machine) VolPokeAt(i int, v val.Value) {
+	m.volVals[i] = val.New(v.Uint(), m.plan.info.Prog.Vols[i].Elem.Width)
 }
 
 // GefSet reports whether a pipeline is in exception-handling mode.

@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 
 	"xpdl/internal/snap"
 	"xpdl/internal/val"
@@ -64,15 +63,11 @@ func (m *Machine) Save(wr io.Writer) error {
 	for _, ps := range m.pipeList {
 		w.Bool(m.gefs[ps.idx])
 		w.U64(ps.specTab.nextHandle)
-		handles := make([]uint64, 0, len(ps.specTab.entries))
-		for h := range ps.specTab.entries {
-			handles = append(handles, h)
-		}
-		sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
+		handles := ps.specTab.handles()
 		w.Int(len(handles))
 		for _, h := range handles {
 			w.U64(h)
-			w.Int(int(ps.specTab.entries[h]))
+			w.Int(int(ps.specTab.status(h)))
 		}
 	}
 
@@ -241,14 +236,14 @@ func (m *Machine) Restore(rd io.Reader) error {
 		if err := r.Err(); err != nil {
 			return err
 		}
-		ps.specTab.entries = make(map[uint64]specStatus, n)
+		ps.specTab.clear()
 		for i := 0; i < n; i++ {
 			h := r.U64()
 			st := r.Int()
 			if st > int(specInvalid) {
 				return fmt.Errorf("sim: snapshot speculation status %d out of range", st)
 			}
-			ps.specTab.entries[h] = specStatus(st)
+			ps.specTab.set(h, specStatus(st))
 		}
 	}
 

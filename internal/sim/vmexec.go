@@ -82,11 +82,11 @@ func (p *Plan) compileVM() *vm.Program {
 			}
 			return memRef(b), true
 		},
-		FieldIndex: func(n *ast.FieldAccess) int {
-			if idx, ok := p.fieldIdx[n]; ok {
-				return idx
+		FieldIndex: func(n *ast.FieldAccess) (int, []string) {
+			if f, ok := p.fieldIdx[n]; ok {
+				return f.idx, f.layout
 			}
-			return -1
+			return -1, nil
 		},
 		IsUnsized: p.isUnsized,
 		Extern: func(name string) (vm.ExternRef, bool) {
@@ -109,7 +109,8 @@ func (p *Plan) compileVM() *vm.Program {
 		ctx := vm.StageCtx{
 			PipeIdx: pp.idx, PipeName: pp.name,
 			NSlots: len(pp.zeroes), SelfParamW: paramW(pp.decl.Params),
-			EArgW: func(i int) int { return tr.EArgs[i].Type.BitWidth() },
+			EArgW:  func(i int) int { return tr.EArgs[i].Type.BitWidth() },
+			NEArgs: len(tr.EArgs),
 		}
 		for _, node := range pp.graph {
 			var commit, exc []ast.Stmt
@@ -237,7 +238,7 @@ func (m *Machine) fireVM(node *stageNode) bool {
 
 	if e.WroteAny {
 		sc := &m.scratch
-		for slot := range in.vars {
+		for _, slot := range sp.Writes {
 			if sc.localEpoch[slot] == sc.epoch {
 				in.vars[slot] = slotVal{V: sc.local[slot], OK: true}
 			}
@@ -302,12 +303,9 @@ func (m *Machine) applyVMEffects(in *inst, e *vm.Env) {
 		case vm.EffSpecClear:
 			m.pipeList[ef.A].specTab.clear()
 		case vm.EffVerify:
-			t := m.pipeList[ef.A].specTab
-			if t.entries[ef.H] == specPending {
-				t.entries[ef.H] = specVerified
-			}
+			m.pipeList[ef.A].specTab.verify(ef.H)
 		case vm.EffInvalidate:
-			m.pipeList[ef.A].specTab.entries[ef.H] = specInvalid
+			m.pipeList[ef.A].specTab.set(ef.H, specInvalid)
 			for _, other := range m.snapshotAlive() {
 				if other.spec && other.specHandle == ef.H {
 					m.squash(other.iid)
@@ -315,7 +313,7 @@ func (m *Machine) applyVMEffects(in *inst, e *vm.Env) {
 			}
 		case vm.EffSpecResolve:
 			in.spec = false
-			delete(m.pipeList[ef.A].specTab.entries, in.specHandle)
+			m.pipeList[ef.A].specTab.del(in.specHandle)
 		case vm.EffReturn:
 			caller, alive := m.alive[in.callerIID]
 			if !alive {
@@ -344,7 +342,7 @@ func (m *Machine) applyVMEffects(in *inst, e *vm.Env) {
 			}
 		case vm.EffSpecSpawn:
 			ps := m.pipeList[ef.A]
-			ps.specTab.entries[ef.H] = specPending
+			ps.specTab.set(ef.H, specPending)
 			m.enqueue(ps, e.SpawnArgs[ef.ArgOff:ef.ArgOff+ef.ArgN], in.iid, true, ef.H, 0, "")
 		}
 	}

@@ -20,7 +20,9 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
@@ -77,8 +79,10 @@ type Hooks struct {
 	// MemRead resolves a memory read expression; ok is false when the
 	// read is unresolved (e.g. inside a function body).
 	MemRead func(n *ast.MemRead) (MemRef, bool)
-	// FieldIndex gives the pre-resolved record field index, -1 if unknown.
-	FieldIndex func(n *ast.FieldAccess) int
+	// FieldIndex gives the pre-resolved record field index and the
+	// record layout (sorted field names) it indexes; -1 and nil when
+	// unknown.
+	FieldIndex func(n *ast.FieldAccess) (idx int, layout []string)
 	// IsUnsized reports whether an expression is an unsized literal tree
 	// (sim's width-adaptation rule).
 	IsUnsized func(e ast.Expr) bool
@@ -98,8 +102,10 @@ type StageCtx struct {
 	// SelfParamW are the pipe's own parameter widths (spec_call targets
 	// its own pipe).
 	SelfParamW []int
-	// EArgW gives the width of canonical except-argument i.
-	EArgW func(i int) int
+	// EArgW gives the width of canonical except-argument i; NEArgs is
+	// the number of them.
+	EArgW  func(i int) int
+	NEArgs int
 }
 
 // Compiler builds one Program for a design. Compile all functions first
@@ -109,6 +115,7 @@ type Compiler struct {
 	prog    *Program
 	funcIdx map[string]int
 	strIdx  map[string]int32
+	layIdx  map[string]int
 }
 
 // NewCompiler returns a compiler whose Program has nstages stage slots.
@@ -118,6 +125,7 @@ func NewCompiler(h Hooks, nstages int) *Compiler {
 		prog:    &Program{Stages: make([]StageProg, nstages)},
 		funcIdx: make(map[string]int),
 		strIdx:  make(map[string]int32),
+		layIdx:  make(map[string]int),
 	}
 }
 
@@ -129,6 +137,22 @@ func (c *Compiler) intern(s string) int32 {
 	c.prog.Strs = append(c.prog.Strs, s)
 	c.strIdx[s] = i
 	return i
+}
+
+// layout interns a record layout and returns its OpField tag: the
+// index in Program.Layouts plus one, or 0 for an unknown layout.
+func (c *Compiler) layout(names []string) uint64 {
+	if len(names) == 0 {
+		return 0
+	}
+	key := strings.Join(names, "\x00")
+	i, ok := c.layIdx[key]
+	if !ok {
+		i = len(c.prog.Layouts)
+		c.prog.Layouts = append(c.prog.Layouts, names)
+		c.layIdx[key] = i
+	}
+	return uint64(i) + 1
 }
 
 func (c *Compiler) pool(v V) int {
@@ -206,6 +230,7 @@ func (c *Compiler) CompileStage(gid int, ctx StageCtx, main, commit, exc []ast.S
 	sp.NRegs = sc.maxReg
 	sc.patchCalls()
 	c.analyzeStage(sp)
+	sp.Writes = c.stageWrites(sp)
 	if sp.NRegs > c.prog.MaxStageRegs {
 		c.prog.MaxStageRegs = sp.NRegs
 	}
@@ -213,6 +238,23 @@ func (c *Compiler) CompileStage(gid int, ctx StageCtx, main, commit, exc []ast.S
 
 // Finish returns the completed Program.
 func (c *Compiler) Finish() *Program { return c.prog }
+
+// stageWrites lists the slots a stage's three segments may write, in
+// first-write order. Function bodies write registers, never slots.
+func (c *Compiler) stageWrites(sp *StageProg) []int32 {
+	var out []int32
+	for _, seg := range []Seg{sp.Main, sp.Commit, sp.Exc} {
+		for _, in := range c.prog.Code[seg.Off:seg.End] {
+			switch in.Op {
+			case OpStoreLoc, OpStorePend, OpSpecSpawnFin:
+				if !slices.Contains(out, in.A) {
+					out = append(out, in.A)
+				}
+			}
+		}
+	}
+	return out
+}
 
 // ---------------------------------------------------------------------------
 // Stall/transaction analysis
@@ -479,7 +521,7 @@ func (sc *segc) stmt(s ast.Stmt) {
 	case *ast.SetEArg:
 		w := sc.ctx.EArgW(n.Index)
 		r := sc.expr(n.Value, -1)
-		sc.emit(Instr{Op: OpSetEArg, A: int32(n.Index), B: int16(r), C: int16(w)})
+		sc.emit(Instr{Op: OpSetEArg, A: int32(n.Index), B: int16(r), C: int16(w), Imm: uint64(sc.ctx.NEArgs)})
 	case *ast.SetGEF:
 		var f uint64
 		if n.Value {
@@ -699,11 +741,15 @@ func (sc *segc) expr(e ast.Expr, want int) int {
 		return sc.slice(n, want)
 	case *ast.FieldAccess:
 		x := sc.expr(n.X, -1)
-		idx := h.FieldIndex(n)
+		idx, layout := h.FieldIndex(n)
+		lay := uint64(0)
+		if idx >= 0 {
+			lay = sc.c.layout(layout)
+		}
 		dst := sc.dstReg(want)
 		sc.wrote(dst)
 		sc.emit(Instr{Op: OpField, A: int32(dst), B: int16(x), C: int16(idx),
-			Imm: uint64(sc.c.intern(n.Field))})
+			Imm: uint64(sc.c.intern(n.Field)) | lay<<32})
 		return dst
 	}
 	sc.panicOp(fmt.Sprintf("sim: unhandled expression %T", e))

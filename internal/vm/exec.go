@@ -76,6 +76,14 @@ type Env struct {
 	// FRet carries an in-language function's return value between the
 	// callee's window and the call site.
 	FRet V
+
+	// eargsOwned reports that EArgs is this firing's private copy, so
+	// further OpSetEArgs of the firing write it in place.
+	eargsOwned bool
+	// layoutNames[l] is the first element of the names slice of a record
+	// found to have Program layout l, so a record sharing that slice is
+	// recognized by one pointer compare (see fieldLayout).
+	layoutNames []*string
 }
 
 // Exec runs one stage: the Main segment, then — when the stage is a
@@ -84,6 +92,7 @@ type Env struct {
 // the Env flags.
 func (e *Env) Exec(p *Program, sp *StageProg) {
 	extBase := len(e.ExtArgs)
+	e.eargsOwned = false
 	e.runSeg(p, sp.Main, 0)
 	if !e.Stalled && !e.Died {
 		e.TookExc = e.Lef
@@ -326,18 +335,10 @@ func (e *Env) runSeg(p *Program, seg Seg, base int) bool {
 			regs[base+int(i.A)] = V{Val: regs[base+int(i.B)].Val.SignExt(w)}
 		case OpField:
 			x := regs[base+int(i.B)]
-			name := p.Strs[i.Imm]
-			if x.Rec == nil {
-				panic(fmt.Sprintf("sim: field access .%s on scalar", name))
-			}
-			if idx := int(i.C); idx >= 0 && idx < len(x.Rec.Names) && x.Rec.Names[idx] == name {
-				regs[base+int(i.A)] = V{Val: x.Rec.Vals[idx]}
+			if x.Rec != nil && e.fieldLayout(p, x.Rec, i.Imm>>32) {
+				regs[base+int(i.A)] = V{Val: x.Rec.Vals[i.C]}
 			} else {
-				fv, ok := x.Rec.Field(name)
-				if !ok {
-					panic(fmt.Sprintf("sim: record has no field %q", name))
-				}
-				regs[base+int(i.A)] = V{Val: fv}
+				regs[base+int(i.A)] = V{Val: fieldByName(p, i, x)}
 			}
 		case OpCatPush:
 			e.ExtArgs = append(e.ExtArgs, regs[base+int(i.B)].Val)
@@ -518,14 +519,19 @@ func (e *Env) runSeg(p *Program, seg Seg, base int) bool {
 		case OpSetEArg:
 			v := val.New(regs[base+int(i.B)].Uint(), int(i.C))
 			idx := int(i.A)
-			ea := e.EArgs
-			for len(ea) <= idx {
-				ea = append(ea, val.Value{})
+			if !e.eargsOwned {
+				// The instruction's EArgs may be shared with the
+				// retirement trace: copy them once per firing.
+				n := max(len(e.EArgs), idx+1)
+				cp := make([]val.Value, n, max(n, int(i.Imm)))
+				copy(cp, e.EArgs)
+				e.EArgs = cp
+				e.eargsOwned = true
 			}
-			cp := make([]val.Value, len(ea))
-			copy(cp, ea)
-			cp[idx] = v
-			e.EArgs = cp
+			for len(e.EArgs) <= idx {
+				e.EArgs = append(e.EArgs, val.Value{})
+			}
+			e.EArgs[idx] = v
 
 		case OpEffVol:
 			e.Effects = append(e.Effects, Effect{
@@ -550,6 +556,56 @@ func (e *Env) runSeg(p *Program, seg Seg, base int) bool {
 		}
 	}
 	return false
+}
+
+// fieldLayout reports whether rec's names slice is the one this Env
+// has found to hold the Program's record layout tag (OpField's
+// Imm>>32; 0 = unknown), so the field index resolved at compile time is
+// valid for it. Records are immutable and one names slice serves every
+// record of a layout (sim.SortedRecord), so the first record seen with
+// a layout is compared name by name and its names slice remembered;
+// after that the test is a pointer and a length compare. A record with
+// another names slice takes fieldByName, the by-name path.
+func (e *Env) fieldLayout(p *Program, rec *Rec, tag uint64) bool {
+	if tag == 0 || len(rec.Names) == 0 {
+		return false
+	}
+	l := int(tag - 1)
+	lay := p.Layouts[l]
+	if len(rec.Names) != len(lay) {
+		return false
+	}
+	if l < len(e.layoutNames) && e.layoutNames[l] != nil {
+		return e.layoutNames[l] == &rec.Names[0]
+	}
+	for i, n := range rec.Names {
+		if n != lay[i] {
+			return false
+		}
+	}
+	for len(e.layoutNames) <= l {
+		e.layoutNames = append(e.layoutNames, nil)
+	}
+	e.layoutNames[l] = &rec.Names[0]
+	return true
+}
+
+// fieldByName is OpField for a record of another layout, or a scalar:
+// the index still serves when it names the field, else a search by
+// name, and a panic when the field does not exist.
+func fieldByName(p *Program, i Instr, x V) val.Value {
+	name := p.Strs[uint32(i.Imm)]
+	if x.Rec == nil {
+		panic(fmt.Sprintf("sim: field access .%s on scalar", name))
+	}
+	if idx := int(i.C); idx >= 0 && idx < len(x.Rec.Names) && x.Rec.Names[idx] == name {
+		return x.Rec.Vals[idx]
+	}
+	fv, ok := x.Rec.Field(name)
+	if !ok {
+		panic(fmt.Sprintf("sim: record has no field %q", name))
+	}
+	return fv
 }
 
 // binApply dispatches a reg-reg ALU opcode on already-adapted operands;

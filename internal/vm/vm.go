@@ -283,7 +283,7 @@ const (
 	OpSignExtI // Regs[A] = Regs[B].SignExt(C)
 	OpZeroExtD // Regs[A] = Regs[B].ZeroExt(Regs[C]) — dynamic width
 	OpSignExtD // Regs[A] = Regs[B].SignExt(Regs[C])
-	OpField    // Regs[A] = Regs[B].field #C (name Strs[Imm]; C<0 = name scan)
+	OpField    // Regs[A] = Regs[B].field #C of layout Imm>>32 (name Strs[uint32(Imm)]; C<0 = name scan)
 	OpCatPush  // push Regs[B].Val onto the cat/extern arena
 	OpCatDo    // Regs[A] = val.Cat of the top C arena entries (popped)
 
@@ -319,7 +319,7 @@ const (
 
 	// Exception bookkeeping.
 	OpSetLEF  // set the local exception flag
-	OpSetEArg // except-arg A = scalar(Regs[B].Uint(), width C) (copy-on-write)
+	OpSetEArg // except-arg A = scalar(Regs[B].Uint(), width C) (copied once per firing, room for Imm)
 
 	// Deferred effects.
 	OpEffVol        // volatile A = scalar(Regs[B].Uint(), width C)
@@ -355,6 +355,10 @@ type StageProg struct {
 	// fault-delay sites are live (they add stall points).
 	NeedsTxn       bool
 	NeedsTxnFaults bool
+	// Writes lists, once each, the slots the stage's code may write
+	// (OpStoreLoc, OpStorePend, OpSpecSpawnFin): the only slots a
+	// firing's write-back has to visit.
+	Writes []int32
 }
 
 // FuncProg is the compiled form of an in-language combinational
@@ -388,6 +392,10 @@ type Program struct {
 	Funcs  []FuncProg
 	Strs   []string
 	Pool   []V // record constants (OpConstV)
+	// Layouts are the record layouts (sorted field names) OpField
+	// indices were resolved against; OpField's Imm>>32 is a layout's
+	// index plus one, 0 when the index is unknown.
+	Layouts [][]string
 	// MaxStageRegs sizes a machine's initial register file: the widest
 	// stage window (function calls grow the file on demand).
 	MaxStageRegs int
