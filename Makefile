@@ -90,10 +90,9 @@ fuzz-corpus:
 	go test -run Fuzz ./internal/pdl/parser/ ./internal/check/
 
 # race runs the concurrency-bearing packages under the race detector
-# with caching disabled — checkpoint/resume, the lockstep batch driver
-# (worker pool + work stealing), the per-lane fault derivation, and the
-# bveq and design-fuzz lanes whose machines share one plan across
-# goroutines — the focused counterpart of CI's tree-wide
+# with caching disabled — checkpoint/resume, the daemon's worker pool,
+# and the bveq and design-fuzz workers whose machines share one plan
+# across goroutines — the focused counterpart of CI's tree-wide
 # `go test -race ./...`.
 race:
 	go test -race -count=1 ./internal/sim/ ./internal/cosim/ ./internal/snap/ \
@@ -183,28 +182,27 @@ torture:
 	  XPDLD_TORTURE_DIR=$(TORTURE_DIR) \
 	  go test -run TestDaemonTorture -count=1 -v -timeout 60m ./internal/xpdld/
 
-# bench vets the tree, runs the whole benchmark suite once as a smoke
-# check (one iteration per benchmark, with allocation stats), then takes
-# a real measurement of the executor-throughput and lockstep-batch
-# benchmarks and of the K=2 bveq sweep (points/s), and records the
-# machine-readable results (stamped with the run time and git revision
-# by benchjson). BENCH_pr6.json is the committed snapshot; rerun
-# `make bench` to refresh it. BENCH_pr1.json is the frozen pre-VM
-# baseline.
-bench: vet
-	{ go test -run='^$$' -bench=. -benchtime=1x -benchmem ./... && \
-	  go test -run='^$$' -bench='SimThroughput|SimBatch' -benchtime=500ms -benchmem ./internal/sim/ && \
-	  go test -run='^$$' -bench='BveqSweep' -benchtime=20x -benchmem ./internal/bveq/ ; } \
-	| go run ./cmd/benchjson > BENCH_pr6.json
+# bench runs the repo benchmark (benchmark/run.sh, 25 s per workload,
+# seed 4242) on kernels, verify and service, and records the git
+# revision, the seed and each workload's final JSON line (its checked
+# end-to-end metrics) in BENCH.json, the committed snapshot; rerun
+# `make bench` to refresh it. BENCH_pr1.json (pre-VM) and BENCH_pr6.json
+# (go test -bench microbenchmarks) are frozen historical snapshots.
+bench:
+	{ printf '{"git":"%s","seed":4242,"workloads":{' "$$(git describe --always --dirty --abbrev=40)" && \
+	  sep= && for w in kernels verify service; do \
+	    out=$$(bash benchmark/run.sh --workload $$w --seed 4242 --seconds 25) && \
+	    line=$$(printf '%s\n' "$$out" | tail -n 1) && test -n "$$line" && \
+	    printf '%s"%s":%s' "$$sep" $$w "$$line" && sep=, || exit 1; \
+	  done && printf '}}\n'; } > BENCH.json.tmp && mv BENCH.json.tmp BENCH.json
 
-# bench-smoke is the cheap CI-shaped pass: every benchmark exactly once
-# through the same benchjson pipeline, discarding the JSON — it proves
-# the whole suite and the converter still run, in seconds.
+# bench-smoke is the cheap CI-shaped pass: every Go benchmark exactly
+# once, with allocation stats — it proves the whole suite still runs,
+# in seconds.
 bench-smoke:
-	go test -run='^$$' -bench=. -benchtime=1x -benchmem ./... \
-	| go run ./cmd/benchjson > /dev/null
+	go test -run='^$$' -bench=. -benchtime=1x -benchmem ./...
 
 # clean removes what the build and test targets leave behind; the
-# committed BENCH_*.json snapshots are not build output.
+# committed BENCH*.json snapshots are not build output.
 clean:
-	rm -f cover.out bveq-report.json
+	rm -f cover.out bveq-report.json BENCH.json.tmp

@@ -143,33 +143,6 @@ func BenchmarkOIATEquivalence(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw simulator speed in pipeline
-// cycles per second on the aes kernel, for both the compile-once stage
-// executor (default) and the AST-interpreter oracle (Config.Interp).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	w, _ := workloads.ByName("aes")
-	prog, _ := w.Assemble()
-	run := func(b *testing.B, cfg sim.Config) {
-		totalCycles := 0
-		for i := 0; i < b.N; i++ {
-			p, err := designs.BuildCfg(designs.All, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p.Load(prog)
-			p.Boot()
-			n, err := p.Run(w.MaxSteps * 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			totalCycles += n
-		}
-		b.ReportMetric(float64(totalCycles)/b.Elapsed().Seconds(), "cycles/s")
-	}
-	b.Run("compiled", func(b *testing.B) { run(b, sim.Config{}) })
-	b.Run("interp", func(b *testing.B) { run(b, sim.Config{Interp: true}) })
-}
-
 // --- Ablations ----------------------------------------------------------------
 
 // padSrc builds a toy exception pipeline whose commit block has extra

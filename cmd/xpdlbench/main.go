@@ -4,11 +4,8 @@
 // Usage:
 //
 //	xpdlbench [-fig12] [-fig13] [-cpi] [-fmax] [-compile] [-taxonomy]
-//	          [-batch] [-rounds N] [-exec engine]
+//	          [-rounds N] [-exec engine]
 //
-// -batch runs the workload sweep as one lockstep batch (every kernel a
-// lane of the same design) and reports aggregate machine-cycles/s for
-// the sequential closure baseline versus the shared-image bytecode VM.
 // -exec selects the executor for the CPI matrix (interp|closure|vm).
 package main
 
@@ -30,12 +27,11 @@ func main() {
 	fmax := flag.Bool("fmax", false, "maximum frequency model")
 	compile := flag.Bool("compile", false, "compilation time")
 	taxonomy := flag.Bool("taxonomy", false, "Table 1 category demonstrations")
-	batch := flag.Bool("batch", false, "lockstep batch throughput (closure sequential vs vm batch)")
 	rounds := flag.Int("rounds", 5, "averaging rounds for compile-time measurement")
 	execFlag := flag.String("exec", "", "executor for the CPI matrix: "+strings.Join(sim.Engines(), "|"))
 	flag.Parse()
 
-	all := !*fig12 && !*fig13 && !*cpi && !*fmax && !*compile && !*taxonomy && !*batch
+	all := !*fig12 && !*fig13 && !*cpi && !*fmax && !*compile && !*taxonomy
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "xpdlbench:", err)
@@ -61,13 +57,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(bench.CPIString(cells))
-	}
-	if all || *batch {
-		row, err := bench.BatchThroughput(workloads.All())
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.BatchString(row))
 	}
 	if all || *fmax {
 		rows, err := bench.FMax()

@@ -5,14 +5,14 @@
 // Usage:
 //
 //	xpdlsim [-design all] [-cycles N] [-trace] [-pipetrace] [-no-golden]
-//	        [-exec engine] [-interp] [-chaos] [-seed N] [-watchdog N] [-cosim]
+//	        [-exec engine] [-chaos] [-seed N] [-watchdog N] [-cosim]
 //	        [-checkpoint f] [-checkpoint-every N] [-resume f] [-timeout d]
 //	        [-cpuprofile f] [-memprofile f] prog.s
 //
 // -exec selects the stage executor: closure (the compile-once default),
 // interp (the AST-interpreter oracle), or vm (the bytecode VM with
-// quiescent-cycle fast-forward). -interp remains as the legacy alias
-// for -exec=interp. The cosimulation harness drives closure or interp.
+// quiescent-cycle fast-forward). Every mode below, -cosim included,
+// runs on any of the three.
 //
 // -chaos enables deterministic timing-fault injection (spurious stage
 // stalls, extern latency jitter, entry backpressure) seeded by -seed;
@@ -24,7 +24,7 @@
 // RTL's strobe inputs and all architectural state (stage registers,
 // register file, memory, CSRs, entry queue, retirement ports) is
 // compared at every clock edge, then the final state is diffed against
-// the golden model. Composes with -interp and -chaos.
+// the golden model. Composes with -exec and -chaos.
 //
 // -checkpoint names a snapshot file; with -checkpoint-every N the run
 // writes it (atomically, via rename) every N cycles, and a run stopped
@@ -33,7 +33,7 @@
 // from reset; the resuming invocation must repeat the original
 // -design/-chaos/-seed/-cosim flags (the snapshot refuses to load into
 // a different machine). All four compose with -chaos, -cosim and
-// -interp.
+// -exec.
 //
 // Exit codes: 0 success, 1 generic failure (including golden-model
 // mismatch), 2 usage, 3 cycle budget exhausted, 4 deadlock caught by
@@ -80,7 +80,6 @@ func main() {
 	pipetrace := flag.Bool("pipetrace", false, "stream per-cycle stage occupancy (textual waveform)")
 	noGolden := flag.Bool("no-golden", false, "skip the golden-model cross-check")
 	execFlag := flag.String("exec", "", "stage executor: "+strings.Join(sim.Engines(), "|")+" (default closure)")
-	interp := flag.Bool("interp", false, "use the AST-interpreter executor (alias for -exec=interp)")
 	chaos := flag.Bool("chaos", false, "inject deterministic timing faults (stalls, extern jitter, entry backpressure)")
 	seed := flag.Uint64("seed", 1, "fault-injection seed for -chaos")
 	watchdog := flag.Int("watchdog", 0, "hang-watchdog patience in idle cycles (0 = default 200, negative = disabled)")
@@ -104,9 +103,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xpdlsim:", err)
 		os.Exit(exitUsage)
-	}
-	if *execFlag == "" && *interp {
-		engine = "interp"
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -158,15 +154,11 @@ func main() {
 	}
 
 	if *cosimFlag {
-		if engine == "vm" {
-			fmt.Fprintln(os.Stderr, "xpdlsim: -cosim drives the closure or interp executor (use -exec=closure or -exec=interp)")
-			os.Exit(exitUsage)
-		}
 		opts := cosim.Options{
 			Variant:    variant,
 			Program:    prog,
 			MaxCycles:  *cycles,
-			Interp:     engine == "interp",
+			Engine:     engine,
 			SkipGolden: *noGolden,
 			Ctx:        ctx,
 			Resume:     resumeData,

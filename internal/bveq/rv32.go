@@ -2,13 +2,13 @@ package bveq
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"xpdl"
 	"xpdl/internal/asm"
 	"xpdl/internal/core"
 	"xpdl/internal/designs"
-	"xpdl/internal/fault"
 	"xpdl/internal/golden"
 	"xpdl/internal/riscv"
 	"xpdl/internal/sim"
@@ -67,6 +67,47 @@ type VariantTarget struct {
 	// instead of building.
 	machines Pool
 	checks   sync.Pool
+
+	// intrDevs holds, per interrupt-arrival cycle, the device that
+	// pulses MIP.MTIP at that cycle. It is stateless, so every point
+	// arriving at the same cycle shares one and attaching it allocates
+	// nothing once that cycle has been seen.
+	intrMu   sync.Mutex
+	intrDevs []intrDevice
+}
+
+// intrDevice is a one-pulse interrupt source: fire sets MIP.MTIP at
+// the arrival cycle and wake predicts it. Device hooks run once per
+// cycle on a forward-only counter, so the pulse is due exactly when the
+// cycle equals the arrival cycle — the timing of a one-entry
+// fault.Schedule cursor, without its consumed-pulse state.
+type intrDevice struct {
+	fire func(m *sim.Machine)
+	wake func(cycle int) int
+}
+
+// intrDevice returns the shared pulse device for an arrival cycle.
+func (t *VariantTarget) intrDevice(arrival int) intrDevice {
+	t.intrMu.Lock()
+	defer t.intrMu.Unlock()
+	for len(t.intrDevs) <= arrival {
+		pulse, mip := len(t.intrDevs), t.vols.mip
+		t.intrDevs = append(t.intrDevs, intrDevice{
+			fire: func(m *sim.Machine) {
+				if m.Cycle() == pulse {
+					v := m.VolPeekAt(mip).Uint()
+					m.VolPokeAt(mip, val.New(v|uint64(riscv.MIPMTIP), 32))
+				}
+			},
+			wake: func(cycle int) int {
+				if cycle <= pulse {
+					return pulse
+				}
+				return math.MaxInt
+			},
+		})
+	}
+	return t.intrDevs[arrival]
 }
 
 // preset is one firmware CSR initialization: the CSR's name, its index
@@ -347,14 +388,8 @@ func (t *VariantTarget) Build(prog []uint32, intr int, engine string) (*sim.Mach
 		}
 	}
 	if intr >= 0 && t.IntrCapable() {
-		cur := fault.Schedule{intr}.Cursor()
-		mip := t.vols.mip
-		m.OnCycleWake(func(m *sim.Machine) {
-			if cur.Fire(m.Cycle()) {
-				v := m.VolPeekAt(mip).Uint()
-				m.VolPokeAt(mip, val.New(v|uint64(riscv.MIPMTIP), 32))
-			}
-		}, cur.Next)
+		d := t.intrDevice(intr)
+		m.OnCycleWake(d.fire, d.wake)
 	}
 	if err := m.Start("cpu", val.New(0, 32)); err != nil {
 		return nil, err

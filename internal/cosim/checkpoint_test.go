@@ -8,10 +8,14 @@ package cosim
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"xpdl/internal/designs"
+	"xpdl/internal/sim"
+	"xpdl/internal/workloads"
 )
 
 // checkpointedRun runs opts straight through while capturing the last
@@ -61,7 +65,8 @@ func TestCosimResumeEquivalence(t *testing.T) {
 	}{
 		{"fatal/loop", Options{Variant: designs.Fatal, Program: nil}},
 		{"all/loop", Options{Variant: designs.All, Program: nil}},
-		{"all/loop-interp", Options{Variant: designs.All, Interp: true}},
+		{"all/loop-interp", Options{Variant: designs.All, Engine: "interp"}},
+		{"all/loop-vm", Options{Variant: designs.All, Engine: "vm"}},
 		{"all/chaos", Options{Variant: designs.All, ChaosSeed: 0xC051}},
 		{"all/storm", Options{Variant: designs.All, ChaosSeed: 0xC052, Storm: true}},
 	}
@@ -137,5 +142,71 @@ func TestCosimResumeRejectsWrongVariant(t *testing.T) {
 	bad.Resume = snap
 	if _, err := Run(bad); err == nil {
 		t.Fatal("cross-variant cosim resume accepted")
+	}
+}
+
+// TestCosimEngineIndependent: cosim is a property of the design, not of
+// the executor driving its simulator side. On every variant, fib with
+// and without chaos ends with the same Result under every sim engine,
+// and the combined checkpoint taken every 7 cycles is byte-identical.
+// An unknown engine must fail, so Options.Engine provably reaches the
+// simulator.
+func TestCosimEngineIndependent(t *testing.T) {
+	w, err := workloads.ByName("fib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{Variant: designs.Base, Program: prog, Engine: "turbo"}); err == nil {
+		t.Fatal("cosim accepted engine \"turbo\"")
+	}
+	type trace struct {
+		res  *Result
+		sums [][sha256.Size]byte
+	}
+	runEngine := func(t *testing.T, opts Options) trace {
+		var tr trace
+		opts.CheckpointEvery = 7
+		opts.Checkpoint = func(b []byte) error {
+			tr.sums = append(tr.sums, sha256.Sum256(b))
+			return nil
+		}
+		res, err := Run(opts)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", opts.Variant, opts.Engine, err)
+		}
+		tr.res = res
+		return tr
+	}
+	for _, v := range designs.Variants() {
+		for _, seed := range []uint64{0, 77} {
+			t.Run(fmt.Sprintf("%s/seed%d", v, seed), func(t *testing.T) {
+				opts := Options{Variant: v, Program: prog, MaxCycles: 8 * w.MaxSteps, ChaosSeed: seed}
+				engines := sim.Engines()
+				opts.Engine = engines[0]
+				ref := runEngine(t, opts)
+				if len(ref.sums) == 0 {
+					t.Fatalf("run of %d cycles took no checkpoint", ref.res.Cycles)
+				}
+				for _, e := range engines[1:] {
+					opts.Engine = e
+					got := runEngine(t, opts)
+					if *got.res != *ref.res {
+						t.Fatalf("%s: result %+v, %s: %+v", e, *got.res, engines[0], *ref.res)
+					}
+					if len(got.sums) != len(ref.sums) {
+						t.Fatalf("%s took %d checkpoints, %s took %d", e, len(got.sums), engines[0], len(ref.sums))
+					}
+					for i := range ref.sums {
+						if got.sums[i] != ref.sums[i] {
+							t.Fatalf("checkpoint at cycle %d differs between %s and %s", 7*(i+1), e, engines[0])
+						}
+					}
+				}
+			})
+		}
 	}
 }

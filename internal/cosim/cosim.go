@@ -53,8 +53,9 @@ type Options struct {
 	StormVol      string
 	// MaxCycles bounds the run (default 200000).
 	MaxCycles int
-	// Interp selects the simulator's AST-interpreter executor.
-	Interp bool
+	// Engine selects the simulator's executor (sim.Config.Engine; empty
+	// is the default).
+	Engine string
 	// ChaosSeed, when nonzero, plugs the deterministic fault injector
 	// into the simulator (timing faults only — the RTL replays the
 	// perturbed schedule through its strobe inputs).
@@ -363,7 +364,7 @@ func newHarness(opts Options) (*harness, error) {
 	}
 
 	// --- simulator side -------------------------------------------------
-	cfg := sim.Config{Interp: opts.Interp, Observer: &h.rec}
+	cfg := sim.Config{Engine: opts.Engine, Observer: &h.rec}
 	var inj *fault.Injector
 	if opts.ChaosSeed != 0 {
 		fc := fault.Default(opts.ChaosSeed)

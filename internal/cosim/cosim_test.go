@@ -259,23 +259,31 @@ func TestLockstepInterrupts(t *testing.T) {
 }
 
 // TestLockstepInterp repeats a representative slice of the matrix with
-// the simulator's AST-interpreter executor: the RTL must agree with
-// both executors identically.
+// the simulator's AST-interpreter and bytecode-VM executors (the rest of
+// the suite runs the default one): the RTL must agree with every
+// executor identically. Subtests past the interp pass carry the engine
+// as a suffix.
 func TestLockstepInterp(t *testing.T) {
-	for _, v := range designs.Variants() {
-		t.Run(v.String()+"/loop", func(t *testing.T) {
-			run(t, Options{Variant: v, Program: mustAsm(t, progLoop), Interp: true})
+	for _, engine := range []string{"interp", "vm"} {
+		sfx := ""
+		if engine != "interp" {
+			sfx = "-" + engine
+		}
+		for _, v := range designs.Variants() {
+			t.Run(v.String()+"/loop"+sfx, func(t *testing.T) {
+				run(t, Options{Variant: v, Program: mustAsm(t, progLoop), Engine: engine})
+			})
+		}
+		t.Run("all/ecall"+sfx, func(t *testing.T) {
+			run(t, Options{Variant: designs.All, Program: mustAsm(t, progEcall), Engine: engine})
+		})
+		t.Run("all/interrupt"+sfx, func(t *testing.T) {
+			run(t, Options{
+				Variant: designs.All, Program: mustAsm(t, progInterrupt), Engine: engine,
+				InterruptAt: 60, InterruptBit: riscv.MIPMTIP,
+			})
 		})
 	}
-	t.Run("all/ecall", func(t *testing.T) {
-		run(t, Options{Variant: designs.All, Program: mustAsm(t, progEcall), Interp: true})
-	})
-	t.Run("all/interrupt", func(t *testing.T) {
-		run(t, Options{
-			Variant: designs.All, Program: mustAsm(t, progInterrupt), Interp: true,
-			InterruptAt: 60, InterruptBit: riscv.MIPMTIP,
-		})
-	})
 }
 
 // TestLockstepChaos perturbs the simulator's timing with the
@@ -319,7 +327,7 @@ func TestLockstepChaos(t *testing.T) {
 	t.Run("all/storm+interp", func(t *testing.T) {
 		run(t, Options{
 			Variant: designs.All, Program: mustAsm(t, progInterrupt),
-			ChaosSeed: seeds[0], Storm: true, StormPct: 1, Interp: true,
+			ChaosSeed: seeds[0], Storm: true, StormPct: 1, Engine: "interp",
 		})
 	})
 }

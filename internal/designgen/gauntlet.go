@@ -13,11 +13,6 @@ import (
 	"xpdl/internal/val"
 )
 
-// Engines is the differential set: every generated design runs on all
-// three executors and they must agree event-for-event and cycle-for-
-// cycle.
-var Engines = []string{"interp", "closure", "vm"}
-
 // Storm pacing for interrupt-capable designs: at most stormBudget
 // pulses, at least stormSpacing cycles apart, on cycles the chaos
 // injector picks. The schedule is a pure function of the seed, so all
@@ -29,7 +24,9 @@ const (
 
 // RunOpts configures one gauntlet pass over a (design, program) pair.
 type RunOpts struct {
-	// Engines to run differentially; defaults to Engines.
+	// Engines to run differentially; defaults to sim.Engines(), all
+	// three executors, which must agree event-for-event and
+	// cycle-for-cycle.
 	Engines []string
 	// ChaosSeed drives the timing-fault injector; 0 runs unperturbed.
 	ChaosSeed uint64
@@ -103,7 +100,7 @@ func Gauntlet(d *DesignSpec, prog []uint32, opts RunOpts) (div *Divergence) {
 
 	engines := opts.Engines
 	if len(engines) == 0 {
-		engines = Engines
+		engines = sim.Engines()
 	}
 	maxCycles := opts.MaxCycles
 	if maxCycles == 0 {

@@ -24,8 +24,8 @@ func Build(v Variant) (*Processor, error) {
 }
 
 // BuildCfg compiles a variant and constructs its simulator with an
-// explicit configuration (e.g. Interp for the AST-interpreter oracle).
-// cfg.Externs defaults to Externs() when unset.
+// explicit configuration (e.g. Engine "interp" for the AST-interpreter
+// oracle). cfg.Externs defaults to Externs() when unset.
 func BuildCfg(v Variant, cfg sim.Config) (*Processor, error) {
 	d, err := xpdl.Compile(Source(v))
 	if err != nil {

@@ -61,21 +61,6 @@ func New(cfg Config) *Injector { return &Injector{cfg: cfg} }
 // Seed reports the driving seed (for diagnostics and reports).
 func (j *Injector) Seed() uint64 { return j.cfg.Seed }
 
-// WithLane derives the injector for one lane of a lockstep batch: the
-// same fault mix, driven by a seed mixed with the lane index, so every
-// lane sees an independent (decorrelated) but fully reproducible fault
-// stream. Lane 0 is the base injector itself, which keeps a one-lane
-// batch bit-identical to a plain seeded run — the resume and chaos
-// suites rely on that anchoring.
-func (j *Injector) WithLane(lane int) *Injector {
-	if lane == 0 {
-		return j
-	}
-	cfg := j.cfg
-	cfg.Seed = j.mix(domLane, uint64(lane), 0, 0)
-	return New(cfg)
-}
-
 // Domain separators keep the decision streams of the hook points
 // independent even when their coordinates collide.
 const (
@@ -83,7 +68,6 @@ const (
 	domExt   uint64 = 0x45585445524e // "EXTERN"
 	domEntry uint64 = 0x454e545259   // "ENTRY"
 	domStorm uint64 = 0x53544f524d   // "STORM"
-	domLane  uint64 = 0x4c414e45     // "LANE"
 )
 
 // mix is splitmix64 over the seed and three coordinates — a stateless

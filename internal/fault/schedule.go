@@ -4,10 +4,9 @@ import "math"
 
 // Schedule is a deterministic pulse schedule: the ascending cycles at
 // which an external line fires. It is device timing as pure data — the
-// generalization of PR 7's interrupt-storm pacing — so every engine,
-// every lane of a lockstep batch, and a restored machine all see
-// identical pulses, and a bounded sweep can enumerate arrival cycles as
-// plain integers.
+// generalization of PR 7's interrupt-storm pacing — so every engine
+// and a restored machine see identical pulses, and a bounded sweep can
+// enumerate arrival cycles as plain integers.
 type Schedule []int
 
 // Pulses derives a storm schedule from the injector's storm stream:

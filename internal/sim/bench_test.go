@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"xpdl/internal/val"
-	"xpdl/internal/vm"
 )
 
 // throughputSrc is a self-sustaining three-stage pipeline that keeps an
@@ -101,28 +99,24 @@ func runHot(b *testing.B, engine string) {
 // device- or timer-paced design (§3.6) where most cycles are quiet.
 const pacedPeriod = 256
 
-// batchPeriod paces the batch lanes sparser — the duty cycle of a
-// 1 kHz timer interrupt on a ~MHz machine.
-const batchPeriod = 1024
-
 // buildPaced constructs a machine whose wake-predicting device starts
-// one instruction every period cycles, forever. Between bursts the
+// one instruction every pacedPeriod cycles, forever. Between bursts the
 // machine is fully drained, so the vm engine may fast-forward while
 // the closure and interp engines tick every cycle.
-func buildPaced(b *testing.B, engine string, period int) *Machine {
+func buildPaced(b *testing.B, engine string) *Machine {
 	b.Helper()
 	m := build(b, pacedSrc, Config{Engine: engine, MaxTrace: 1})
 	started := 0
 	m.OnCycleWake(func(m *Machine) {
-		if m.Cycle()%period == 0 {
+		if m.Cycle()%pacedPeriod == 0 {
 			if err := m.Start("p", val.New(uint64(started&0xffff), 32)); err != nil {
 				b.Errorf("device start %d: %v", started, err)
 			}
 			started++
 		}
 	}, func(cycle int) int {
-		if r := cycle % period; r != 0 {
-			return cycle + period - r
+		if r := cycle % pacedPeriod; r != 0 {
+			return cycle + pacedPeriod - r
 		}
 		return cycle
 	})
@@ -130,7 +124,7 @@ func buildPaced(b *testing.B, engine string, period int) *Machine {
 }
 
 func runPaced(b *testing.B, engine string) {
-	m := buildPaced(b, engine, pacedPeriod)
+	m := buildPaced(b, engine)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := m.Advance(b.N); err != nil {
@@ -171,44 +165,4 @@ func BenchmarkSimThroughput(b *testing.B) {
 	b.Run("compiled-hot", func(b *testing.B) { runHot(b, "closure") })
 	b.Run("interp-hot", func(b *testing.B) { runHot(b, "interp") })
 	b.Run("vm-hot", func(b *testing.B) { runHot(b, "vm") })
-}
-
-// BenchmarkSimBatch measures aggregate cycles/s over N independent
-// device-paced machines of the same design: sequentially one-by-one
-// with the closure executor (the pre-batch baseline) versus vm.Batch
-// running the shared bytecode image over all lanes in lockstep
-// strides. Every lane advances exactly b.N machine-cycles either way;
-// the reported metric counts machine-cycles across all lanes.
-func BenchmarkSimBatch(b *testing.B) {
-	const lanes = 16
-	for _, mode := range []string{"closure-seq", "vm-batch"} {
-		b.Run(fmt.Sprintf("%s-%d", mode, lanes), func(b *testing.B) {
-			ms := make([]*Machine, lanes)
-			steppers := make([]vm.Stepper, lanes)
-			engine := "closure"
-			if mode == "vm-batch" {
-				engine = "vm"
-			}
-			for i := range ms {
-				ms[i] = buildPaced(b, engine, batchPeriod)
-				steppers[i] = ms[i]
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			if mode == "vm-batch" {
-				batch := vm.NewBatch(steppers)
-				if live := batch.Run(b.N); live != lanes {
-					b.Fatalf("batch lanes died: %d live of %d", live, lanes)
-				}
-			} else {
-				for _, m := range ms {
-					if err := m.Advance(b.N); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)*lanes/b.Elapsed().Seconds(), "cycles/s")
-		})
-	}
 }

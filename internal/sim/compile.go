@@ -13,7 +13,7 @@
 // closures over slot-indexed state.
 //
 // The compiled executor must stay observably equivalent to the AST
-// interpreter in exec.go (Config.Interp), which is retained as the
+// interpreter in exec.go (Engine "interp"), which is retained as the
 // differential-testing oracle; every compiled closure mirrors the
 // corresponding interpreter case, including its stall short-circuits and
 // evaluation order. Stalls roll the whole firing back, so the only

@@ -21,9 +21,6 @@ import (
 	"xpdl/internal/workloads"
 )
 
-// engines lists every selectable executor, specification first.
-var engines = []string{"interp", "closure", "vm"}
-
 // buildEngine constructs a machine for a variant on one executor.
 func buildEngine(t *testing.T, v designs.Variant, engine string) *designs.Processor {
 	t.Helper()
@@ -121,6 +118,7 @@ func compareMachines(t *testing.T, la, lb string, c, i *designs.Processor, cCycl
 // compares each compiled executor against the interpreter oracle.
 func differential(t *testing.T, v designs.Variant, src string, maxCycles int, hook func(*designs.Processor)) {
 	t.Helper()
+	engines := sim.Engines()
 	ps := make(map[string]*designs.Processor, len(engines))
 	ns := make(map[string]int, len(engines))
 	for _, eng := range engines {

@@ -177,7 +177,7 @@ func (m *Machine) fire(node *stageNode) bool {
 	for _, l := range m.memList {
 		l.Begin()
 	}
-	if m.cfg.Interp {
+	if m.engine == engInterp {
 		f.exec(node.stmts)
 		if node.fork != nil && !f.stalled && !f.died {
 			if f.lef {
@@ -297,7 +297,7 @@ func (f *firing) addSpawnIdx(idx int) {
 }
 
 // ---------------------------------------------------------------------------
-// Statement execution (AST interpreter; cfg.Interp). The compiled
+// Statement execution (AST interpreter; Engine "interp"). The compiled
 // executor in compile.go is the default — this walker is retained as the
 // differential-testing oracle and must stay observably equivalent.
 

@@ -17,7 +17,7 @@ import (
 )
 
 func TestSeededPanicContained(t *testing.T) {
-	for _, engine := range engines {
+	for _, engine := range sim.Engines() {
 		t.Run(engine, func(t *testing.T) {
 			w, err := workloads.ByName("fib")
 			if err != nil {

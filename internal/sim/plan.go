@@ -291,9 +291,6 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Engine == "" && cfg.Interp {
-		engName = "interp" // legacy switch; Engine wins when set
-	}
 	var engine uint8
 	switch engName {
 	case "interp":
@@ -304,7 +301,6 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 		engine = engClosure
 	}
 	cfg.Engine = engName
-	cfg.Interp = engine == engInterp
 	for _, e := range p.info.Prog.Externs {
 		if cfg.Externs[e.Name] == nil {
 			return nil, fmt.Errorf("sim: extern %q is not bound", e.Name)

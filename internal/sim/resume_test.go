@@ -94,6 +94,7 @@ func TestResumeEquivalence(t *testing.T) {
 				t.Parallel()
 				for _, seed := range seeds {
 					var refSnap []byte
+					engines := sim.Engines()
 					for ei, engine := range engines {
 						snap := resumeCell(t, v, w, seed, engine)
 						// The machine snapshot is executor-independent:

@@ -132,11 +132,8 @@ type Config struct {
 	// kept as the differential-testing oracle and debugging aid), or
 	// "vm" (the bytecode VM over struct-of-arrays state; one compiled
 	// Program is shared by every machine of the same design). The three
-	// are semantically identical. Empty defers to Interp.
+	// are semantically identical. Empty selects the default.
 	Engine string
-	// Interp selects the AST interpreter; the legacy switch, equivalent
-	// to Engine "interp". Engine wins when both are set.
-	Interp bool
 	// Faults plugs a deterministic fault injector into the machine's
 	// hook points. nil (the default) disables injection entirely.
 	Faults FaultInjector
@@ -151,14 +148,15 @@ type Config struct {
 	Observer Observer
 }
 
-// Executor engines (resolved from Config.Engine / Config.Interp).
+// Executor engines (resolved from Config.Engine).
 const (
 	engClosure uint8 = iota
 	engInterp
 	engVM
 )
 
-// Engines lists the valid Config.Engine values, for flag help text.
+// Engines lists the valid Config.Engine values, specification (the AST
+// interpreter) first: flag help text and every differential matrix use it.
 func Engines() []string { return []string{"interp", "closure", "vm"} }
 
 // ParseEngine validates an engine name (e.g. an -exec flag value),
@@ -997,7 +995,7 @@ func (m *Machine) quiesceSkip(budgetLeft int) int {
 
 // Advance runs exactly n cycles, devices included, regardless of
 // whether work is in flight — the driver for free-running,
-// device-paced simulation and for lockstep batch execution. Unlike
+// device-paced simulation and for bveq's per-point runs. Unlike
 // Run it does not stop when the machine drains (a predictable device
 // may repopulate it later) and never reports a budget error: the
 // horizon is the point, not a limit. Quiescent stretches — including

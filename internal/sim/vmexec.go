@@ -18,7 +18,7 @@ import (
 // (every index space it bakes in — slots, volatiles, memories, externs,
 // functions, pipes, stage gids — comes from declaration or sorted-name
 // order), so every vm machine of the design runs one image. This is
-// what makes Batch lanes cheap: N machines, one decode. Closure and
+// what makes pooled bveq machines cheap: N machines, one decode. Closure and
 // interpreter machines never pay for the compile.
 func (p *Plan) vmProgram() *vm.Program {
 	p.vmOnce.Do(func() { p.vmProg = p.compileVM() })

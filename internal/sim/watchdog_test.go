@@ -40,13 +40,13 @@ pipe b(i: uint<32>)[m1, m2] {
 `
 
 func TestWatchdogCatchesCrossLockDeadlock(t *testing.T) {
-	for _, interp := range []bool{false, true} {
-		name := "compiled"
-		if interp {
-			name = "interp"
+	for _, engine := range []string{"closure", "interp"} {
+		name := engine
+		if engine == "closure" {
+			name = "compiled"
 		}
 		t.Run(name, func(t *testing.T) {
-			m := build(t, crossLockSrc, Config{Interp: interp})
+			m := build(t, crossLockSrc, Config{Engine: engine})
 			m.Start("a", val.New(10, 32))
 			m.Start("b", val.New(20, 32))
 			_, err := m.Run(5000)
@@ -136,14 +136,14 @@ pipe p(i: uint<32>)[] {
 `
 
 func TestInternalErrorFromPanickingExtern(t *testing.T) {
-	for _, interp := range []bool{false, true} {
-		name := "compiled"
-		if interp {
-			name = "interp"
+	for _, engine := range []string{"closure", "interp"} {
+		name := engine
+		if engine == "closure" {
+			name = "compiled"
 		}
 		t.Run(name, func(t *testing.T) {
 			m := build(t, panicExternSrc, Config{
-				Interp: interp,
+				Engine: engine,
 				Externs: map[string]ExternFunc{"boom": func(args []val.Value) V {
 					panic("extern exploded")
 				}},

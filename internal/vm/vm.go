@@ -5,8 +5,8 @@
 // latch slots, volatile registers, spawn/extern arenas — contiguous
 // slices indexed by ids precomputed at compile time). One Program is a
 // pure function of a design's checked AST, so any number of machines —
-// chaos-seed lanes, sweep points, cosim replicas — share a single decoded
-// image and differ only in state (see Batch).
+// chaos-seed runs, bveq points, cosim replicas — share a single decoded
+// image and differ only in state.
 //
 // The executor must stay observably equivalent to the AST interpreter and
 // the closure executor in internal/sim, which remain the differential

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xpdl/internal/sim"
 )
 
 // newTestServer starts a Server over httptest and returns it with a
@@ -343,7 +345,6 @@ func TestSubmitRejections(t *testing.T) {
 		{Kind: KindSimulate, Design: "base"},
 		{Kind: KindSimulate, Design: "base", Workload: "fib", Asm: "ebreak"},
 		{Kind: KindSimulate, Design: "base", Workload: "warp"},
-		{Kind: KindCosim, Design: "base", Workload: "fib", Engine: "vm"},
 		{Kind: KindCompile, Design: "base", Source: "pipe cpu {}"},
 		{Kind: KindSimulate, Design: "base", Workload: "fib", Engine: "turbo"},
 		{Kind: KindBveq, Design: "base", Workload: "fib"},
@@ -358,5 +359,42 @@ func TestSubmitRejections(t *testing.T) {
 	}
 	if _, err := c.Status("j999999"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("missing job status error = %v, want 404", err)
+	}
+}
+
+// TestCosimJobEveryEngine: cosim jobs are admitted on every engine, and
+// the engine is the only thing in the report that names it — each
+// report's bytes equal the default job's with the label swapped.
+func TestCosimJobEveryEngine(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	report := func(engine string) []byte {
+		t.Helper()
+		st, err := c.Submit(Spec{Kind: KindCosim, Design: "all", Workload: "fib", Seed: 77, Engine: engine})
+		if err != nil {
+			t.Fatalf("submit cosim on %q: %v", engine, err)
+		}
+		waitState(t, c, st.ID, StateDone)
+		b, err := c.Report(st.ID)
+		if err != nil {
+			t.Fatalf("report %s: %v", st.ID, err)
+		}
+		return b
+	}
+	def := report("")
+	if !strings.Contains(string(def), `"engine": "closure"`) {
+		t.Fatalf("default cosim report does not say closure:\n%s", def)
+	}
+	for _, engine := range sim.Engines() {
+		b := report(engine)
+		var rep Report
+		if err := json.Unmarshal(b, &rep); err != nil {
+			t.Fatalf("%s report: bad JSON: %v\n%s", engine, err, b)
+		}
+		if rep.Engine != engine {
+			t.Fatalf("%s report names engine %q", engine, rep.Engine)
+		}
+		if got := strings.Replace(string(b), `"engine": "`+engine+`"`, `"engine": "closure"`, 1); got != string(def) {
+			t.Errorf("%s report differs from the default beyond its engine label:\n%s\ndefault:\n%s", engine, b, def)
+		}
 	}
 }

@@ -225,10 +225,6 @@ func (sp *Spec) normalize(defaults Config) *JobError {
 		if sp.Seed == 0 {
 			sp.Seed = 1
 		}
-	case KindCosim:
-		if sp.Engine == "vm" {
-			return specErr("cosim drives the closure or interp executor")
-		}
 	case KindBveq:
 		if sp.BveqLen <= 0 {
 			sp.BveqLen = 2

@@ -244,7 +244,7 @@ func (s *Server) runCosim(ctx context.Context, j *job) outcome {
 		Variant:   v,
 		Program:   prog,
 		MaxCycles: sp.MaxCycles,
-		Interp:    sp.Engine == "interp",
+		Engine:    sp.Engine,
 		// Storm-free chaos (seed 0 disables injection) keeps the golden
 		// cross-check meaningful.
 		ChaosSeed: sp.Seed,
