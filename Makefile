@@ -14,11 +14,15 @@ vet-xpdl:
 test:
 	go test ./...
 
-# vet also fails on any Go file gofmt would change.
+# vet also fails on any Go file gofmt would change, and vets and tests
+# the nested benchmark module, which the root `go build ./...` skips:
+# it builds against bveq.VariantTarget, designs.Processor and golden.
+# The environment matches benchmark/run.sh's.
 vet:
 	go vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 	  echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
+	cd benchmark && export GOFLAGS=-mod=mod GOTOOLCHAIN=local && go vet ./... && go test ./...
 
 # bveq-smoke runs the bounded exhaustive equivalence gate as a tier-1
 # check: all five hand-written variants must earn the bounded-verified

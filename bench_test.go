@@ -14,7 +14,6 @@ import (
 	"xpdl"
 	"xpdl/internal/bench"
 	"xpdl/internal/designs"
-	"xpdl/internal/golden"
 	"xpdl/internal/ir"
 	"xpdl/internal/sim"
 	"xpdl/internal/synth"
@@ -123,6 +122,7 @@ func BenchmarkOIATEquivalence(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var c designs.Checker
 	for i := 0; i < b.N; i++ {
 		p, err := designs.Build(designs.All)
 		if err != nil {
@@ -133,12 +133,9 @@ func BenchmarkOIATEquivalence(b *testing.B) {
 		if _, err := p.Run(w.MaxSteps * 8); err != nil {
 			b.Fatal(err)
 		}
-		g := golden.New(prog.Text, prog.Data, designs.DMemWords)
-		if err := g.Run(w.MaxSteps); err != nil {
-			b.Fatal(err)
-		}
-		if p.DMemWord(0) != g.DMem[0] {
-			b.Fatal("pipeline diverged from the sequential specification")
+		o := designs.OIAT{Variant: designs.All, Text: prog.Text, Data: prog.Data}
+		if mm := c.Check(p.M, &o); mm != nil {
+			b.Fatalf("pipeline diverged from the sequential specification: %v", mm)
 		}
 	}
 }

@@ -58,7 +58,6 @@ import (
 	"xpdl/internal/cosim"
 	"xpdl/internal/designs"
 	"xpdl/internal/fault"
-	"xpdl/internal/golden"
 	"xpdl/internal/riscv"
 	"xpdl/internal/sim"
 )
@@ -239,11 +238,10 @@ func main() {
 		}
 		f.Close()
 	}
-	rs := p.Retired()
 	fmt.Printf("design %s: %d instructions in %d cycles (CPI %.3f)\n",
-		variant, len(rs), n, p.CPI())
+		variant, p.RetiredCount(), n, p.CPI())
 	if *trace {
-		for _, r := range rs {
+		for _, r := range p.Retired() {
 			mark := " "
 			if r.Exceptional {
 				mark = "!"
@@ -256,28 +254,11 @@ func main() {
 	fmt.Printf("dmem[0] (checksum convention) = %#x\n", p.DMemWord(0))
 
 	if !*noGolden {
-		g := golden.New(prog.Text, prog.Data, designs.DMemWords)
-		if err := g.Run(*cycles); err != nil {
-			fatal(err)
+		o := designs.OIAT{Variant: variant, Text: prog.Text, Data: prog.Data}
+		if mm := new(designs.Checker).Check(p.M, &o); mm != nil {
+			fatal(fmt.Errorf("golden model cross-check: %w", mm))
 		}
-		mismatches := 0
-		for i := uint32(1); i < 32; i++ {
-			if p.Reg(i) != g.Regs[i] {
-				fmt.Printf("MISMATCH x%d: pipeline %#x, golden %#x\n", i, p.Reg(i), g.Regs[i])
-				mismatches++
-			}
-		}
-		for i := uint32(0); i < designs.DMemWords; i++ {
-			if p.DMemWord(i) != g.DMem[i] {
-				fmt.Printf("MISMATCH dmem[%d]: pipeline %#x, golden %#x\n", i, p.DMemWord(i), g.DMem[i])
-				mismatches++
-			}
-		}
-		if mismatches == 0 {
-			fmt.Println("golden model cross-check: architectural state identical")
-		} else {
-			fatal(fmt.Errorf("%d architectural mismatches against the golden model", mismatches))
-		}
+		fmt.Println("golden model cross-check: architectural state identical")
 	}
 }
 

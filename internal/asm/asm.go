@@ -307,14 +307,8 @@ func reg(arg string, line int) (uint32, error) {
 	return 0, fmt.Errorf("line %d: unknown register %q", line, arg)
 }
 
-var csrNames = map[string]uint32{
-	"mstatus": riscv.CSRMStatus, "mie": riscv.CSRMIE, "mtvec": riscv.CSRMTVec,
-	"mscratch": riscv.CSRMScratch, "mepc": riscv.CSRMEPC, "mcause": riscv.CSRMCause,
-	"mtval": riscv.CSRMTVal, "mip": riscv.CSRMIP,
-}
-
 func (a *assembler) csr(arg string, line int) (uint32, error) {
-	if c, ok := csrNames[strings.ToLower(strings.TrimSpace(arg))]; ok {
+	if c, ok := riscv.CSRAddr(strings.ToLower(strings.TrimSpace(arg))); ok {
 		return c, nil
 	}
 	v, err := parseInt(arg)

@@ -128,7 +128,7 @@ func CPITableEngine(kernels []workloads.Workload, engine string) ([]CPICell, err
 			}
 			cells = append(cells, CPICell{
 				Workload: w.Name, Variant: v,
-				Cycles: p.M.Cycle(), Insns: len(p.Retired()), CPI: p.CPI(),
+				Cycles: p.M.Cycle(), Insns: p.RetiredCount(), CPI: p.CPI(),
 			})
 		}
 	}

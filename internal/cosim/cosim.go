@@ -25,7 +25,6 @@ import (
 	"xpdl/internal/asm"
 	"xpdl/internal/designs"
 	"xpdl/internal/fault"
-	"xpdl/internal/golden"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/riscv"
 	"xpdl/internal/rtl"
@@ -341,7 +340,7 @@ func Run(opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	return &Result{Cycles: cycles, Retired: len(p.Retired())}, nil
+	return &Result{Cycles: cycles, Retired: p.RetiredCount()}, nil
 }
 
 // newHarness builds both machines for opts, with defaults applied, and
@@ -873,81 +872,22 @@ func (h *harness) finalDiff() error {
 	return nil
 }
 
-// goldenDiff runs the same program on the OIAT reference and diffs the
-// RTL's final architectural state against it. For single-interrupt runs
-// the golden model replays the interrupt at the retirement boundary the
-// pipeline chose, exactly like the simulator's OIAT suite.
+// goldenDiff checks the run against the golden model through the OIAT
+// checker. The checker reads the simulator's state, which is the RTL's:
+// compareState matched every volatile at every clock edge, the last one
+// included, and finalDiff every word of the locked memories (the
+// register file and data memory) after drain.
 func (h *harness) goldenDiff() error {
-	g := golden.New(h.opts.Program.Text, h.opts.Program.Data, designs.DMemWords)
-	for name, v := range h.opts.Firmware {
-		addr, ok := csrAddrs[name]
-		if !ok {
-			return fmt.Errorf("cosim: firmware CSR %s has no RISC-V address", name)
-		}
-		idx, _ := riscv.CSRIndex(addr)
-		g.CSR[idx] = v
-	}
-	boundary := -1
+	o := designs.OIAT{Variant: h.opts.Variant, Text: h.opts.Program.Text, Data: h.opts.Program.Data,
+		Firmware: h.opts.Firmware}
 	if h.opts.InterruptAt > 0 {
-		for k, r := range h.p.Retired() {
-			if r.Exceptional && len(r.EArgs) > 0 && r.EArgs[0].Uint() == designs.KInt {
-				boundary = k
-				break
-			}
+		o.Lines = h.opts.InterruptBit
+		if h.opts.InterruptAt < h.p.M.Cycle() {
+			o.Raised = o.Lines
 		}
 	}
-	for steps := 0; !g.Halted && steps < 4*h.opts.MaxCycles; steps++ {
-		if boundary >= 0 && len(g.Trace) == boundary {
-			g.RaiseInterrupt(h.opts.InterruptBit)
-			boundary = -1
-		}
-		if err := g.Step(); err != nil {
-			return fmt.Errorf("cosim: golden: %w", err)
-		}
-	}
-	if !g.Halted {
-		return fmt.Errorf("cosim: golden model did not halt (pc=%#x)", g.PC)
-	}
-
-	cycle := h.p.M.Cycle()
-	rf, err := h.model.Array("rf_arr")
-	if err != nil {
-		return fmt.Errorf("cosim: %w", err)
-	}
-	dmem, err := h.model.Array("dmem_arr")
-	if err != nil {
-		return fmt.Errorf("cosim: %w", err)
-	}
-	if rf.Depth() < 32 || dmem.Depth() < designs.DMemWords {
-		return fmt.Errorf("cosim: rtl register file or data memory smaller than the golden model's")
-	}
-	for i := 1; i < 32; i++ {
-		if got, want := rf.Peek(i).Uint(), uint64(g.Regs[i]); got != want {
-			return diverge(cycle, fmt.Sprintf("rf_arr[%d]", i), got, want, "OIAT register")
-		}
-	}
-	for i := 0; i < designs.DMemWords; i++ {
-		if got, want := dmem.Peek(i).Uint(), uint64(g.DMem[i]); got != want {
-			return diverge(cycle, fmt.Sprintf("dmem_arr[%d]", i), got, want, "OIAT memory word")
-		}
-	}
-	for _, v := range h.pr.vols {
-		addr, ok := csrAddrs[v.name]
-		if !ok {
-			continue
-		}
-		idx, _ := riscv.CSRIndex(addr)
-		if got, want := v.q.Peek().Uint(), uint64(g.CSR[idx]); got != want {
-			return diverge(cycle, v.name+"_q", got, want, "OIAT CSR")
-		}
+	if mm := new(designs.Checker).Check(h.p.M, &o); mm != nil {
+		return fmt.Errorf("cosim: golden model: %w", mm)
 	}
 	return nil
-}
-
-// csrAddrs maps the designs' CSR volatiles to RISC-V CSR addresses for
-// the golden-model diff.
-var csrAddrs = map[string]uint32{
-	"mstatus": riscv.CSRMStatus, "mie": riscv.CSRMIE, "mtvec": riscv.CSRMTVec,
-	"mscratch": riscv.CSRMScratch, "mepc": riscv.CSRMEPC,
-	"mcause": riscv.CSRMCause, "mtval": riscv.CSRMTVal, "mip": riscv.CSRMIP,
 }

@@ -221,9 +221,7 @@ func TestLockstepAllVariants(t *testing.T) {
 // trap-and-resume flows.
 func TestLockstepExceptions(t *testing.T) {
 	t.Run("fatal/illegal", func(t *testing.T) {
-		// The OIAT model has no fatal-halt mode, so the golden diff is
-		// skipped; sim-vs-RTL lockstep still covers every cycle.
-		run(t, Options{Variant: designs.Fatal, Program: mustAsm(t, progFatal), SkipGolden: true})
+		run(t, Options{Variant: designs.Fatal, Program: mustAsm(t, progFatal)})
 	})
 	t.Run("all/illegal", func(t *testing.T) {
 		run(t, Options{Variant: designs.All, Program: mustAsm(t, progIllegalTrap)})
@@ -236,6 +234,30 @@ func TestLockstepExceptions(t *testing.T) {
 	t.Run("all/ecall", func(t *testing.T) {
 		run(t, Options{Variant: designs.All, Program: mustAsm(t, progEcall)})
 	})
+}
+
+// TestGoldenDiffReadsCheckedState: the golden diff reads the
+// simulator's register file, data memory and CSRs in place of the
+// RTL's. That stands only while the lockstep compares cover all three:
+// rf and dmem must be locked memories (finalDiff rechecks every word)
+// and every volatile must be probed (compared at every clock edge).
+func TestGoldenDiffReadsCheckedState(t *testing.T) {
+	for _, v := range designs.Variants() {
+		h, err := newHarness(Options{Variant: v, Program: mustAsm(t, progLoop)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mems := map[string]bool{}
+		for _, mp := range h.pr.mems {
+			mems[mp.mem.Name] = true
+		}
+		if !mems["rf"] || !mems["dmem"] {
+			t.Errorf("%s: locked memories %v lack rf or dmem", v, mems)
+		}
+		if got, want := len(h.pr.vols), len(h.p.Design.Prog.Vols); got != want {
+			t.Errorf("%s: %d of %d volatiles probed", v, got, want)
+		}
+	}
 }
 
 // TestLockstepInterrupts delivers an asynchronous interrupt to both

@@ -7,7 +7,6 @@ import (
 	"xpdl/internal/check"
 	"xpdl/internal/core"
 	"xpdl/internal/diag"
-	"xpdl/internal/fault"
 	"xpdl/internal/pdl/parser"
 	"xpdl/internal/sim"
 	"xpdl/internal/val"
@@ -34,6 +33,8 @@ type bveqTarget struct {
 
 	// machines holds released machines, reset per point by Build.
 	machines bveq.Pool
+	// pulses holds the per-arrival-cycle devices that set ipend.
+	pulses bveq.Pulses
 }
 
 // BveqTarget compiles one generated design (once — machines for every
@@ -67,6 +68,7 @@ func BveqTarget(d *DesignSpec, width int, corrupt func(map[string]*core.Result))
 	// slots without introducing new effects.
 	t := &bveqTarget{d: d, plan: plan,
 		neutral: encode(14, 0, 0, 0, 0)}
+	t.pulses.Raise = raiseIpend
 	if width <= 0 {
 		width = 2
 	}
@@ -127,9 +129,12 @@ func (t *bveqTarget) image(prog []uint32) []uint32 {
 		encode(opJr, 0, 6, 0, 0))
 }
 
+// raiseIpend is the generated designs' interrupt line: ipend = 1.
+func raiseIpend(m *sim.Machine) { m.VolPoke("ipend", val.New(1, 32)) }
+
 // Build constructs and boots one enumeration point's machine. The
-// interrupt pulse (when intr >= 0) is a one-entry fault.Schedule, so
-// its timing is pure data and its cursor doubles as the wake predictor.
+// interrupt pulse (when intr >= 0) is the target's shared device for
+// that arrival cycle, so its timing is pure data.
 func (t *bveqTarget) Build(prog []uint32, intr int, engine string) (*sim.Machine, error) {
 	m, err := t.machines.Get(engine, func() (*sim.Machine, error) {
 		return t.plan.New(sim.Config{Engine: engine, Externs: externs(t.d)})
@@ -142,12 +147,7 @@ func (t *bveqTarget) Build(prog []uint32, intr int, engine string) (*sim.Machine
 		imem.Poke(uint64(i), val.New(uint64(w), 32))
 	}
 	if intr >= 0 && t.d.Interrupts {
-		cur := fault.Schedule{intr}.Cursor()
-		m.OnCycleWake(func(m *sim.Machine) {
-			if cur.Fire(m.Cycle()) {
-				m.VolPoke("ipend", val.New(1, 32))
-			}
-		}, cur.Next)
+		t.pulses.Attach(m, intr)
 	}
 	if err := m.Start("cpu", val.New(0, 32)); err != nil {
 		return nil, err

@@ -167,3 +167,59 @@ func TestBveqFixtureEarlyStop(t *testing.T) {
 		}
 	}
 }
+
+// maxPointAllocs pins the allocations of one whole point of a generated
+// design on a warm pool — Build, Advance through the budget, Check,
+// Release — for a point whose illegal instruction traps and whose
+// interrupt pulse arrives mid-program: measured at 3, plus a margin of
+// 2. A per-point interrupt device (a fresh fault.Schedule, cursor,
+// closure and method value) measured 7 and fails it.
+const maxPointAllocs = 5
+
+// TestBveqPointAllocsWarmPool guards the per-point cost of a sweep over
+// a generated design once the target's machine pool is warm.
+func TestBveqPointAllocsWarmPool(t *testing.T) {
+	d := loadFixtureSpec(t)
+	tgt, err := BveqTarget(d, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var illegal bveq.Inst
+	for _, in := range tgt.ExcLetters() {
+		if in.Asm == "ill" {
+			illegal = in
+		}
+	}
+	if illegal.Asm == "" {
+		t.Fatal("the fixture design has no illegal-instruction letter")
+	}
+	prog := []uint32{tgt.Alphabet()[0].Word, illegal.Word, tgt.Alphabet()[1].Word}
+	const intr, budget = 3, 384
+	point := func() {
+		m, err := tgt.Build(prog, intr, "vm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runErr := m.Advance(budget)
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		trapped := false
+		for _, r := range m.Retired() {
+			trapped = trapped || r.Exceptional
+		}
+		if !trapped {
+			t.Fatal("the point took no exception")
+		}
+		if mm := tgt.Check(prog, intr, m, runErr); mm != nil {
+			t.Fatal(mm)
+		}
+		tgt.(bveq.Releaser).Release(m)
+	}
+	point()
+	allocs := testing.AllocsPerRun(20, point)
+	t.Logf("warm-pool point: %.0f allocations", allocs)
+	if allocs > maxPointAllocs {
+		t.Errorf("warm-pool point makes %.0f allocations, guard is %d", allocs, maxPointAllocs)
+	}
+}

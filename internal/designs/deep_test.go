@@ -4,19 +4,18 @@ import (
 	"testing"
 
 	"xpdl"
-	"xpdl/internal/asm"
-	"xpdl/internal/golden"
 	"xpdl/internal/riscv"
 	"xpdl/internal/sim"
 	"xpdl/internal/workloads"
 )
 
-// buildDeep compiles the deep-commit processor.
-func buildDeep(t *testing.T) *Processor {
+// buildAll compiles a source of the full processor (the deep-commit
+// and basic-lock register file ablations).
+func buildAll(t *testing.T, src string) *Processor {
 	t.Helper()
-	d, err := xpdl.Compile(DeepCommitSource())
+	d, err := xpdl.Compile(src)
 	if err != nil {
-		t.Fatalf("compile deep: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
 	m, err := d.NewMachine(sim.Config{Externs: Externs()})
 	if err != nil {
@@ -26,7 +25,7 @@ func buildDeep(t *testing.T) *Processor {
 }
 
 func TestDeepCommitGeneratesPadding(t *testing.T) {
-	p := buildDeep(t)
+	p := buildAll(t, DeepCommitSource())
 	tr := p.Design.Translations["cpu"]
 	if tr.CommitStages != 3 {
 		t.Fatalf("commit stages = %d, want 3", tr.CommitStages)
@@ -43,22 +42,9 @@ func TestDeepCommitRunsWorkloadsCorrectly(t *testing.T) {
 			t.Fatal(err)
 		}
 		prog, _ := w.Assemble()
-		g := golden.New(prog.Text, prog.Data, DMemWords)
-		if err := g.Run(w.MaxSteps); err != nil {
-			t.Fatal(err)
-		}
-		p := buildDeep(t)
-		p.Load(prog)
-		p.Boot()
-		if _, err := p.Run(w.MaxSteps * 10); err != nil {
-			t.Fatalf("%s on deep commit: %v", name, err)
-		}
-		if p.M.InFlight() != 0 {
-			t.Fatalf("%s did not drain", name)
-		}
-		if got := p.DMemWord(0); got != g.DMem[0] {
-			t.Errorf("%s checksum %#x, golden %#x", name, got, g.DMem[0])
-		}
+		p := buildAll(t, DeepCommitSource())
+		runOn(t, p, prog, w.MaxSteps*10, nil)
+		checkGolden(t, p, prog, 0, 0)
 	}
 }
 
@@ -83,19 +69,10 @@ func TestDeepCommitExceptionStillPrecise(t *testing.T) {
         csrw mepc, s3
         mret
 `
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := buildDeep(t)
-	p.Load(prog)
-	p.Boot()
-	if _, err := p.Run(10000); err != nil {
-		t.Fatal(err)
-	}
-	if p.M.InFlight() != 0 {
-		t.Fatal("did not drain")
-	}
+	prog := mustAsm(t, src)
+	p := buildAll(t, DeepCommitSource())
+	runOn(t, p, prog, 10000, nil)
+	checkGolden(t, p, prog, 0, 0)
 	if p.DMemWord(0) != 1 || p.DMemWord(1) != 2 {
 		t.Error("stores ahead of the exception must commit through the deep tail")
 	}
@@ -127,21 +104,10 @@ loop:   addi t2, t2, 1
         sw   s2, 4(zero)
         mret
 `
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := buildDeep(t)
-	p.Load(prog)
-	p.Boot()
-	p.M.OnCycle(func(m *sim.Machine) {
-		if m.Cycle() == 70 {
-			p.RaiseInterrupt(riscv.MIPMTIP)
-		}
-	})
-	if _, err := p.Run(50000); err != nil {
-		t.Fatal(err)
-	}
+	prog := mustAsm(t, src)
+	p := buildAll(t, DeepCommitSource())
+	raised := runOn(t, p, prog, 50000, map[int]uint32{70: riscv.MIPMTIP})
+	checkGolden(t, p, prog, riscv.MIPMTIP, raised)
 	if p.DMemWord(1) != 1 {
 		t.Errorf("interrupts handled = %d", p.DMemWord(1))
 	}
@@ -167,27 +133,11 @@ func TestDeepCommitPaddingDelaysException(t *testing.T) {
         csrw mepc, s3
         mret
 `
-	run := func(deep bool) int {
-		var p *Processor
-		var err error
-		if deep {
-			p = buildDeep(t)
-		} else {
-			p, err = Build(All)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		prog, _ := asm.Assemble(src)
-		p.Load(prog)
-		p.Boot()
-		n, err := p.Run(10000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+	run := func(p *Processor) int {
+		runOn(t, p, mustAsm(t, src), 10000, nil)
+		return p.M.Cycle()
 	}
-	merged, deep := run(false), run(true)
+	merged, deep := run(build(t, All)), run(buildAll(t, DeepCommitSource()))
 	if deep <= merged {
 		t.Errorf("deep commit (%d cycles) should be slower than merged (%d) on an exception-heavy run", deep, merged)
 	}
@@ -213,30 +163,22 @@ loop:   addi t2, t2, 1
         sw   s2, 4(zero)
         mret
 `
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Build(Trap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Load(prog)
-	p.Boot()
+	prog := mustAsm(t, src)
+	p := build(t, Trap)
 	// Firmware initialization from outside (the variant has no csrw).
-	p.SetCSR("mtvec", 36)
-	p.SetCSR("mie", riscv.MIPMTIP|riscv.MIPMEIP)
-	p.SetCSR("mstatus", riscv.MStatusMIE)
-	p.M.OnCycle(func(m *sim.Machine) {
-		if m.Cycle() == 100 {
-			p.RaiseInterrupt(riscv.MIPMTIP)
-		}
-	})
-	if _, err := p.Run(50000); err != nil {
-		t.Fatal(err)
+	firmware := map[string]uint32{
+		"mtvec":   36,
+		"mie":     riscv.MIPMTIP | riscv.MIPMEIP,
+		"mstatus": riscv.MStatusMIE,
 	}
-	if p.M.InFlight() != 0 {
-		t.Fatal("did not drain")
+	for name, v := range firmware {
+		p.SetCSR(name, v)
+	}
+	raised := runOn(t, p, prog, 50000, map[int]uint32{100: riscv.MIPMTIP})
+	o := OIAT{Variant: Trap, Text: prog.Text, Data: prog.Data, Firmware: firmware,
+		Lines: riscv.MIPMTIP, Raised: raised}
+	if mm := new(Checker).Check(p.M, &o); mm != nil {
+		t.Fatal(mm)
 	}
 	if p.DMemWord(1) != 1 {
 		t.Errorf("interrupts handled = %d, want 1", p.DMemWord(1))

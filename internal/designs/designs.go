@@ -112,9 +112,13 @@ func (p *Processor) Retired() []sim.Retirement {
 	return out
 }
 
+// RetiredCount counts the cpu pipeline's recorded retirements in
+// place: len(Retired()) without the copy.
+func (p *Processor) RetiredCount() int { return cpuRetirements(p.M.Retired()) }
+
 // CPI reports cycles per retired instruction for the run so far.
 func (p *Processor) CPI() float64 {
-	n := len(p.Retired())
+	n := p.RetiredCount()
 	if n == 0 {
 		return 0
 	}

@@ -1,30 +1,43 @@
 package designs
 
 import (
+	"fmt"
 	"testing"
 
 	"xpdl/internal/asm"
-	"xpdl/internal/golden"
 	"xpdl/internal/riscv"
 	"xpdl/internal/sim"
 )
 
-// runPipe assembles and runs a program on a pipeline variant.
-func runPipe(t *testing.T, v Variant, src string, maxCycles int) *Processor {
+// build builds a variant or fails the test.
+func build(t *testing.T, v Variant) *Processor {
 	t.Helper()
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
 	p, err := Build(v)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	return p
+}
+
+// runOn loads prog into p and boots it, with a device that raises
+// pulses[c] at cycle c, then runs it to drain within maxCycles. It
+// returns the lines the device raised.
+func runOn(t *testing.T, p *Processor, prog *asm.Program, maxCycles int, pulses map[int]uint32) uint32 {
+	t.Helper()
 	if err := p.Load(prog); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Boot(); err != nil {
 		t.Fatal(err)
+	}
+	var raised uint32
+	if len(pulses) > 0 {
+		p.M.OnCycle(func(m *sim.Machine) {
+			if bit := pulses[m.Cycle()]; bit != 0 {
+				p.RaiseInterrupt(bit)
+				raised |= bit
+			}
+		})
 	}
 	if _, err := p.Run(maxCycles); err != nil {
 		t.Fatalf("pipeline run: %v", err)
@@ -32,100 +45,34 @@ func runPipe(t *testing.T, v Variant, src string, maxCycles int) *Processor {
 	if p.M.InFlight() != 0 {
 		t.Fatalf("pipeline did not drain (%d in flight) after %d cycles", p.M.InFlight(), p.M.Cycle())
 	}
+	return raised
+}
+
+// runPipe assembles and runs a program on a pipeline variant.
+func runPipe(t *testing.T, v Variant, src string, maxCycles int) *Processor {
+	t.Helper()
+	p := build(t, v)
+	runOn(t, p, mustAsm(t, src), maxCycles, nil)
 	return p
 }
 
-// runGolden runs the same program on the sequential reference model.
-func runGolden(t *testing.T, src string, steps int) *golden.Machine {
+// checkGolden fails the test unless p's run of prog passes the OIAT
+// checker; lines and raised are the interrupt lines its devices could
+// raise and did raise.
+func checkGolden(t *testing.T, p *Processor, prog *asm.Program, lines, raised uint32) {
 	t.Helper()
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := golden.New(prog.Text, prog.Data, DMemWords)
-	if err := g.Run(steps); err != nil {
-		t.Fatalf("golden run: %v", err)
-	}
-	if !g.Halted {
-		t.Fatalf("golden did not halt in %d steps (pc=%#x)", steps, g.PC)
-	}
-	return g
-}
-
-// compareArch diffs registers, data memory and (when the variant has
-// them) CSRs between pipeline and golden model.
-func compareArch(t *testing.T, p *Processor, g *golden.Machine) {
-	t.Helper()
-	for i := uint32(1); i < 32; i++ {
-		if got, want := p.Reg(i), g.Regs[i]; got != want {
-			t.Errorf("x%d = %#x, golden %#x", i, got, want)
-		}
-	}
-	for i := uint32(0); i < DMemWords; i++ {
-		if got, want := p.DMemWord(i), g.DMem[i]; got != want {
-			t.Errorf("dmem[%d] = %#x, golden %#x", i, got, want)
-		}
-	}
-	for name, addr := range map[string]uint32{
-		"mstatus": riscv.CSRMStatus, "mie": riscv.CSRMIE, "mtvec": riscv.CSRMTVec,
-		"mscratch": riscv.CSRMScratch, "mepc": riscv.CSRMEPC,
-		"mcause": riscv.CSRMCause, "mtval": riscv.CSRMTVal, "mip": riscv.CSRMIP,
-	} {
-		if !p.HasCSR(name) {
-			continue
-		}
-		idx, _ := riscv.CSRIndex(addr)
-		if got, want := p.CSR(name), g.CSR[idx]; got != want {
-			t.Errorf("%s = %#x, golden %#x", name, got, want)
-		}
+	o := OIAT{Variant: p.Variant, Text: prog.Text, Data: prog.Data, Lines: lines, Raised: raised}
+	if mm := new(Checker).Check(p.M, &o); mm != nil {
+		t.Fatalf("%s: %v", p.Variant, mm)
 	}
 }
 
-// compareTrace matches the pipeline's retirement sequence against the
-// golden trace. Pipeline retirements with kind KTrap/KInt/KFatal map to
-// golden trap events; KCSR and KMret retire exceptionally in the pipeline
-// but are ordinary instructions architecturally.
-func compareTrace(t *testing.T, p *Processor, g *golden.Machine) {
-	t.Helper()
-	rs := p.Retired()
-	evs := g.Trace
-	if len(rs) != len(evs) {
-		t.Fatalf("pipeline retired %d events, golden %d", len(rs), len(evs))
-	}
-	for i := range rs {
-		pc := uint32(rs[i].Args[0].Uint())
-		if pc != evs[i].PC {
-			t.Fatalf("event %d: pipeline pc %#x, golden pc %#x", i, pc, evs[i].PC)
-		}
-		kind := uint64(99)
-		if rs[i].Exceptional {
-			kind = rs[i].EArgs[0].Uint()
-		}
-		switch {
-		case evs[i].Trap:
-			if kind != KTrap && kind != KInt && kind != KFatal {
-				t.Fatalf("event %d (pc %#x): golden trapped (cause %d) but pipeline retired normally",
-					i, pc, evs[i].Cause)
-			}
-			if cause := uint32(rs[i].EArgs[2].Uint()); cause != evs[i].Cause {
-				t.Errorf("event %d: pipeline cause %#x, golden %#x", i, cause, evs[i].Cause)
-			}
-		default:
-			if kind == KTrap || kind == KInt || kind == KFatal {
-				t.Fatalf("event %d (pc %#x): pipeline trapped but golden retired normally", i, pc)
-			}
-		}
-	}
-}
-
-// equivalent runs a program on both machines and requires identical
-// architecture and traces.
+// equivalent runs a program on the pipeline and requires it to match
+// the golden model's retirement sequence and final state.
 func equivalent(t *testing.T, v Variant, src string, maxCycles int) *Processor {
 	t.Helper()
 	p := runPipe(t, v, src, maxCycles)
-	g := runGolden(t, src, maxCycles)
-	compareArch(t, p, g)
-	compareTrace(t, p, g)
+	checkGolden(t, p, mustAsm(t, src), 0, 0)
 	return p
 }
 
@@ -234,7 +181,7 @@ func TestCPIEqualAcrossVariantsWhenNoExceptions(t *testing.T) {
 	for _, v := range Variants() {
 		p := runPipe(t, v, progLoop, 5000)
 		cycles[v] = p.M.Cycle()
-		n := len(p.Retired())
+		n := p.RetiredCount()
 		if retired == 0 {
 			retired = n
 		} else if n != retired {
@@ -261,6 +208,7 @@ func TestFatalIllegalInstructionHaltsPrecisely(t *testing.T) {
         ebreak
 `
 	p := runPipe(t, Fatal, src, 2000)
+	checkGolden(t, p, mustAsm(t, src), 0, 0)
 	if p.DMemWord(0) != 7 {
 		t.Error("instruction before the fault must commit")
 	}
@@ -282,6 +230,7 @@ func TestFatalMemoryFault(t *testing.T) {
         ebreak
 `
 	p := runPipe(t, Fatal, src, 2000)
+	checkGolden(t, p, mustAsm(t, src), 0, 0)
 	if p.CSR("faultcode") != riscv.CauseLoadFault {
 		t.Errorf("faultcode = %d, want load fault", p.CSR("faultcode"))
 	}
@@ -294,6 +243,7 @@ func TestFatalMisalignedStore(t *testing.T) {
         ebreak
 `
 	p := runPipe(t, Fatal, src, 2000)
+	checkGolden(t, p, mustAsm(t, src), 0, 0)
 	if p.CSR("faultcode") != riscv.CauseMisalignedStore {
 		t.Errorf("faultcode = %d, want misaligned store", p.CSR("faultcode"))
 	}
@@ -484,28 +434,10 @@ loop:   addi t2, t2, 1
 `
 
 func TestTimerInterruptPrecise(t *testing.T) {
-	prog, err := asm.Assemble(progInterrupt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Build(All)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Load(prog)
-	p.Boot()
+	prog := mustAsm(t, progInterrupt)
+	p := build(t, All)
 	// Device: raise the timer interrupt at cycle 60.
-	p.M.OnCycle(func(m *sim.Machine) {
-		if m.Cycle() == 60 {
-			p.RaiseInterrupt(riscv.MIPMTIP)
-		}
-	})
-	if _, err := p.Run(20000); err != nil {
-		t.Fatal(err)
-	}
-	if p.M.InFlight() != 0 {
-		t.Fatal("pipeline did not drain")
-	}
+	raised := runOn(t, p, prog, 20000, map[int]uint32{60: riscv.MIPMTIP})
 	if got := p.DMemWord(1); got != riscv.CauseMachineTimer {
 		t.Fatalf("handler stored cause %#x, want timer", got)
 	}
@@ -515,34 +447,10 @@ func TestTimerInterruptPrecise(t *testing.T) {
 	if p.CSR("mip")&riscv.MIPMTIP != 0 {
 		t.Error("pending bit not acknowledged")
 	}
-
-	// Precision: replay on the golden model, injecting the interrupt at
-	// the same instruction boundary the pipeline chose, and require
-	// identical traces and final state.
-	var boundary = -1
-	for i, r := range p.Retired() {
-		if r.Exceptional && r.EArgs[0].Uint() == KInt {
-			boundary = i
-			break
-		}
-	}
-	if boundary < 0 {
-		t.Fatal("no interrupt retirement found")
-	}
-	g := golden.New(prog.Text, prog.Data, DMemWords)
-	for steps := 0; !g.Halted && steps < 20000; steps++ {
-		if len(g.Trace) == boundary {
-			g.RaiseInterrupt(riscv.MIPMTIP)
-		}
-		if err := g.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !g.Halted {
-		t.Fatal("golden did not halt")
-	}
-	compareArch(t, p, g)
-	compareTrace(t, p, g)
+	// Precision: the golden model takes the interrupt at the same
+	// instruction boundary the pipeline chose; traces and final state
+	// must be identical.
+	checkGolden(t, p, prog, riscv.MIPMTIP, raised)
 }
 
 func TestInterruptMaskedWhenMIEClear(t *testing.T) {
@@ -556,18 +464,9 @@ loop:   addi t2, t2, 1
         sw   t2, 0(zero)
         ebreak
 `
-	prog, _ := asm.Assemble(src)
-	p, _ := Build(All)
-	p.Load(prog)
-	p.Boot()
-	p.M.OnCycle(func(m *sim.Machine) {
-		if m.Cycle() == 30 {
-			p.RaiseInterrupt(riscv.MIPMTIP)
-		}
-	})
-	if _, err := p.Run(10000); err != nil {
-		t.Fatal(err)
-	}
+	prog := mustAsm(t, src)
+	p := build(t, All)
+	raised := runOn(t, p, prog, 10000, map[int]uint32{30: riscv.MIPMTIP})
 	for _, r := range p.Retired() {
 		// CSR instructions retire exceptionally by design (kind KCSR);
 		// only an interrupt or trap kind would be wrong here.
@@ -578,6 +477,8 @@ loop:   addi t2, t2, 1
 	if p.DMemWord(0) != 50 {
 		t.Errorf("loop result %d", p.DMemWord(0))
 	}
+	// The unclaimed pulse stays pending in mip on both sides.
+	checkGolden(t, p, prog, riscv.MIPMTIP, raised)
 }
 
 // --- Speculation interplay -----------------------------------------------------
@@ -611,22 +512,14 @@ func TestStoreLoadForwardingSequence(t *testing.T) {
         ebreak
 `
 	p := equivalent(t, All, src, 2000)
-	if p.Reg(7-1) == 0 { // t2 = x7
-		_ = p
-	}
-	if p.Reg(7) != 0xBEF0 {
+	if p.Reg(7) != 0xBEF0 { // t2 = x7
 		t.Errorf("t2 = %#x, want 0xBEF0", p.Reg(7))
 	}
 }
 
-// A scale stress test: a quarter-million instructions through the full
-// processor with periodic timer interrupts, cross-checked instruction
-// counts and architectural results.
-func TestLongRunStress(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long stress run")
-	}
-	src := `
+// progStress loops %d times over ALU and memory traffic with timer
+// interrupts enabled; the handler counts interrupts in dmem[1].
+const progStress = `
         la   t0, handler
         csrw mtvec, t0
         li   t1, 0x80
@@ -634,7 +527,7 @@ func TestLongRunStress(t *testing.T) {
         csrrsi zero, mstatus, 8
         li   s0, 0             # accumulator
         li   s1, 0             # i
-        li   s2, 40000
+        li   s2, %d
 outer:  mul  t2, s1, s1
         add  s0, s0, t2
         xor  s0, s0, s1
@@ -654,61 +547,43 @@ handler:
         sw   s4, 4(zero)
         mret
 `
-	prog := mustAsm(t, src)
-	p, err := Build(All)
-	if err != nil {
-		t.Fatal(err)
+
+// stress runs progStress for iters iterations with a timer pulse every
+// period cycles, requires the golden model to take every interrupt at
+// the boundary the pipeline chose, and checks the handler's count
+// against the interrupts taken.
+func stress(t *testing.T, iters, period, maxCycles int) *Processor {
+	t.Helper()
+	prog := mustAsm(t, fmt.Sprintf(progStress, iters))
+	p := build(t, All)
+	pulses := map[int]uint32{}
+	for c := period; c < maxCycles; c += period {
+		pulses[c] = riscv.MIPMTIP
 	}
-	p.Load(prog)
-	p.Boot()
-	p.M.OnCycle(func(m *sim.Machine) {
-		if c := m.Cycle(); c > 0 && c%50000 == 0 {
-			p.RaiseInterrupt(riscv.MIPMTIP)
-		}
-	})
-	if _, err := p.Run(3_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if p.M.InFlight() != 0 {
-		t.Fatal("did not drain")
-	}
-	// Interrupts are asynchronous: replay the golden model at the same
-	// boundaries the pipeline chose.
-	var boundaries []int
-	for i, r := range p.Retired() {
+	checkGolden(t, p, prog, riscv.MIPMTIP, runOn(t, p, prog, maxCycles, pulses))
+	interrupts := 0
+	for _, r := range p.M.Retired() {
 		if r.Exceptional && r.EArgs[0].Uint() == KInt {
-			boundaries = append(boundaries, i)
+			interrupts++
 		}
 	}
-	if len(boundaries) < 2 {
-		t.Fatalf("only %d interrupts over the run", len(boundaries))
+	if interrupts < 2 {
+		t.Fatalf("only %d interrupts over the run", interrupts)
 	}
-	g := golden.New(prog.Text, prog.Data, DMemWords)
-	g.MaxTrace = 1 << 21
-	next := 0
-	for steps := 0; !g.Halted && steps < 3_000_000; steps++ {
-		if next < len(boundaries) && len(g.Trace) == boundaries[next] {
-			g.RaiseInterrupt(riscv.MIPMTIP)
-			next++
-		}
-		if err := g.Step(); err != nil {
-			t.Fatal(err)
-		}
+	if p.DMemWord(1) != uint32(interrupts) {
+		t.Errorf("handler count %d, interrupts %d", p.DMemWord(1), interrupts)
 	}
-	if !g.Halted {
-		t.Fatal("golden did not halt")
+	return p
+}
+
+// A scale stress test: a quarter-million instructions through the full
+// processor with periodic timer interrupts, cross-checked instruction
+// counts and architectural results.
+func TestLongRunStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long stress run")
 	}
-	if got, want := p.DMemWord(0), g.DMem[0]; got != want {
-		t.Fatalf("checksum %#x, golden %#x", got, want)
-	}
-	// The pipeline trace counts exceptional retirements (interrupts);
-	// the golden Trace records the same events as trap entries.
-	if got, want := len(p.Retired()), len(g.Trace); got != want {
-		t.Fatalf("pipeline events %d, golden events %d", got, want)
-	}
-	if p.DMemWord(1) != uint32(len(boundaries)) {
-		t.Errorf("handler count %d, interrupts %d", p.DMemWord(1), len(boundaries))
-	}
+	p := stress(t, 40000, 50000, 3_000_000)
 	t.Logf("stress: %d instructions, %d cycles, %d interrupts, CPI %.3f",
-		len(p.Retired()), p.M.Cycle(), len(boundaries), p.CPI())
+		p.RetiredCount(), p.M.Cycle(), p.DMemWord(1), p.CPI())
 }

@@ -3,26 +3,8 @@ package designs
 import (
 	"testing"
 
-	"xpdl"
-	"xpdl/internal/golden"
-	"xpdl/internal/sim"
 	"xpdl/internal/workloads"
 )
-
-// buildBasicRf compiles the full processor with a basic-lock register
-// file (the §3.4 lock-kind ablation).
-func buildBasicRf(t *testing.T) *Processor {
-	t.Helper()
-	d, err := xpdl.Compile(BasicRfSource())
-	if err != nil {
-		t.Fatalf("compile basic-rf: %v", err)
-	}
-	m, err := d.NewMachine(sim.Config{Externs: Externs()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Processor{Variant: All, Design: d, M: m}
-}
 
 // The lock kind is a microarchitectural choice: architectural results are
 // identical; only timing differs.
@@ -33,35 +15,13 @@ func TestBasicRfLockSameResultsSlowerCycles(t *testing.T) {
 	}
 	prog, _ := w.Assemble()
 
-	g := golden.New(prog.Text, prog.Data, DMemWords)
-	if err := g.Run(w.MaxSteps); err != nil {
-		t.Fatal(err)
-	}
+	renaming := build(t, All)
+	runOn(t, renaming, prog, w.MaxSteps*10, nil)
+	checkGolden(t, renaming, prog, 0, 0)
+	basic := buildAll(t, BasicRfSource())
+	runOn(t, basic, prog, w.MaxSteps*10, nil)
+	checkGolden(t, basic, prog, 0, 0)
 
-	renaming, err := Build(All)
-	if err != nil {
-		t.Fatal(err)
-	}
-	renaming.Load(prog)
-	renaming.Boot()
-	if _, err := renaming.Run(w.MaxSteps * 10); err != nil {
-		t.Fatal(err)
-	}
-
-	basic := buildBasicRf(t)
-	basic.Load(prog)
-	basic.Boot()
-	if _, err := basic.Run(w.MaxSteps * 10); err != nil {
-		t.Fatal(err)
-	}
-	if basic.M.InFlight() != 0 {
-		t.Fatal("basic-rf design did not drain")
-	}
-
-	if basic.DMemWord(0) != g.DMem[0] || renaming.DMemWord(0) != g.DMem[0] {
-		t.Fatalf("checksums diverged: basic %#x, renaming %#x, golden %#x",
-			basic.DMemWord(0), renaming.DMemWord(0), g.DMem[0])
-	}
 	if basic.M.Cycle() <= renaming.M.Cycle() {
 		t.Errorf("basic lock (%d cycles) should be slower than renaming (%d) on dependent code",
 			basic.M.Cycle(), renaming.M.Cycle())
@@ -70,7 +30,7 @@ func TestBasicRfLockSameResultsSlowerCycles(t *testing.T) {
 }
 
 func TestBasicRfHandlesExceptions(t *testing.T) {
-	p := buildBasicRf(t)
+	p := buildAll(t, BasicRfSource())
 	prog := mustAsm(t, `
         li   t0, 28
         csrw mtvec, t0
@@ -85,11 +45,8 @@ func TestBasicRfHandlesExceptions(t *testing.T) {
         csrw mepc, s3
         mret
 `)
-	p.Load(prog)
-	p.Boot()
-	if _, err := p.Run(10000); err != nil {
-		t.Fatal(err)
-	}
+	runOn(t, p, prog, 10000, nil)
+	checkGolden(t, p, prog, 0, 0)
 	if p.DMemWord(0) != 5 {
 		t.Error("program did not complete after the handled fault")
 	}

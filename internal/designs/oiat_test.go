@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"xpdl/internal/asm"
-	"xpdl/internal/golden"
 	"xpdl/internal/riscv"
-	"xpdl/internal/sim"
 )
 
 // genProgram builds a random but always-terminating RV32IM program that
@@ -135,6 +133,23 @@ intr:   lw   s11, 12(zero)
 `, 1)
 }
 
+// fuzzSeed runs one random program on v as a subtest named after its
+// seed, with a device raising pulses[c] at cycle c, and requires it to
+// pass the OIAT checker; a failure logs the program.
+func fuzzSeed(t *testing.T, seed int, v Variant, src string, pulses map[int]uint32, lines uint32) {
+	t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+		defer func() {
+			if t.Failed() {
+				t.Logf("program:\n%s", src)
+			}
+		}()
+		prog := mustAsm(t, src)
+		p := build(t, v)
+		raised := runOn(t, p, prog, 1200000, pulses)
+		checkGolden(t, p, prog, lines, raised)
+	})
+}
+
 // TestOIATFuzz runs random exception-heavy programs on the full pipeline
 // and the golden model, requiring identical architecture and traces —
 // the §4.3 OIAT argument, tested empirically.
@@ -145,42 +160,14 @@ func TestOIATFuzz(t *testing.T) {
 	}
 	for i := 0; i < iters; i++ {
 		rng := rand.New(rand.NewSource(int64(1000 + i)))
-		src := genProgram(rng, false)
-		prog, err := asm.Assemble(src)
-		if err != nil {
-			t.Fatalf("seed %d: assemble: %v\n%s", i, err, src)
-		}
-		g := golden.New(prog.Text, prog.Data, DMemWords)
-		if err := g.Run(200000); err != nil {
-			t.Fatalf("seed %d: golden: %v", i, err)
-		}
-		if !g.Halted {
-			t.Fatalf("seed %d: golden did not halt", i)
-		}
-
-		p, err := Build(All)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Load(prog)
-		p.Boot()
-		if _, err := p.Run(1200000); err != nil {
-			t.Fatalf("seed %d: pipeline: %v", i, err)
-		}
-		if p.M.InFlight() != 0 {
-			t.Fatalf("seed %d: pipeline did not drain", i)
-		}
-		compareArch(t, p, g)
-		compareTrace(t, p, g)
-		if t.Failed() {
-			t.Fatalf("seed %d diverged; program:\n%s", i, src)
-		}
+		fuzzSeed(t, 1000+i, All, genProgram(rng, false), nil, 0)
 	}
 }
 
 // TestOIATFuzzWithInterrupts additionally injects an asynchronous
 // interrupt at a random cycle and replays the golden model at the same
-// instruction boundary.
+// instruction boundary. The program may end before the interrupt is
+// enabled or taken; the checker then mirrors the unclaimed pending bit.
 func TestOIATFuzzWithInterrupts(t *testing.T) {
 	iters := 30
 	if testing.Short() {
@@ -189,58 +176,9 @@ func TestOIATFuzzWithInterrupts(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		rng := rand.New(rand.NewSource(int64(7000 + i)))
 		src := genInterruptibleProgram(rng)
-		prog, err := asm.Assemble(src)
-		if err != nil {
-			t.Fatalf("seed %d: assemble: %v", i, err)
-		}
-
-		p, err := Build(All)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Load(prog)
-		p.Boot()
 		fireAt := 30 + rng.Intn(300)
 		bit := []uint32{riscv.MIPMTIP, riscv.MIPMSIP, riscv.MIPMEIP}[rng.Intn(3)]
-		p.M.OnCycle(func(m *sim.Machine) {
-			if m.Cycle() == fireAt {
-				p.RaiseInterrupt(bit)
-			}
-		})
-		if _, err := p.Run(1200000); err != nil {
-			t.Fatalf("seed %d: pipeline: %v", i, err)
-		}
-		if p.M.InFlight() != 0 {
-			t.Fatalf("seed %d: pipeline did not drain", i)
-		}
-
-		// Find the interrupt boundary the pipeline chose (if the program
-		// ended before the interrupt was enabled/taken, none exists).
-		boundary := -1
-		for k, r := range p.Retired() {
-			if r.Exceptional && r.EArgs[0].Uint() == KInt {
-				boundary = k
-				break
-			}
-		}
-		g := golden.New(prog.Text, prog.Data, DMemWords)
-		for steps := 0; !g.Halted && steps < 400000; steps++ {
-			if boundary >= 0 && len(g.Trace) == boundary {
-				g.RaiseInterrupt(bit)
-			}
-			if err := g.Step(); err != nil {
-				t.Fatalf("seed %d: golden: %v", i, err)
-			}
-		}
-		if !g.Halted {
-			t.Fatalf("seed %d: golden did not halt", i)
-		}
-		compareArch(t, p, g)
-		compareTrace(t, p, g)
-		if t.Failed() {
-			t.Fatalf("seed %d (interrupt %#x at cycle %d, boundary %d) diverged; program:\n%s",
-				i, bit, fireAt, boundary, src)
-		}
+		fuzzSeed(t, 7000+i, All, src, map[int]uint32{fireAt: bit}, bit)
 	}
 }
 
@@ -264,37 +202,7 @@ func TestOIATFuzzBaseline(t *testing.T) {
 	}
 	for i := 0; i < iters; i++ {
 		rng := rand.New(rand.NewSource(int64(3000 + i)))
-		src := genCleanProgram(rng)
-		prog := mustAsm(t, src)
-		g := golden.New(prog.Text, prog.Data, DMemWords)
-		if err := g.Run(200000); err != nil {
-			t.Fatalf("seed %d: golden: %v", i, err)
-		}
-		if !g.Halted {
-			t.Fatalf("seed %d: golden did not halt", i)
-		}
-		p, err := Build(Base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Load(prog)
-		p.Boot()
-		if _, err := p.Run(1200000); err != nil {
-			t.Fatalf("seed %d: pipeline: %v", i, err)
-		}
-		for r := uint32(1); r < 32; r++ {
-			if p.Reg(r) != g.Regs[r] {
-				t.Errorf("seed %d: x%d = %#x, golden %#x", i, r, p.Reg(r), g.Regs[r])
-			}
-		}
-		for a := uint32(0); a < DMemWords; a++ {
-			if p.DMemWord(a) != g.DMem[a] {
-				t.Errorf("seed %d: dmem[%d] = %#x, golden %#x", i, a, p.DMemWord(a), g.DMem[a])
-			}
-		}
-		if t.Failed() {
-			t.Fatalf("seed %d diverged:\n%s", i, src)
-		}
+		fuzzSeed(t, 3000+i, Base, genCleanProgram(rng), nil, 0)
 	}
 }
 
@@ -347,32 +255,7 @@ func TestOIATFuzzCSRVariant(t *testing.T) {
 	}
 	for i := 0; i < iters; i++ {
 		rng := rand.New(rand.NewSource(int64(5000 + i)))
-		src := genCSRProgram(rng)
-		prog := mustAsm(t, src)
-		g := golden.New(prog.Text, prog.Data, DMemWords)
-		if err := g.Run(200000); err != nil {
-			t.Fatalf("seed %d: golden: %v", i, err)
-		}
-		if !g.Halted {
-			t.Fatalf("seed %d: golden did not halt", i)
-		}
-		p, err := Build(CSR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Load(prog)
-		p.Boot()
-		if _, err := p.Run(1200000); err != nil {
-			t.Fatalf("seed %d: pipeline: %v", i, err)
-		}
-		if p.M.InFlight() != 0 {
-			t.Fatalf("seed %d: did not drain", i)
-		}
-		compareArch(t, p, g)
-		compareTrace(t, p, g)
-		if t.Failed() {
-			t.Fatalf("seed %d diverged:\n%s", i, src)
-		}
+		fuzzSeed(t, 5000+i, CSR, genCSRProgram(rng), nil, 0)
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"xpdl/internal/asm"
 	"xpdl/internal/riscv"
-	"xpdl/internal/sim"
 )
 
 func replaceOnce(s, old, new string) string {
@@ -39,7 +37,7 @@ safe:   li   t4, 77
         csrw mepc, s3
         mret
 `
-	p := runPipe(t, All, src, 5000)
+	p := equivalent(t, All, src, 5000)
 	if p.DMemWord(2) != 0 {
 		t.Errorf("wrong-path fault entered the handler %d times; speculative instructions must not throw", p.DMemWord(2))
 	}
@@ -80,7 +78,7 @@ func TestMeltdownStyleNoVisibleTrace(t *testing.T) {
         csrw mepc, s3
         mret
 `
-	p := runPipe(t, All, src, 5000)
+	p := equivalent(t, All, src, 5000)
 	// The faulting load's destination keeps its canary (condition 3).
 	if p.Reg(8) != 0xAAAA {
 		t.Errorf("s0 = %#x; the faulting load must not write its destination", p.Reg(8))
@@ -132,30 +130,13 @@ dwell:  addi s5, s5, -1
         bnez s5, dwell
         mret
 `
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Build(All)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Load(prog)
-	p.Boot()
-	p.M.OnCycle(func(m *sim.Machine) {
-		switch m.Cycle() {
-		case 100:
-			p.RaiseInterrupt(riscv.MIPMTIP) // timer first
-		case 130:
-			p.RaiseInterrupt(riscv.MIPMEIP) // external arrives mid-handler
-		}
+	prog := mustAsm(t, src)
+	p := build(t, All)
+	raised := runOn(t, p, prog, 100000, map[int]uint32{
+		100: riscv.MIPMTIP, // timer first
+		130: riscv.MIPMEIP, // external arrives mid-handler
 	})
-	if _, err := p.Run(100000); err != nil {
-		t.Fatal(err)
-	}
-	if p.M.InFlight() != 0 {
-		t.Fatal("did not drain")
-	}
+	checkGolden(t, p, prog, riscv.MIPMTIP|riscv.MIPMEIP, raised)
 	if got := p.DMemWord(1); got != 2 {
 		t.Fatalf("handled %d interrupts, want 2", got)
 	}
@@ -235,30 +216,13 @@ exth:   lw   s8, 4(zero)
         sw   s8, 8(zero)
         mret                   # mepc CSR still holds the interrupted pc
 `
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Build(All)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Load(prog)
-	p.Boot()
-	p.M.OnCycle(func(m *sim.Machine) {
-		switch m.Cycle() {
-		case 100:
-			p.RaiseInterrupt(riscv.MIPMTIP) // outer: timer
-		case 170:
-			p.RaiseInterrupt(riscv.MIPMEIP) // nested: external, mid-dwell
-		}
+	prog := mustAsm(t, src)
+	p := build(t, All)
+	raised := runOn(t, p, prog, 200000, map[int]uint32{
+		100: riscv.MIPMTIP, // outer: timer
+		170: riscv.MIPMEIP, // nested: external, mid-dwell
 	})
-	if _, err := p.Run(200000); err != nil {
-		t.Fatal(err)
-	}
-	if p.M.InFlight() != 0 {
-		t.Fatal("did not drain")
-	}
+	checkGolden(t, p, prog, riscv.MIPMTIP|riscv.MIPMEIP, raised)
 	if got := p.DMemWord(1); got != 2 {
 		t.Fatalf("entered the handler %d times, want 2", got)
 	}

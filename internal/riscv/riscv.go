@@ -195,49 +195,48 @@ const (
 	CSRMIP      = 0x344
 )
 
+// CSRs is the machine-mode CSR file the designs implement, in the
+// order of the compact index CSRIndex returns: the one table every
+// CSR name, address and index lookup reads.
+var CSRs = [...]struct {
+	Name string
+	Addr uint32
+}{
+	{"mstatus", CSRMStatus},
+	{"mie", CSRMIE},
+	{"mtvec", CSRMTVec},
+	{"mscratch", CSRMScratch},
+	{"mepc", CSRMEPC},
+	{"mcause", CSRMCause},
+	{"mtval", CSRMTVal},
+	{"mip", CSRMIP},
+}
+
 // CSRIndex maps a CSR address to the compact index used by the designs'
 // 32-entry CSR file; ok is false for unimplemented CSRs.
 func CSRIndex(addr uint32) (idx uint32, ok bool) {
-	switch addr {
-	case CSRMStatus:
-		return 0, true
-	case CSRMIE:
-		return 1, true
-	case CSRMTVec:
-		return 2, true
-	case CSRMScratch:
-		return 3, true
-	case CSRMEPC:
-		return 4, true
-	case CSRMCause:
-		return 5, true
-	case CSRMTVal:
-		return 6, true
-	case CSRMIP:
-		return 7, true
+	for i, c := range CSRs {
+		if c.Addr == addr {
+			return uint32(i), true
+		}
+	}
+	return 0, false
+}
+
+// CSRAddr maps an implemented CSR's name to its address.
+func CSRAddr(name string) (addr uint32, ok bool) {
+	for _, c := range CSRs {
+		if c.Name == name {
+			return c.Addr, true
+		}
 	}
 	return 0, false
 }
 
 // CSRName names a CSR address.
 func CSRName(addr uint32) string {
-	switch addr {
-	case CSRMStatus:
-		return "mstatus"
-	case CSRMIE:
-		return "mie"
-	case CSRMTVec:
-		return "mtvec"
-	case CSRMScratch:
-		return "mscratch"
-	case CSRMEPC:
-		return "mepc"
-	case CSRMCause:
-		return "mcause"
-	case CSRMTVal:
-		return "mtval"
-	case CSRMIP:
-		return "mip"
+	if i, ok := CSRIndex(addr); ok {
+		return CSRs[i].Name
 	}
 	return fmt.Sprintf("csr_0x%x", addr)
 }

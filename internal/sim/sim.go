@@ -685,8 +685,15 @@ func (m *Machine) Engine() string { return m.cfg.Engine }
 // Firings reports total successful stage firings (for utilization stats).
 func (m *Machine) Firings() uint64 { return m.firings }
 
+// Plan reports the shared plan the machine was built from.
+func (m *Machine) Plan() *Plan { return m.plan }
+
 // Retired returns the retirement trace.
 func (m *Machine) Retired() []Retirement { return m.retired }
+
+// TraceFull reports whether the retirement trace has reached
+// Config.MaxTrace, after which later retirements are not recorded.
+func (m *Machine) TraceFull() bool { return len(m.retired) >= maxTraceDefault(m.cfg.MaxTrace) }
 
 // InFlight reports live instructions (in stages or entry queues).
 func (m *Machine) InFlight() int { return len(m.alive) }

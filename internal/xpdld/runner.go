@@ -14,7 +14,6 @@ import (
 	"xpdl/internal/cosim"
 	"xpdl/internal/designs"
 	"xpdl/internal/fault"
-	"xpdl/internal/golden"
 	"xpdl/internal/sim"
 	"xpdl/internal/snap"
 )
@@ -159,7 +158,7 @@ func (s *Server) runSim(ctx context.Context, j *job) outcome {
 				if werr := s.store.WriteCheckpoint(j.id, ce.Snapshot); werr != nil {
 					s.checkpointFailed(j, werr)
 				} else {
-					s.checkpointed(j, m.Cycle(), len(p.Retired()))
+					s.checkpointed(j, m.Cycle(), p.RetiredCount())
 				}
 			}
 			return outcome{canceled: true}
@@ -176,7 +175,7 @@ func (s *Server) runSim(ctx context.Context, j *job) outcome {
 			if werr := s.store.WriteCheckpoint(j.id, b); werr != nil {
 				s.checkpointFailed(j, werr)
 			} else {
-				s.checkpointed(j, m.Cycle(), len(p.Retired()))
+				s.checkpointed(j, m.Cycle(), p.RetiredCount())
 			}
 			continue
 		}
@@ -192,42 +191,16 @@ func (s *Server) runSim(ctx context.Context, j *job) outcome {
 		Engine:     engineName(sp.Engine),
 		Seed:       sp.Seed,
 		Cycles:     m.Cycle(),
-		Retired:    len(p.Retired()),
+		Retired:    p.RetiredCount(),
 		Checksum:   fmt.Sprintf("%#x", p.DMemWord(0)),
 		StateCRC:   stateCRC(p),
 	}
-	if jerr := goldenCheck(p, prog, sp.MaxCycles); jerr != nil {
-		return outcome{jerr: jerr}
+	o := designs.OIAT{Variant: v, Text: prog.Text, Data: prog.Data}
+	if mm := new(designs.Checker).Check(m, &o); mm != nil {
+		return failed(ErrGolden, mm)
 	}
 	rep.GoldenOK = true
 	return outcome{report: rep}
-}
-
-// goldenCheck replays the program on the one-instruction-at-a-time
-// model and diffs all architectural state.
-func goldenCheck(p *designs.Processor, prog *asm.Program, maxSteps int) *JobError {
-	g := golden.New(prog.Text, prog.Data, designs.DMemWords)
-	if err := g.Run(maxSteps); err != nil {
-		return &JobError{Kind: ErrGolden, Detail: "golden model: " + err.Error()}
-	}
-	var diffs []string
-	for i := uint32(1); i < 32; i++ {
-		if p.Reg(i) != g.Regs[i] {
-			diffs = append(diffs, fmt.Sprintf("x%d: pipeline %#x, golden %#x", i, p.Reg(i), g.Regs[i]))
-		}
-	}
-	for i := uint32(0); i < designs.DMemWords; i++ {
-		if p.DMemWord(i) != g.DMem[i] {
-			diffs = append(diffs, fmt.Sprintf("dmem[%d]: pipeline %#x, golden %#x", i, p.DMemWord(i), g.DMem[i]))
-		}
-	}
-	if len(diffs) > 0 {
-		return &JobError{
-			Kind:   ErrGolden,
-			Detail: fmt.Sprintf("%d architectural mismatches (first: %s)", len(diffs), diffs[0]),
-		}
-	}
-	return nil
 }
 
 // runCosim executes a cosim job: the simulator and the emitted Verilog
@@ -345,6 +318,7 @@ func classifyRunErr(err error) outcome {
 		dl  *sim.DeadlockError
 		ie  *sim.InternalError
 		div *cosim.DivergenceError
+		mm  *designs.Mismatch
 		cie *cosim.InternalError
 		sve *snap.VersionError
 		sce *snap.CorruptError
@@ -360,6 +334,8 @@ func classifyRunErr(err error) outcome {
 		return failed(ErrInternal, err)
 	case errors.As(err, &div):
 		return failed(ErrDivergence, err)
+	case errors.As(err, &mm):
+		return failed(ErrGolden, err)
 	case errors.As(err, &cie):
 		return failed(ErrInternal, err)
 	}
