@@ -67,13 +67,16 @@ chaos:
 	go test -run TestChaosDifferential -v ./internal/sim/
 
 # fuzz-smoke runs each native fuzz target briefly — enough to catch
-# newly introduced panics in the assembler and the PDL parser without
-# turning CI into a fuzzing farm.
+# newly introduced panics in the assembler and the PDL parser, and
+# expression disagreements between the RTL evaluator and internal/val
+# or between the simulator engines, without turning CI into a fuzzing
+# farm.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzAssemble -fuzztime=10s ./internal/asm/
 	go test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/pdl/parser/
 	go test -run='^$$' -fuzz=FuzzCheck -fuzztime=10s ./internal/check/
 	go test -run='^$$' -fuzz=FuzzRTLExpr -fuzztime=10s ./internal/rtl/
+	go test -run='^$$' -fuzz=FuzzEngineExpr -fuzztime=10s ./internal/sim/
 
 # fuzz-designs is the design-space fuzzing smoke: a fixed-seed xpdlfuzz
 # campaign over 500 generated (design, program) pairs through the full

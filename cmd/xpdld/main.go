@@ -44,6 +44,15 @@ import (
 	"xpdl/internal/xpdld"
 )
 
+// Connection set-up bounds. ReadHeaderTimeout drops a client that
+// opens a connection and never finishes its request headers;
+// IdleTimeout closes keep-alive connections left unused. There is no
+// WriteTimeout: an /events stream stays open for a job's whole run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7433", "listen address (use :0 for an ephemeral port)")
 	state := flag.String("state", "xpdld-state", "artifact-store directory (specs, checkpoints, reports)")
@@ -89,7 +98,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "xpdld: listening on %s (state %s)\n", bound, *state)
 
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

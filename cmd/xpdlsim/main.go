@@ -164,7 +164,7 @@ func main() {
 		}
 		if *checkpointEvery > 0 {
 			opts.CheckpointEvery = *checkpointEvery
-			opts.Checkpoint = func(b []byte) error { return writeSnapshot(*checkpoint, b) }
+			opts.Checkpoint = func(_ int, b []byte) error { return writeSnapshot(*checkpoint, b) }
 		}
 		if *chaos {
 			opts.ChaosSeed = *seed

@@ -24,7 +24,7 @@ func checkpointedRun(t *testing.T, opts Options, every int) (*Result, []byte) {
 	t.Helper()
 	var last []byte
 	opts.CheckpointEvery = every
-	opts.Checkpoint = func(b []byte) error {
+	opts.Checkpoint = func(_ int, b []byte) error {
 		last = append(last[:0], b...)
 		return nil
 	}
@@ -94,7 +94,7 @@ func TestCosimCancelLeavesResumableCheckpoint(t *testing.T) {
 	canceled := opts
 	canceled.Ctx = ctx
 	canceled.CheckpointEvery = ref.Cycles / 2
-	canceled.Checkpoint = func([]byte) error { cancel(); return nil }
+	canceled.Checkpoint = func(int, []byte) error { cancel(); return nil }
 	_, err := Run(canceled)
 	var ce *CanceledError
 	if !errors.As(err, &ce) {
@@ -170,7 +170,7 @@ func TestCosimEngineIndependent(t *testing.T) {
 	runEngine := func(t *testing.T, opts Options) trace {
 		var tr trace
 		opts.CheckpointEvery = 7
-		opts.Checkpoint = func(b []byte) error {
+		opts.Checkpoint = func(_ int, b []byte) error {
 			tr.sums = append(tr.sums, sha256.Sum256(b))
 			return nil
 		}

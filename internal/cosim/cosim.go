@@ -87,9 +87,10 @@ type Options struct {
 	// then returns a *CanceledError carrying a resumable checkpoint.
 	Ctx context.Context
 	// CheckpointEvery, when positive, calls Checkpoint with a combined
-	// checkpoint every N cycles.
+	// checkpoint every N cycles. cycle is the checkpoint's absolute
+	// cycle, counted from reset across resumes.
 	CheckpointEvery int
-	Checkpoint      func([]byte) error
+	Checkpoint      func(cycle int, b []byte) error
 	// Resume, when non-nil, restores a combined checkpoint taken under
 	// identical Options instead of booting from reset.
 	Resume []byte
@@ -326,7 +327,7 @@ func Run(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("cosim: checkpoint at cycle %d: %w", cycles, err)
 			}
-			if err := opts.Checkpoint(b); err != nil {
+			if err := opts.Checkpoint(cycles, b); err != nil {
 				return nil, fmt.Errorf("cosim: checkpoint at cycle %d: %w", cycles, err)
 			}
 		}

@@ -153,8 +153,8 @@ func runPaced(b *testing.B, engine string) {
 // CPU profile of every variant running every kernel, one fresh machine
 // per run, puts the bytecode dispatch loop (vm.(*Env).runSeg) at ~37%
 // of the time flat, its record-layout test for field access at ~3%,
-// the per-firing write-back of the stage's written slots in fireVM at
-// ~3%, effect application at ~8%, the renaming lock at ~8%, and the
+// the per-firing write-back of the stage's written slots in
+// Machine.fire at ~3%, effect application at ~8%, the renaming lock at ~8%, and the
 // retirement trace regrowing from empty on each fresh machine
 // (Machine.retire) at ~8%. Run with -benchmem: compiled and vm cycle
 // loops must stay at ~0 allocs/op in both shapes.

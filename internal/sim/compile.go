@@ -28,6 +28,7 @@ import (
 	"xpdl/internal/locks"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
+	"xpdl/internal/vm"
 )
 
 // cStmt executes one compiled statement against the active firing.
@@ -108,6 +109,22 @@ func (m *Machine) compileFunc(fn *ast.FuncDecl, fp *funcPlan) {
 	fp.code = c.stmts(fn.Body)
 }
 
+// execStageC is the closure engine's stage body, mirroring
+// firing.execStage: the compiled stage, then at a fork stage the arm
+// lef selects.
+func (f *firing) execStageC() {
+	node := f.node
+	f.execC(node.code)
+	if node.fork != nil && !f.stalled && !f.died {
+		f.tookExc = f.lef
+		if f.lef {
+			f.execC(node.fork.excCode)
+		} else {
+			f.execC(node.fork.commitCode)
+		}
+	}
+}
+
 // execC runs a compiled stage plan (pipe mode): statements stop at the
 // first stall or death, mirroring firing.exec.
 func (f *firing) execC(code []cStmt) {
@@ -165,13 +182,13 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 	case *ast.Assign:
 		rhs := c.expr(n.RHS)
 		if vol, isVol := p.assignVol[s]; isVol {
-			w := vol.decl.Elem.Width
+			vidx, w := int32(vol.idx), vol.decl.Elem.Width
 			return func(f *firing) {
 				v := rhs(f)
 				if f.stalled {
 					return
 				}
-				f.eff(effectRec{kind: effVolWrite, vol: vol, v: val.New(v.Uint(), w)})
+				f.eff(vm.Effect{Kind: vm.EffVolWrite, A: vidx, Val: val.New(v.Uint(), w)})
 			}
 		}
 		slot := p.assignSlot[s]
@@ -212,14 +229,14 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 		}
 	case *ast.VolWrite:
 		vol := p.vols[n.Vol]
-		w := vol.decl.Elem.Width
+		vidx, w := int32(vol.idx), vol.decl.Elem.Width
 		rhs := c.expr(n.RHS)
 		return func(f *firing) {
 			v := rhs(f)
 			if f.stalled {
 				return
 			}
-			f.eff(effectRec{kind: effVolWrite, vol: vol, v: val.New(v.Uint(), w)})
+			f.eff(vm.Effect{Kind: vm.EffVolWrite, A: vidx, Val: val.New(v.Uint(), w)})
 		}
 	case *ast.If:
 		cond := c.expr(n.Cond)
@@ -252,20 +269,20 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			f.storeEArg(index, val.New(v.Uint(), w))
 		}
 	case *ast.SetGEF:
-		ps := c.ps
+		pidx := int32(c.ps.idx)
 		flag := n.Value
 		return func(f *firing) {
-			f.eff(effectRec{kind: effSetGEF, ps: ps, flag: flag})
+			f.eff(vm.Effect{Kind: vm.EffSetGEF, A: pidx, Flag: flag})
 		}
 	case *ast.PipeClear:
-		ps := c.ps
+		pidx := int32(c.ps.idx)
 		return func(f *firing) {
-			f.eff(effectRec{kind: effPipeClear, ps: ps, in: f.in})
+			f.eff(vm.Effect{Kind: vm.EffPipeClear, A: pidx})
 		}
 	case *ast.SpecClear:
-		ps := c.ps
+		pidx := int32(c.ps.idx)
 		return func(f *firing) {
-			f.eff(effectRec{kind: effSpecClear, ps: ps})
+			f.eff(vm.Effect{Kind: vm.EffSpecClear, A: pidx})
 		}
 	case *ast.Abort:
 		lock := m.memList[p.memWBind[s].lock]
@@ -275,21 +292,22 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 	case *ast.SpecCall:
 		return c.specCallStmt(n, s)
 	case *ast.Verify:
-		ps := c.ps
+		pidx := int32(c.ps.idx)
 		handle := c.expr(n.Handle)
 		return func(f *firing) {
 			h := handle(f).Uint()
-			f.eff(effectRec{kind: effVerify, ps: ps, h: h})
+			f.eff(vm.Effect{Kind: vm.EffVerify, A: pidx, H: h})
 		}
 	case *ast.Invalidate:
-		ps := c.ps
+		pidx := int32(c.ps.idx)
 		handle := c.expr(n.Handle)
 		return func(f *firing) {
 			h := handle(f).Uint()
-			f.eff(effectRec{kind: effInvalidate, ps: ps, h: h})
+			f.eff(vm.Effect{Kind: vm.EffInvalidate, A: pidx, H: h})
 		}
 	case *ast.SpecCheck:
 		ps := c.ps
+		pidx := int32(ps.idx)
 		return func(f *firing) {
 			in := f.in
 			if !in.spec {
@@ -299,13 +317,14 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			case specPending:
 				// Still speculative; keep executing speculatively.
 			case specVerified:
-				f.eff(effectRec{kind: effSpecResolve, ps: ps, in: in})
+				f.eff(vm.Effect{Kind: vm.EffSpecResolve, A: pidx})
 			case specInvalid:
 				f.die()
 			}
 		}
 	case *ast.SpecBarrier:
 		ps := c.ps
+		pidx := int32(ps.idx)
 		return func(f *firing) {
 			in := f.in
 			if !in.spec {
@@ -315,7 +334,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			case specPending:
 				f.stall()
 			case specVerified:
-				f.eff(effectRec{kind: effSpecResolve, ps: ps, in: in})
+				f.eff(vm.Effect{Kind: vm.EffSpecResolve, A: pidx})
 			case specInvalid:
 				f.die()
 			}
@@ -327,7 +346,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			if f.stalled {
 				return
 			}
-			f.eff(effectRec{kind: effReturn, callerIID: f.in.callerIID, resultVar: f.in.resultVar, vv: v})
+			f.eff(vm.Effect{Kind: vm.EffReturn, V: v})
 		}
 	case *ast.Throw:
 		return func(f *firing) { panic("sim: untranslated throw reached the simulator") }
@@ -418,30 +437,25 @@ func (c *compiler) callStmt(n *ast.Call) cStmt {
 		argsC[i] = c.expr(a)
 		paramW[i] = target.decl.Params[i].Type.BitWidth()
 	}
-	nargs := len(n.Args)
-	samePipe := n.Pipe == c.ps.name
-	resultVar := n.Result
+	nargs := int32(len(n.Args))
+	cross := n.Pipe != c.ps.name
+	str := m.plan.resultVar(n)
 	return func(f *firing) {
-		m := f.m
-		if len(target.entryQ)+m.spawnCnt[tidx] >= capQ {
+		e := &f.m.env
+		if len(target.entryQ)+e.SpawnCnt[tidx] >= capQ {
 			f.stall()
 			return
 		}
-		argOff := len(m.spawnArena)
+		argOff := int32(len(e.SpawnArgs))
 		for i, ae := range argsC {
 			v := ae(f)
 			if f.stalled {
 				return
 			}
-			m.spawnArena = append(m.spawnArena, val.New(v.Uint(), paramW[i]))
+			e.SpawnArgs = append(e.SpawnArgs, val.New(v.Uint(), paramW[i]))
 		}
-		f.addSpawnIdx(tidx)
-		if samePipe {
-			f.eff(effectRec{kind: effSpawn, ps: target, in: f.in, argOff: argOff, argN: nargs})
-			return
-		}
-		f.eff(effectRec{kind: effSpawn, ps: target, in: f.in, argOff: argOff, argN: nargs,
-			flag: true, resultVar: resultVar})
+		e.CountSpawn(tidx)
+		f.eff(vm.Effect{Kind: vm.EffSpawn, A: int32(tidx), ArgOff: argOff, ArgN: nargs, Flag: cross, Str: str})
 	}
 }
 
@@ -457,28 +471,28 @@ func (c *compiler) specCallStmt(n *ast.SpecCall, s ast.Stmt) cStmt {
 		argsC[i] = c.expr(a)
 		paramW[i] = ps.decl.Params[i].Type.BitWidth()
 	}
-	nargs := len(n.Args)
+	nargs := int32(len(n.Args))
 	return func(f *firing) {
-		m := f.m
-		if len(ps.entryQ)+m.spawnCnt[pidx] >= capQ {
+		e := &f.m.env
+		if len(ps.entryQ)+e.SpawnCnt[pidx] >= capQ {
 			f.stall()
 			return
 		}
-		argOff := len(m.spawnArena)
+		argOff := int32(len(e.SpawnArgs))
 		for i, ae := range argsC {
 			v := ae(f)
 			if f.stalled {
 				return
 			}
-			m.spawnArena = append(m.spawnArena, val.New(v.Uint(), paramW[i]))
+			e.SpawnArgs = append(e.SpawnArgs, val.New(v.Uint(), paramW[i]))
 		}
 		// Handle ids are consumed even if the firing later stalls — at
 		// exactly this point in both executors (see firing.specCall).
 		h := ps.specTab.nextHandle
 		ps.specTab.nextHandle++
 		f.setLocal(slot, Scalar(val.New(h, 48)))
-		f.addSpawnIdx(pidx)
-		f.eff(effectRec{kind: effSpecSpawn, ps: ps, in: f.in, argOff: argOff, argN: nargs, h: h})
+		e.CountSpawn(pidx)
+		f.eff(vm.Effect{Kind: vm.EffSpecSpawn, A: int32(pidx), ArgOff: argOff, ArgN: nargs, H: h})
 	}
 }
 
@@ -677,9 +691,9 @@ func (c *compiler) ident(n *ast.Ident) cExpr {
 	slot := b.slot
 	zero := c.ps.zeroes[slot]
 	return func(f *firing) V {
-		sc := &f.m.scratch
-		if sc.localEpoch[slot] == sc.epoch {
-			return sc.local[slot]
+		e := &f.m.env
+		if e.LocEp[slot] == e.Epoch {
+			return e.Loc[slot]
 		}
 		if sv := f.in.vars[slot]; sv.OK {
 			return sv.V
@@ -784,18 +798,18 @@ func (c *compiler) callExpr(n *ast.CallExpr) cExpr {
 	case "cat":
 		argsC := c.exprs(n.Args)
 		return func(f *firing) V {
-			m := f.m
-			base := len(m.extArgs)
+			e := &f.m.env
+			base := len(e.ExtArgs)
 			for _, ae := range argsC {
 				v := ae(f)
 				if f.stalled {
-					m.extArgs = m.extArgs[:base]
+					e.ExtArgs = e.ExtArgs[:base]
 					return Scalar(v.Val)
 				}
-				m.extArgs = append(m.extArgs, v.Val)
+				e.ExtArgs = append(e.ExtArgs, v.Val)
 			}
-			r := val.Cat(m.extArgs[base:]...)
-			m.extArgs = m.extArgs[:base]
+			r := val.Cat(e.ExtArgs[base:]...)
+			e.ExtArgs = e.ExtArgs[:base]
 			return Scalar(r)
 		}
 	case "lts", "les", "gts", "ges", "shra", "divs", "rems", "mulfull":
@@ -841,19 +855,19 @@ func (c *compiler) callExpr(n *ast.CallExpr) cExpr {
 			paramW[i] = decl.Params[i].Type.BitWidth()
 		}
 		inner := func(f *firing) V {
-			m := f.m
-			base := len(m.extArgs)
+			e := &f.m.env
+			base := len(e.ExtArgs)
 			for i, ae := range argsC {
 				v := ae(f)
 				if f.stalled {
-					m.extArgs = m.extArgs[:base]
+					e.ExtArgs = e.ExtArgs[:base]
 					return Scalar(val.New(0, paramW[i]))
 				}
-				m.extArgs = append(m.extArgs, val.New(v.Uint(), paramW[i]))
+				e.ExtArgs = append(e.ExtArgs, val.New(v.Uint(), paramW[i]))
 			}
-			end := len(m.extArgs)
-			r := ext(m.extArgs[base:end:end])
-			m.extArgs = m.extArgs[:base]
+			end := len(e.ExtArgs)
+			r := ext(e.ExtArgs[base:end:end])
+			e.ExtArgs = e.ExtArgs[:base]
 			return r
 		}
 		if m.faults == nil {

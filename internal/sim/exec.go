@@ -6,13 +6,14 @@ import (
 	"xpdl/internal/locks"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
+	"xpdl/internal/vm"
 )
 
 // firing is the atomic attempt to execute one stage for one instruction.
 // Lock operations run inside lock transactions; everything else is
 // buffered until the attempt succeeds. The machine owns a single firing
 // record (Machine.fr) that is reset per attempt, so the hot path never
-// allocates one.
+// allocates one. Every engine's stage body reports its outcome here.
 type firing struct {
 	m    *Machine
 	node *stageNode
@@ -20,16 +21,16 @@ type firing struct {
 
 	stalled bool
 	died    bool
+	// tookExc latches the lef value that selected a fork stage's arm
+	// (the arm itself may overwrite lef afterwards).
+	tookExc bool
 
 	// Combinational (=) and latched (<-) writes live in the machine's
-	// epoch-stamped slot scratch; see firingScratch.
+	// epoch-stamped slot scratch (Machine.env).
 	wroteAny bool
 
 	lef   bool
 	eargs []val.Value
-
-	dest      *stageNode // chosen continuation (fork overrides node.next)
-	destValid bool
 
 	funcEnv []map[string]V // interpreter-only: scoped in-language function envs
 
@@ -40,105 +41,84 @@ type firing struct {
 	freturned bool
 }
 
-// effKind discriminates buffered machine-level effects. Effects are
-// typed records in a reusable arena (Machine.effBuf) rather than
-// closures, so buffering them allocates nothing.
-type effKind uint8
+// eff buffers one machine-level effect. Effects are the vm package's
+// index-based records in the machine's reusable arena (Machine.env), so
+// buffering them allocates nothing and every engine's effects apply
+// through one applyEffects.
+func (f *firing) eff(e vm.Effect) { f.m.env.Effects = append(f.m.env.Effects, e) }
 
-const (
-	effVolWrite effKind = iota
-	effSetGEF
-	effPipeClear
-	effSpecClear
-	effVerify
-	effInvalidate
-	effSpecResolve
-	effRemoveInst
-	effReturn
-	effSpawn
-	effSpecSpawn
-)
-
-type effectRec struct {
-	kind      effKind
-	flag      bool         // effSetGEF value; effSpawn blocking
-	vol       *volatileReg // effVolWrite target
-	ps        *pipeState   // pipe whose gef/specTab/entryQ is affected
-	in        *inst        // self (pipeClear), victim (removeInst), spawner, resolvee
-	v         val.Value    // effVolWrite payload
-	vv        V            // effReturn payload
-	h         uint64       // speculation handle
-	argOff    int          // effSpawn/effSpecSpawn: offset into Machine.spawnArena
-	argN      int
-	callerIID uint64
-	resultVar string
-}
-
-func (f *firing) eff(e effectRec) { f.m.effBuf = append(f.m.effBuf, e) }
-
-// applyEffects commits the buffered machine-level effects in program
-// order; called only after every lock transaction committed.
-func (m *Machine) applyEffects() {
-	for i := 0; i < len(m.effBuf); i++ {
-		e := &m.effBuf[i]
-		switch e.kind {
-		case effVolWrite:
-			m.volVals[e.vol.idx] = e.v
-		case effSetGEF:
-			m.gefs[e.ps.idx] = e.flag
-		case effPipeClear:
-			m.pipeClear(e.ps, e.in)
-		case effSpecClear:
-			e.ps.specTab.clear()
-		case effVerify:
-			e.ps.specTab.verify(e.h)
-		case effInvalidate:
-			e.ps.specTab.set(e.h, specInvalid)
+// applyEffects commits a firing's buffered machine-level effects in
+// program order; called only after every lock transaction committed. A
+// death's instruction removal comes last: a body stops at the dying
+// statement, so no later effects exist.
+func (m *Machine) applyEffects(in *inst, died bool) {
+	e := &m.env
+	for i := range e.Effects {
+		ef := &e.Effects[i]
+		switch ef.Kind {
+		case vm.EffVolWrite:
+			m.volVals[ef.A] = ef.Val
+		case vm.EffSetGEF:
+			m.gefs[ef.A] = ef.Flag
+		case vm.EffPipeClear:
+			m.pipeClear(m.pipeList[ef.A], in)
+		case vm.EffSpecClear:
+			m.pipeList[ef.A].specTab.clear()
+		case vm.EffVerify:
+			m.pipeList[ef.A].specTab.verify(ef.H)
+		case vm.EffInvalidate:
+			m.pipeList[ef.A].specTab.set(ef.H, specInvalid)
 			for _, other := range m.snapshotAlive() {
-				if other.spec && other.specHandle == e.h {
+				if other.spec && other.specHandle == ef.H {
 					m.squash(other.iid)
 				}
 			}
-		case effSpecResolve:
-			e.in.spec = false
-			e.ps.specTab.del(e.in.specHandle)
-		case effRemoveInst:
-			m.removeInst(e.in)
-		case effReturn:
-			caller, alive := m.alive[e.callerIID]
+		case vm.EffSpecResolve:
+			in.spec = false
+			m.pipeList[ef.A].specTab.del(in.specHandle)
+		case vm.EffReturn:
+			caller, alive := m.alive[in.callerIID]
 			if !alive {
 				continue // caller was squashed or flushed; result is dropped
 			}
-			if e.resultVar != "" {
-				if slot, ok := caller.pipe.slotOf[e.resultVar]; ok {
-					caller.vars[slot] = slotVal{V: e.vv, OK: true}
+			if in.resultVar != "" {
+				if slot, ok := caller.pipe.slotOf[in.resultVar]; ok {
+					caller.vars[slot] = slotVal{V: ef.V, OK: true}
 				}
 			}
 			caller.waiting = nil
-		case effSpawn:
-			args := m.spawnArena[e.argOff : e.argOff+e.argN]
-			if e.flag { // blocking cross-pipe call
-				m.enqueue(e.ps, args, e.in.iid, false, 0, e.in.iid, e.resultVar)
-				if e.resultVar != "" {
-					e.in.waiting = &pendingCall{resultVar: e.resultVar, subPipe: e.ps.name}
+		case vm.EffSpawn:
+			ps := m.pipeList[ef.A]
+			args := e.SpawnArgs[ef.ArgOff : ef.ArgOff+ef.ArgN]
+			if ef.Flag { // blocking cross-pipe call
+				rv := ""
+				if ef.Str >= 0 {
+					rv = m.plan.resultVars[ef.Str]
+				}
+				m.enqueue(ps, args, in.iid, false, 0, in.iid, rv)
+				if rv != "" {
+					in.waiting = &pendingCall{resultVar: rv, subPipe: ps.name}
 				}
 			} else {
-				m.enqueue(e.ps, args, e.in.iid, false, 0, 0, "")
+				m.enqueue(ps, args, in.iid, false, 0, 0, "")
 			}
-		case effSpecSpawn:
-			e.ps.specTab.set(e.h, specPending)
-			m.enqueue(e.ps, m.spawnArena[e.argOff:e.argOff+e.argN], e.in.iid, true, e.h, 0, "")
+		case vm.EffSpecSpawn:
+			ps := m.pipeList[ef.A]
+			ps.specTab.set(ef.H, specPending)
+			m.enqueue(ps, e.SpawnArgs[ef.ArgOff:ef.ArgOff+ef.ArgN], in.iid, true, ef.H, 0, "")
 		}
+	}
+	if died {
+		m.removeInst(in)
 	}
 }
 
 // fire attempts to execute node's instruction for this cycle. It reports
 // whether the pipeline made progress (the stage fired or the instruction
-// died).
+// died). This is the one firing protocol of every engine; the engines
+// differ only in the stage body they run and in what their stage nodes
+// supply (the write-back slot list and whether to transact).
 func (m *Machine) fire(node *stageNode) bool {
-	if m.engine == engVM {
-		return m.fireVM(node)
-	}
 	in := node.cur
 	if in.waiting != nil {
 		return false // blocked on a sub-pipeline call
@@ -157,75 +137,59 @@ func (m *Machine) fire(node *stageNode) bool {
 		return false
 	}
 
-	m.scratch.epoch++
+	e := &m.env
+	e.Epoch++
 	f := &m.fr
 	f.node, f.in = node, in
-	f.stalled, f.died, f.wroteAny = false, false, false
+	f.stalled, f.died, f.tookExc, f.wroteAny = false, false, false, false
 	f.lef, f.eargs = in.lef, in.eargs
-	f.dest, f.destValid = nil, false
 	f.frame, f.fret, f.freturned = nil, V{}, false
 	f.funcEnv = f.funcEnv[:0]
-	m.effBuf = m.effBuf[:0]
-	m.spawnArena = m.spawnArena[:0]
-	for _, i := range m.spawnDirty {
-		m.spawnCnt[i] = 0
-	}
-	m.spawnDirty = m.spawnDirty[:0]
 	m.frameTop = 0
-	m.extArgs = m.extArgs[:0]
+	e.BeginFiring()
 
-	for _, l := range m.memList {
-		l.Begin()
+	if node.txn {
+		for _, l := range m.memList {
+			l.Begin()
+		}
 	}
-	if m.engine == engInterp {
-		f.exec(node.stmts)
-		if node.fork != nil && !f.stalled && !f.died {
-			if f.lef {
-				f.exec(node.fork.excStage0)
-				f.dest, f.destValid = node.fork.excNext, true
-			} else {
-				f.exec(node.fork.commitStage0)
-				f.dest, f.destValid = node.fork.commitNext, true
-			}
-		}
-	} else {
-		f.execC(node.code)
-		if node.fork != nil && !f.stalled && !f.died {
-			if f.lef {
-				f.execC(node.fork.excCode)
-				f.dest, f.destValid = node.fork.excNext, true
-			} else {
-				f.execC(node.fork.commitCode)
-				f.dest, f.destValid = node.fork.commitNext, true
-			}
-		}
+	switch m.engine {
+	case engVM:
+		m.execVM(f)
+	case engInterp:
+		f.execStage()
+	default:
+		f.execStageC()
 	}
 	if f.stalled {
-		for _, l := range m.memList {
-			l.Rollback()
+		if node.txn {
+			for _, l := range m.memList {
+				l.Rollback()
+			}
 		}
-		return f.died
+		return false
 	}
-	for _, l := range m.memList {
-		l.Commit()
+	if node.txn {
+		for _, l := range m.memList {
+			l.Commit()
+		}
 	}
 
 	// Apply buffered state: combinational then latched variable writes,
 	// exception flags, then machine-level effects in program order.
 	if f.wroteAny {
-		sc := &m.scratch
-		for slot := range in.vars {
-			if sc.localEpoch[slot] == sc.epoch {
-				in.vars[slot] = slotVal{V: sc.local[slot], OK: true}
+		for _, slot := range node.writes {
+			if e.LocEp[slot] == e.Epoch {
+				in.vars[slot] = slotVal{V: e.Loc[slot], OK: true}
 			}
-			if sc.pendEpoch[slot] == sc.epoch {
-				in.vars[slot] = slotVal{V: sc.pend[slot], OK: true}
+			if e.PendEp[slot] == e.Epoch {
+				in.vars[slot] = slotVal{V: e.Pend[slot], OK: true}
 			}
 		}
 	}
 	in.lef = f.lef
 	in.eargs = f.eargs
-	m.applyEffects()
+	m.applyEffects(in, f.died)
 	m.firings++
 
 	if f.died {
@@ -242,8 +206,12 @@ func (m *Machine) fire(node *stageNode) bool {
 	}
 
 	dest := node.next
-	if f.destValid {
-		dest = f.dest
+	if node.fork != nil {
+		if f.tookExc {
+			dest = node.fork.excNext
+		} else {
+			dest = node.fork.commitNext
+		}
 	}
 	node.cur = nil
 	if dest == nil {
@@ -257,43 +225,46 @@ func (m *Machine) fire(node *stageNode) bool {
 	return true
 }
 
+// execStage is the interpreter's stage body: the stage's statements,
+// then at a fork stage the arm lef selects.
+func (f *firing) execStage() {
+	node := f.node
+	f.exec(node.stmts)
+	if node.fork != nil && !f.stalled && !f.died {
+		f.tookExc = f.lef
+		if f.lef {
+			f.exec(node.fork.excStage0)
+		} else {
+			f.exec(node.fork.commitStage0)
+		}
+	}
+}
+
 func (f *firing) stall() { f.stalled = true }
 
 // setLocal records a combinational (=) write, visible immediately.
 func (f *firing) setLocal(slot int, v V) {
-	sc := &f.m.scratch
-	sc.local[slot] = v
-	sc.localEpoch[slot] = sc.epoch
+	e := &f.m.env
+	e.Loc[slot] = v
+	e.LocEp[slot] = e.Epoch
 	f.wroteAny = true
 }
 
 // setPend records a latched (<-) write, visible from the next stage.
 func (f *firing) setPend(slot int, v V) {
-	sc := &f.m.scratch
-	sc.pend[slot] = v
-	sc.pendEpoch[slot] = sc.epoch
+	e := &f.m.env
+	e.Pend[slot] = v
+	e.PendEp[slot] = e.Epoch
 	f.wroteAny = true
 }
 
 // getLocal reads back a combinational write from this firing.
 func (f *firing) getLocal(slot int) (V, bool) {
-	sc := &f.m.scratch
-	if sc.localEpoch[slot] == sc.epoch {
-		return sc.local[slot], true
+	e := &f.m.env
+	if e.LocEp[slot] == e.Epoch {
+		return e.Loc[slot], true
 	}
 	return V{}, false
-}
-
-// spawnCountIdx / addSpawnIdx track per-firing spawns by pipe index so
-// entry-queue capacity checks see this firing's own buffered spawns.
-func (f *firing) spawnCountIdx(idx int) int { return f.m.spawnCnt[idx] }
-
-func (f *firing) addSpawnIdx(idx int) {
-	m := f.m
-	if m.spawnCnt[idx] == 0 {
-		m.spawnDirty = append(m.spawnDirty, idx)
-	}
-	m.spawnCnt[idx]++
 }
 
 // ---------------------------------------------------------------------------
@@ -327,7 +298,7 @@ func (f *firing) stmt(s ast.Stmt) {
 			if f.stalled {
 				return
 			}
-			f.eff(effectRec{kind: effVolWrite, vol: vol, v: v})
+			f.eff(vm.Effect{Kind: vm.EffVolWrite, A: int32(vol.idx), Val: v})
 			return
 		}
 		v := f.eval(n.RHS)
@@ -353,7 +324,7 @@ func (f *firing) stmt(s ast.Stmt) {
 		if f.stalled {
 			return
 		}
-		f.eff(effectRec{kind: effVolWrite, vol: vol, v: v})
+		f.eff(vm.Effect{Kind: vm.EffVolWrite, A: int32(vol.idx), Val: v})
 	case *ast.If:
 		c := f.eval(n.Cond)
 		if f.stalled {
@@ -377,11 +348,11 @@ func (f *firing) stmt(s ast.Stmt) {
 		}
 		f.storeEArg(n.Index, v)
 	case *ast.SetGEF:
-		f.eff(effectRec{kind: effSetGEF, ps: f.node.pipe, flag: n.Value})
+		f.eff(vm.Effect{Kind: vm.EffSetGEF, A: int32(f.node.pipe.idx), Flag: n.Value})
 	case *ast.PipeClear:
-		f.eff(effectRec{kind: effPipeClear, ps: f.node.pipe, in: in})
+		f.eff(vm.Effect{Kind: vm.EffPipeClear, A: int32(f.node.pipe.idx)})
 	case *ast.SpecClear:
-		f.eff(effectRec{kind: effSpecClear, ps: f.node.pipe})
+		f.eff(vm.Effect{Kind: vm.EffSpecClear, A: int32(f.node.pipe.idx)})
 	case *ast.Abort:
 		m.memList[m.plan.memWBind[s].lock].Abort()
 	case *ast.Call:
@@ -390,10 +361,10 @@ func (f *firing) stmt(s ast.Stmt) {
 		f.specCall(n)
 	case *ast.Verify:
 		h := f.eval(n.Handle).Uint()
-		f.eff(effectRec{kind: effVerify, ps: f.node.pipe, h: h})
+		f.eff(vm.Effect{Kind: vm.EffVerify, A: int32(f.node.pipe.idx), H: h})
 	case *ast.Invalidate:
 		h := f.eval(n.Handle).Uint()
-		f.eff(effectRec{kind: effInvalidate, ps: f.node.pipe, h: h})
+		f.eff(vm.Effect{Kind: vm.EffInvalidate, A: int32(f.node.pipe.idx), H: h})
 	case *ast.SpecCheck:
 		if !in.spec {
 			return
@@ -402,7 +373,7 @@ func (f *firing) stmt(s ast.Stmt) {
 		case specPending:
 			// Still speculative; keep executing speculatively.
 		case specVerified:
-			f.eff(effectRec{kind: effSpecResolve, ps: f.node.pipe, in: in})
+			f.eff(vm.Effect{Kind: vm.EffSpecResolve, A: int32(f.node.pipe.idx)})
 		case specInvalid:
 			f.die()
 		}
@@ -414,7 +385,7 @@ func (f *firing) stmt(s ast.Stmt) {
 		case specPending:
 			f.stall()
 		case specVerified:
-			f.eff(effectRec{kind: effSpecResolve, ps: f.node.pipe, in: in})
+			f.eff(vm.Effect{Kind: vm.EffSpecResolve, A: int32(f.node.pipe.idx)})
 		case specInvalid:
 			f.die()
 		}
@@ -423,7 +394,7 @@ func (f *firing) stmt(s ast.Stmt) {
 		if f.stalled {
 			return
 		}
-		f.eff(effectRec{kind: effReturn, callerIID: in.callerIID, resultVar: in.resultVar, vv: v})
+		f.eff(vm.Effect{Kind: vm.EffReturn, V: v})
 	case *ast.Throw:
 		panic("sim: untranslated throw reached the simulator")
 	case *ast.StageSep:
@@ -449,13 +420,11 @@ func (f *firing) storeEArg(index int, v val.Value) {
 // invalidate squashes the wrong-path instruction the moment it resolves,
 // before the victim can fire another stage — these arms are defensive:
 // they would matter under deferred squashing, where victims self-
-// terminate at their next check point. The removal effect squashes the
-// instruction's lock reservations wholesale, covering anything staged
-// earlier in this firing.
-func (f *firing) die() {
-	f.died = true
-	f.eff(effectRec{kind: effRemoveInst, in: f.in})
-}
+// terminate at their next check point. The removal, applied after the
+// firing's effects (applyEffects), squashes the instruction's lock
+// reservations wholesale, covering anything staged earlier in this
+// firing.
+func (f *firing) die() { f.died = true }
 
 func (f *firing) lockOp(n *ast.Lock) {
 	in := f.in
@@ -496,44 +465,45 @@ func (f *firing) lockOp(n *ast.Lock) {
 func (f *firing) call(n *ast.Call) {
 	m := f.m
 	in := f.in
+	e := &m.env
 	target := m.pipe(n.Pipe)
-	if len(target.entryQ)+f.spawnCountIdx(target.idx) >= m.cfg.EntryCap {
+	if len(target.entryQ)+e.SpawnCnt[target.idx] >= m.cfg.EntryCap {
 		f.stall()
 		return
 	}
-	argOff := len(m.spawnArena)
+	argOff := int32(len(e.SpawnArgs))
 	for i, a := range n.Args {
 		v := f.evalScalar(a, target.decl.Params[i].Type.BitWidth())
 		if f.stalled {
 			return
 		}
-		m.spawnArena = append(m.spawnArena, v)
+		e.SpawnArgs = append(e.SpawnArgs, v)
 	}
-	f.addSpawnIdx(target.idx)
+	e.CountSpawn(target.idx)
 	if n.Pipe == in.pipe.name {
-		f.eff(effectRec{kind: effSpawn, ps: target, in: in, argOff: argOff, argN: len(n.Args)})
+		f.eff(vm.Effect{Kind: vm.EffSpawn, A: int32(target.idx), ArgOff: argOff, ArgN: int32(len(n.Args)), Str: -1})
 		return
 	}
 	// Blocking sub-pipeline call.
-	f.eff(effectRec{kind: effSpawn, ps: target, in: in, argOff: argOff, argN: len(n.Args),
-		flag: true, resultVar: n.Result})
+	f.eff(vm.Effect{Kind: vm.EffSpawn, A: int32(target.idx), ArgOff: argOff, ArgN: int32(len(n.Args)),
+		Flag: true, Str: m.plan.resultVar(n)})
 }
 
 func (f *firing) specCall(n *ast.SpecCall) {
 	m := f.m
-	in := f.in
+	e := &m.env
 	ps := f.node.pipe
-	if len(ps.entryQ)+f.spawnCountIdx(ps.idx) >= m.cfg.EntryCap {
+	if len(ps.entryQ)+e.SpawnCnt[ps.idx] >= m.cfg.EntryCap {
 		f.stall()
 		return
 	}
-	argOff := len(m.spawnArena)
+	argOff := int32(len(e.SpawnArgs))
 	for i, a := range n.Args {
 		v := f.evalScalar(a, ps.decl.Params[i].Type.BitWidth())
 		if f.stalled {
 			return
 		}
-		m.spawnArena = append(m.spawnArena, v)
+		e.SpawnArgs = append(e.SpawnArgs, v)
 	}
 	// Handle ids are consumed even if the firing later stalls; ids are
 	// plentiful and stale pending entries are unreachable. The handle
@@ -542,8 +512,8 @@ func (f *firing) specCall(n *ast.SpecCall) {
 	h := ps.specTab.nextHandle
 	ps.specTab.nextHandle++
 	f.setLocal(f.m.plan.assignSlot[ast.Stmt(n)], Scalar(val.New(h, 48)))
-	f.addSpawnIdx(ps.idx)
-	f.eff(effectRec{kind: effSpecSpawn, ps: ps, in: in, argOff: argOff, argN: len(n.Args), h: h})
+	e.CountSpawn(ps.idx)
+	f.eff(vm.Effect{Kind: vm.EffSpecSpawn, A: int32(ps.idx), ArgOff: argOff, ArgN: int32(len(n.Args)), H: h})
 }
 
 // pipeClear implements the translated pipeclear: every instruction in the

@@ -53,6 +53,11 @@ type Plan struct {
 	assignSlot map[ast.Stmt]int         // Assign/SpecCall target slots
 	assignVol  map[ast.Stmt]*volatileReg
 	fieldIdx   map[*ast.FieldAccess]fieldRef
+	// callResult maps each cross-pipe call that names a result variable
+	// to that name's index in resultVars: the Str of its spawn effect,
+	// for every engine.
+	callResult map[*ast.Call]int32
+	resultVars []string
 
 	vmOnce sync.Once
 	vmProg *vm.Program
@@ -79,6 +84,9 @@ type pipePlan struct {
 	// paramW and paramSlot are each declared parameter's bit width and
 	// slot, for the enqueue of every spawned instruction.
 	paramW, paramSlot []int
+	// allSlots lists every slot once: the write-back of the executors
+	// that do not track which slots a stage writes walks it.
+	allSlots []int32
 }
 
 // nodePlan is one stage node's shape.
@@ -120,6 +128,7 @@ func NewPlan(info *check.Info, trs map[string]*core.Result) (*Plan, error) {
 		assignSlot: make(map[ast.Stmt]int),
 		assignVol:  make(map[ast.Stmt]*volatileReg),
 		fieldIdx:   make(map[*ast.FieldAccess]fieldRef),
+		callResult: make(map[*ast.Call]int32),
 	}
 	for name, c := range info.Consts {
 		w := c.Width
@@ -247,7 +256,7 @@ func (pp *pipePlan) instantiate() *pipeState {
 	nodes := make([]stageNode, len(pp.graph))
 	ps.nodes = make([]*stageNode, len(pp.graph))
 	for i, np := range pp.graph {
-		nodes[i] = stageNode{nodePlan: np, pipe: ps}
+		nodes[i] = stageNode{nodePlan: np, pipe: ps, writes: pp.allSlots, txn: true}
 		ps.nodes[i] = &nodes[i]
 	}
 	at := func(pos int) *stageNode {
@@ -291,15 +300,6 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	var engine uint8
-	switch engName {
-	case "interp":
-		engine = engInterp
-	case "vm":
-		engine = engVM
-	default:
-		engine = engClosure
-	}
 	cfg.Engine = engName
 	for _, e := range p.info.Prog.Externs {
 		if cfg.Externs[e.Name] == nil {
@@ -317,8 +317,8 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 		volVals:   append([]val.Value(nil), p.volZero...),
 		pipeList:  make([]*pipeState, len(p.pipes)),
 		gefs:      make([]bool, len(p.pipes)),
-		spawnCnt:  make([]int, len(p.pipes)),
 	}
+	m.env.SpawnCnt = make([]int, len(p.pipes))
 	for _, b := range p.mems {
 		md := b.decl
 		switch md.Lock {
@@ -335,18 +335,23 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 	for i, pp := range p.pipes {
 		m.pipeList[i] = pp.instantiate()
 	}
-	m.scratch.grow(p.maxSlots)
+	n := p.maxSlots
+	m.env.Loc, m.env.LocEp = make([]V, n), make([]uint32, n)
+	m.env.Pend, m.env.PendEp = make([]V, n), make([]uint32, n)
 	m.faults = cfg.Faults
 	m.watchdog = cfg.WatchdogCycles
 	if m.watchdog == 0 {
 		m.watchdog = defaultWatchdog
 	}
 	m.fr.m = m
-	m.engine = engine
-	switch engine {
-	case engClosure:
+	switch engName {
+	case "closure":
+		m.engine = engClosure
 		m.compileAll()
-	case engVM:
+	case "interp":
+		m.engine = engInterp
+	case "vm":
+		m.engine = engVM
 		m.vmProg = p.vmProgram()
 		m.initVMEnv()
 	}
@@ -368,9 +373,11 @@ func (p *Plan) buildSlots(pp *pipePlan) {
 	pp.slotOf = make(map[string]int, len(names))
 	pp.zeroes = make([]V, len(names))
 	pp.recFields = make(map[string][]string)
+	pp.allSlots = make([]int32, len(names))
 	for i, name := range names {
 		t := pi.Vars[name]
 		pp.slotOf[name] = i
+		pp.allSlots[i] = int32(i)
 		pp.zeroes[i] = zeroOfType(t)
 		if t.Kind == ast.TRecord {
 			fields := make([]string, 0, len(t.Fields))
@@ -448,6 +455,9 @@ func (p *Plan) resolveStmt(pp *pipePlan, s ast.Stmt) {
 			p.resolveExpr(pp, a)
 		}
 	case *ast.Call:
+		if n.Pipe != pp.name && n.Result != "" {
+			p.callResult[n] = p.internResult(n.Result)
+		}
 		for _, a := range n.Args {
 			p.resolveExpr(pp, a)
 		}
@@ -472,6 +482,26 @@ func (p *Plan) resolveStmt(pp *pipePlan, s ast.Stmt) {
 		p.resolveStmts(pp, n.Commit)
 		p.resolveStmts(pp, n.Except)
 	}
+}
+
+// internResult returns name's index in resultVars, adding it once.
+func (p *Plan) internResult(name string) int32 {
+	for i, rv := range p.resultVars {
+		if rv == name {
+			return int32(i)
+		}
+	}
+	p.resultVars = append(p.resultVars, name)
+	return int32(len(p.resultVars) - 1)
+}
+
+// resultVar gives a call's index in resultVars, -1 for a same-pipe
+// spawn or a call without a result variable.
+func (p *Plan) resultVar(n *ast.Call) int32 {
+	if i, ok := p.callResult[n]; ok {
+		return i
+	}
+	return -1
 }
 
 func (p *Plan) resolveExpr(pp *pipePlan, e ast.Expr) {

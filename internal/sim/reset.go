@@ -11,8 +11,8 @@ package sim
 // occupancy, entry queues, speculation tables, gefs and counters are
 // cleared; every lock and plain memory is zeroed; volatiles go back to
 // their typed zeroes; device hooks and the trace writer are removed;
-// the retirement trace and the vm arenas are truncated. Slices returned
-// by Retired before the Reset must not be used after it.
+// the retirement trace is truncated. Slices returned by Retired before
+// the Reset must not be used after it.
 //
 // Reset never goes through Save/Restore, which would encode and decode
 // the whole instruction memory: it costs a few clears.
@@ -60,13 +60,8 @@ func (m *Machine) Reset() {
 	// resets what it uses. The slot stamps restart with the epoch, so a
 	// pooled machine's epoch counts only its current run, as a fresh
 	// machine's does.
-	sc := &m.scratch
-	clear(sc.localEpoch)
-	clear(sc.pendEpoch)
-	sc.epoch = 0
-	if m.engine == engVM {
-		e := &m.vmEnv
-		clear(e.Regs)
-		e.Effects, e.SpawnArgs, e.ExtArgs = e.Effects[:0], e.SpawnArgs[:0], e.ExtArgs[:0]
-	}
+	e := &m.env
+	clear(e.LocEp)
+	clear(e.PendEp)
+	e.Epoch = 0
 }

@@ -124,8 +124,11 @@ type Config struct {
 	RenamingExtra int
 	// EntryCap bounds each pipeline's entry queue (default 8).
 	EntryCap int
-	// TraceRetirements keeps the full retirement trace (default true
-	// behaviour is controlled by the caller reading Retired).
+	// MaxTrace caps the stored retirement trace: once it holds MaxTrace
+	// entries, later retirements are not recorded (TraceFull reports
+	// it). 0 or less selects the default, 1<<20. Retired, and whatever
+	// is computed from it (designs.Processor's RetiredCount and CPI),
+	// sees only the capped trace.
 	MaxTrace int
 	// Engine selects the executor: "closure" (the compile-once stage
 	// executor, the default), "interp" (the per-cycle AST interpreter,
@@ -216,24 +219,17 @@ type Machine struct {
 	deviceWakes []func(cycle int) int
 	traceW      io.Writer
 
-	scratch firingScratch
-
 	// Compiled function plans (closure engine only).
 	funcPlans map[string]*funcPlan
 
 	// Hot-path arenas, all reused across firings so the steady-state
-	// cycle loop allocates nothing: the single firing record, the typed
-	// effect buffer, spawn argument storage, per-pipe spawn counters,
-	// in-language function frames, extern argument scratch, the
-	// instruction free list, and the retirement-args arena.
+	// cycle loop allocates nothing: the single firing record, in-language
+	// function frames (closure engine), the instruction free list, and
+	// the retirement-args arena. The per-firing effect, spawn and extern
+	// arenas live in env.
 	fr         firing
-	effBuf     []effectRec
-	spawnArena []val.Value
-	spawnCnt   []int
-	spawnDirty []int
 	frameArena []V
 	frameTop   int
-	extArgs    []val.Value
 	instPool   []*inst
 	retArgs    []val.Value
 	snapBuf    []*inst
@@ -251,12 +247,15 @@ type Machine struct {
 	watchdog int           // idle-cycle limit; <= 0 disables the watchdog
 	failed   error         // sticky *InternalError after a recovered panic
 
-	// Bytecode engine state (engine == engVM): the plan's shared
-	// immutable Program and this machine's dispatch environment, wired to
-	// the machine's own arenas and struct-of-arrays state (see vmexec.go).
+	// env holds the per-firing state every engine fills: the
+	// epoch-stamped slot scratch of combinational (=) and latched (<-)
+	// writes, which never needs clearing, and the effect, spawn and
+	// extern arenas. Under the vm engine it is also the dispatch
+	// environment, wired to the machine's struct-of-arrays state (see
+	// vmexec.go), and vmProg is the plan's shared immutable Program.
 	engine uint8
+	env    vm.Env
 	vmProg *vm.Program
-	vmEnv  vm.Env
 }
 
 // pushFrame reserves n slots on the function-frame arena and returns
@@ -303,26 +302,6 @@ type memBinding struct {
 	plain int // index into Machine.plainList; -1 for locked memories
 }
 
-// firingScratch is the per-machine reusable combinational/latched write
-// buffer, stamped by epoch so it never needs clearing.
-type firingScratch struct {
-	local      []V
-	localEpoch []uint32
-	pend       []V
-	pendEpoch  []uint32
-	epoch      uint32
-}
-
-func (fs *firingScratch) grow(n int) {
-	if n <= len(fs.local) {
-		return
-	}
-	fs.local = make([]V, n)
-	fs.localEpoch = make([]uint32, n)
-	fs.pend = make([]V, n)
-	fs.pendEpoch = make([]uint32, n)
-}
-
 // pipeState is one machine's instance of a pipeline: the plan's shape
 // plus occupancy, the entry queue and the speculation table.
 type pipeState struct {
@@ -350,6 +329,12 @@ type stageNode struct {
 	next *stageNode // linear successor; nil means retire
 	fork *forkInfo  // non-nil on the translated final body stage
 	cur  *inst
+
+	// What the engine supplies to fire besides the stage body: the
+	// slots a firing's write-back visits, and whether the firing runs in
+	// lock transactions.
+	writes []int32
+	txn    bool
 }
 
 func (n *stageNode) label() string {

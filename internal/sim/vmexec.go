@@ -1,14 +1,11 @@
 // The bytecode-engine bridge (Config.Engine "vm"): compiles the design
 // to one shared vm.Program, wires the machine's struct-of-arrays state
-// into a vm.Env, and runs firings through the dispatch loop while
-// reusing the machine's own effect application, write-back and
-// squash/spawn machinery — so the engines differ only in how a stage's
+// into its vm.Env, and supplies the vm's stage body to the one firing
+// protocol (Machine.fire) — so the engines differ only in how a stage's
 // statements execute, never in what a firing means.
 package sim
 
 import (
-	"fmt"
-
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/vm"
 )
@@ -100,6 +97,7 @@ func (p *Plan) compileVM() *vm.Program {
 			pp := p.pipes[p.pipeIdx[name]]
 			return vm.PipeRef{Idx: pp.idx, ParamW: paramW(pp.decl.Params)}
 		},
+		ResultVar: func(n *ast.Call) int { return int(p.resultVar(n)) },
 	}
 
 	c := vm.NewCompiler(h, p.nstages)
@@ -123,17 +121,14 @@ func (p *Plan) compileVM() *vm.Program {
 	return c.Finish()
 }
 
-// initVMEnv wires the dispatch environment to the machine's arenas and
-// struct-of-arrays state. This happens once: the referenced slices are
-// fully sized by Plan.New (scratch to the plan's widest slot layout,
-// gefs/volVals per declaration), and Restore mutates them in place.
+// initVMEnv wires the dispatch environment to the machine's
+// struct-of-arrays state, and hands each stage node what its compiled
+// stage supplies to the firing protocol. This happens once: the
+// referenced slices are fully sized by Plan.New (gefs/volVals per
+// declaration), and Restore mutates them in place.
 func (m *Machine) initVMEnv() {
-	e := &m.vmEnv
+	e := &m.env
 	e.Regs = make([]vm.V, m.vmProg.MaxStageRegs+64)
-	e.Loc = m.scratch.local
-	e.LocEp = m.scratch.localEpoch
-	e.Pend = m.scratch.pend
-	e.PendEp = m.scratch.pendEpoch
 	e.Gefs = m.gefs
 	e.Vols = m.volVals
 	e.Mems = m.memList
@@ -148,7 +143,18 @@ func (m *Machine) initVMEnv() {
 	}
 	e.Host = vmHost{m}
 	e.EntryCap = m.cfg.EntryCap
-	e.SpawnCnt = make([]int, len(m.pipeList))
+	// Stages whose analysis proved no execution can stall at or after a
+	// lock mutation (StageProg.NeedsTxn) skip Begin/Commit entirely: a
+	// successful firing applies the same mutations either way, and a
+	// stalling one has nothing to roll back. Write-back visits only the
+	// slots the stage's code can write.
+	for _, ps := range m.pipeList {
+		for _, n := range ps.nodes {
+			sp := &m.vmProg.Stages[n.gid]
+			n.writes = sp.Writes
+			n.txn = sp.NeedsTxn || (m.faults != nil && sp.NeedsTxnFaults)
+		}
+	}
 }
 
 // vmHost exposes the two pieces of machine state the dispatch loop
@@ -164,37 +170,12 @@ func (h vmHost) NextSpecHandle(pipe int) uint64 {
 	return v
 }
 
-// fireVM is fire() for the bytecode engine: the same firing protocol —
-// waiting/fault/occupancy preconditions, lock transactions, write-back,
-// effects, destination choice — around a bytecode Exec instead of a
-// closure or AST walk. One engine-specific refinement: stages whose
-// analysis proved no execution can stall at or after a lock mutation
-// (StageProg.NeedsTxn) skip Begin/Commit entirely — a successful firing
-// applies the same mutations either way, and a stalling one has nothing
-// to roll back.
-func (m *Machine) fireVM(node *stageNode) bool {
-	in := node.cur
-	if in.waiting != nil {
-		return false // blocked on a sub-pipeline call
-	}
-	if m.faults != nil && m.faults.StallStage(m.cycle, node.gid) {
-		return false // injected structural stall: timing-only, no trace
-	}
-	if node.fork != nil {
-		if node.fork.commitNext != nil && node.fork.commitNext.cur != nil {
-			return false
-		}
-	} else if node.next != nil && node.next.cur != nil {
-		return false
-	}
-
-	// Identify the firing for panic attribution (see Machine.Step).
-	m.fr.node, m.fr.in = node, in
-
-	sp := &m.vmProg.Stages[node.gid]
-	m.scratch.epoch++
-	e := &m.vmEnv
-	e.Epoch = m.scratch.epoch
+// execVM is the vm engine's stage body: it loads the firing's inputs
+// into the dispatch environment, runs the compiled stage, and reports
+// the outcome in the firing record.
+func (m *Machine) execVM(f *firing) {
+	node, in := f.node, f.in
+	e := &m.env
 	e.Vars = in.vars
 	e.Zero = node.pipe.zeroes
 	e.EArgs = in.eargs
@@ -206,147 +187,7 @@ func (m *Machine) fireVM(node *stageNode) bool {
 	if in.spec {
 		e.SpecStatus = uint8(node.pipe.specTab.status(in.specHandle))
 	}
-	e.Stalled, e.Died, e.WroteAny = false, false, false
-	e.Effects = e.Effects[:0]
-	e.SpawnArgs = e.SpawnArgs[:0]
-	e.ExtArgs = e.ExtArgs[:0]
-	for _, i := range e.SpawnDirty {
-		e.SpawnCnt[i] = 0
-	}
-	e.SpawnDirty = e.SpawnDirty[:0]
-
-	needsTxn := sp.NeedsTxn || (m.faults != nil && sp.NeedsTxnFaults)
-	if needsTxn {
-		for _, l := range m.memList {
-			l.Begin()
-		}
-	}
-	e.Exec(m.vmProg, sp)
-	if e.Stalled {
-		if needsTxn {
-			for _, l := range m.memList {
-				l.Rollback()
-			}
-		}
-		return false
-	}
-	if needsTxn {
-		for _, l := range m.memList {
-			l.Commit()
-		}
-	}
-
-	if e.WroteAny {
-		sc := &m.scratch
-		for _, slot := range sp.Writes {
-			if sc.localEpoch[slot] == sc.epoch {
-				in.vars[slot] = slotVal{V: sc.local[slot], OK: true}
-			}
-			if sc.pendEpoch[slot] == sc.epoch {
-				in.vars[slot] = slotVal{V: sc.pend[slot], OK: true}
-			}
-		}
-	}
-	in.lef = e.Lef
-	in.eargs = e.EArgs
-	m.applyVMEffects(in, e)
-	m.firings++
-
-	if e.Died {
-		if node.cur == in {
-			node.cur = nil
-		}
-		if obs := m.cfg.Observer; obs != nil {
-			obs.InstKilled(node.pipe.name, node.pos, -1)
-		}
-		return true
-	}
-	if obs := m.cfg.Observer; obs != nil {
-		obs.StageFired(node.pipe.name, node.pos)
-	}
-
-	dest := node.next
-	if node.fork != nil {
-		if e.TookExc {
-			dest = node.fork.excNext
-		} else {
-			dest = node.fork.commitNext
-		}
-	}
-	node.cur = nil
-	if dest == nil {
-		m.retire(in, node)
-		return true
-	}
-	if dest.cur != nil {
-		panic(fmt.Sprintf("sim: %s destination %s occupied by iid=%d", node.label(), dest.label(), dest.cur.iid))
-	}
-	dest.cur = in
-	return true
-}
-
-// applyVMEffects commits a vm firing's deferred mutations in program
-// order, through the same machine entry points applyEffects uses. A
-// death's instruction removal always comes last (the dispatch loop
-// aborts at the dying instruction, so no later effects exist).
-func (m *Machine) applyVMEffects(in *inst, e *vm.Env) {
-	strs := m.vmProg.Strs
-	for i := range e.Effects {
-		ef := &e.Effects[i]
-		switch ef.Kind {
-		case vm.EffVolWrite:
-			m.volVals[ef.A] = ef.Val
-		case vm.EffSetGEF:
-			m.gefs[ef.A] = ef.Flag
-		case vm.EffPipeClear:
-			m.pipeClear(m.pipeList[ef.A], in)
-		case vm.EffSpecClear:
-			m.pipeList[ef.A].specTab.clear()
-		case vm.EffVerify:
-			m.pipeList[ef.A].specTab.verify(ef.H)
-		case vm.EffInvalidate:
-			m.pipeList[ef.A].specTab.set(ef.H, specInvalid)
-			for _, other := range m.snapshotAlive() {
-				if other.spec && other.specHandle == ef.H {
-					m.squash(other.iid)
-				}
-			}
-		case vm.EffSpecResolve:
-			in.spec = false
-			m.pipeList[ef.A].specTab.del(in.specHandle)
-		case vm.EffReturn:
-			caller, alive := m.alive[in.callerIID]
-			if !alive {
-				continue // caller was squashed or flushed; result is dropped
-			}
-			if in.resultVar != "" {
-				if slot, ok := caller.pipe.slotOf[in.resultVar]; ok {
-					caller.vars[slot] = slotVal{V: ef.V, OK: true}
-				}
-			}
-			caller.waiting = nil
-		case vm.EffSpawn:
-			ps := m.pipeList[ef.A]
-			args := e.SpawnArgs[ef.ArgOff : ef.ArgOff+ef.ArgN]
-			if ef.Flag { // blocking cross-pipe call
-				rv := ""
-				if ef.Str >= 0 {
-					rv = strs[ef.Str]
-				}
-				m.enqueue(ps, args, in.iid, false, 0, in.iid, rv)
-				if rv != "" {
-					in.waiting = &pendingCall{resultVar: rv, subPipe: ps.name}
-				}
-			} else {
-				m.enqueue(ps, args, in.iid, false, 0, 0, "")
-			}
-		case vm.EffSpecSpawn:
-			ps := m.pipeList[ef.A]
-			ps.specTab.set(ef.H, specPending)
-			m.enqueue(ps, e.SpawnArgs[ef.ArgOff:ef.ArgOff+ef.ArgN], in.iid, true, ef.H, 0, "")
-		}
-	}
-	if e.Died {
-		m.removeInst(in)
-	}
+	e.Exec(m.vmProg, &m.vmProg.Stages[node.gid])
+	f.stalled, f.died, f.wroteAny, f.tookExc = e.Stalled, e.Died, e.WroteAny, e.TookExc
+	f.lef, f.eargs = e.Lef, e.EArgs
 }

@@ -90,6 +90,9 @@ type Hooks struct {
 	Extern func(name string) (ExternRef, bool)
 	// Pipe resolves a spawn target pipeline by name.
 	Pipe func(name string) PipeRef
+	// ResultVar gives a cross-pipe call's result variable as an index
+	// into the host's name table (EffSpawn's Str), -1 for none.
+	ResultVar func(n *ast.Call) int
 }
 
 // StageCtx is the per-stage compilation context.
@@ -547,7 +550,7 @@ func (sc *segc) stmt(s ast.Stmt) {
 		var imm uint64
 		if cross {
 			imm = 1
-			str = int16(sc.c.intern(n.Result))
+			str = int16(h.ResultVar(n))
 		}
 		sc.emit(Instr{Op: OpSpawn, A: int32(pr.Idx), B: int16(len(n.Args)), C: str, Imm: imm})
 	case *ast.SpecCall:

@@ -1,7 +1,8 @@
 // The bytecode dispatch loop. One Env per machine holds the
-// struct-of-arrays state a firing touches; the hot arenas (stage-local
-// slot writes, spawn args, extern scratch) are shared with the host
-// simulator so its write-back and effect machinery applies unchanged.
+// struct-of-arrays state a firing touches. Its per-firing arenas
+// (effects, spawn args and counts, extern scratch) are the machine's
+// only ones: the host's other executors fill them too, so one
+// write-back and one effect applier serve every engine.
 //
 // Stall/death discipline: the loop aborts instantly at the instruction
 // that stalls or dies. This is equivalent to the closure executor's
@@ -18,18 +19,18 @@ import (
 
 // Env is the mutable state one machine exposes to the dispatch loop.
 // The host sets the per-firing fields (Vars..SpecStatus) before Exec and
-// reads the result flags (Stalled, Died, WroteAny, Lef, EArgs) after.
-// Slices documented as shared alias the host's arenas; append-growing
-// ones (SpawnArgs, SpawnDirty, ExtArgs) must be copied back by the host
-// after Exec since append may reallocate.
+// reads the result flags (Stalled, Died, WroteAny, TookExc, Lef, EArgs)
+// after. Slices documented as shared alias the host's state. The
+// arenas (SpawnCnt..Effects) belong to the Env, and the host reads and
+// fills them in place; BeginFiring empties them.
 type Env struct {
 	// Regs is the register file. Stage code runs in window [0,NRegs);
 	// in-language function calls stack windows above the caller's.
 	Regs []V
 
-	// Stage-local and latched (next-stage) slot writes, shared with the
-	// host's firing scratch: a slot is live when its epoch stamp equals
-	// Epoch.
+	// Stage-local and latched (next-stage) slot writes: the host's one
+	// firing scratch, which every executor writes. A slot is live when
+	// its epoch stamp equals Epoch; the host bumps Epoch per firing.
 	Loc    []V
 	LocEp  []uint32
 	Pend   []V
@@ -50,11 +51,11 @@ type Env struct {
 	Faults  FaultInjector // nil when fault injection is off
 	Host    Host
 
-	SpawnCnt   []int       // per-pipe spawns this firing (shared)
-	SpawnDirty []int       // pipes with non-zero SpawnCnt (shared)
-	SpawnArgs  []val.Value // spawn argument arena (shared)
-	ExtArgs    []val.Value // extern/cat scratch arena (shared)
-	Effects    []Effect    // deferred mutations, translated by the host
+	SpawnCnt   []int       // per-pipe spawns this firing
+	SpawnDirty []int       // pipes with non-zero SpawnCnt
+	SpawnArgs  []val.Value // spawn argument arena
+	ExtArgs    []val.Value // extern/cat scratch arena
+	Effects    []Effect    // deferred mutations, applied by the host
 
 	IID      uint64
 	Cycle    int
@@ -86,12 +87,33 @@ type Env struct {
 	layoutNames []*string
 }
 
+// BeginFiring empties the per-firing arenas. The host calls it at the
+// start of every firing, whichever executor runs the stage body.
+func (e *Env) BeginFiring() {
+	e.Effects = e.Effects[:0]
+	e.SpawnArgs = e.SpawnArgs[:0]
+	e.ExtArgs = e.ExtArgs[:0]
+	for _, i := range e.SpawnDirty {
+		e.SpawnCnt[i] = 0
+	}
+	e.SpawnDirty = e.SpawnDirty[:0]
+}
+
+// CountSpawn records one spawn into pipe buffered by this firing, so
+// entry-queue capacity checks see the firing's own spawns.
+func (e *Env) CountSpawn(pipe int) {
+	if e.SpawnCnt[pipe] == 0 {
+		e.SpawnDirty = append(e.SpawnDirty, pipe)
+	}
+	e.SpawnCnt[pipe]++
+}
+
 // Exec runs one stage: the Main segment, then — when the stage is a
 // translated pipeline's fork point — the commit or exception arm
 // selected by the lef flag Main left behind. Outcomes are reported via
 // the Env flags.
 func (e *Env) Exec(p *Program, sp *StageProg) {
-	extBase := len(e.ExtArgs)
+	e.Stalled, e.Died, e.WroteAny, e.TookExc = false, false, false, false
 	e.eargsOwned = false
 	e.runSeg(p, sp.Main, 0)
 	if !e.Stalled && !e.Died {
@@ -102,9 +124,8 @@ func (e *Env) Exec(p *Program, sp *StageProg) {
 			e.runSeg(p, sp.Commit, 0)
 		}
 	}
-	// A stall mid-extern/cat aborts between pushes; unwind the scratch
-	// arena like the closure executor's per-site unwinding does.
-	e.ExtArgs = e.ExtArgs[:extBase]
+	// A stall mid-extern/cat leaves pushes on the scratch arena; the
+	// next firing's BeginFiring empties it.
 }
 
 // immOperand materializes an immediate-ALU operand: width in C's low
@@ -464,11 +485,7 @@ func (e *Env) runSeg(p *Program, seg Seg, base int) bool {
 		case OpSpawnPush:
 			e.SpawnArgs = append(e.SpawnArgs, val.New(regs[base+int(i.B)].Uint(), int(i.C)))
 		case OpSpawn:
-			pi := int(i.A)
-			if e.SpawnCnt[pi] == 0 {
-				e.SpawnDirty = append(e.SpawnDirty, pi)
-			}
-			e.SpawnCnt[pi]++
+			e.CountSpawn(int(i.A))
 			n := int32(i.B)
 			e.Effects = append(e.Effects, Effect{
 				Kind: EffSpawn, A: i.A, Flag: i.Imm&1 != 0,
@@ -481,10 +498,7 @@ func (e *Env) runSeg(p *Program, seg Seg, base int) bool {
 			e.Loc[s] = V{Val: val.New(h, 48)}
 			e.LocEp[s] = e.Epoch
 			e.WroteAny = true
-			if e.SpawnCnt[pi] == 0 {
-				e.SpawnDirty = append(e.SpawnDirty, pi)
-			}
-			e.SpawnCnt[pi]++
+			e.CountSpawn(pi)
 			n := int32(i.C)
 			e.Effects = append(e.Effects, Effect{
 				Kind: EffSpecSpawn, A: int32(pi),

@@ -8,6 +8,11 @@
 // chaos-seed runs, bveq points, cosim replicas — share a single decoded
 // image and differ only in state.
 //
+// Only the stage body is the vm's own. The host runs one firing
+// protocol (occupancy, lock transactions, write-back, effects,
+// continuation) around Env.Exec for every executor, and all of them
+// buffer their deferred mutations as this package's Effect records.
+//
 // The executor must stay observably equivalent to the AST interpreter and
 // the closure executor in internal/sim, which remain the differential
 // oracles. Equivalence relies on one proven property: after a stall or
@@ -138,8 +143,13 @@ const (
 )
 
 // Effect kinds. Effects are the deferred machine mutations a firing
-// produces; the host translates them to its own effect records and
-// applies them with the same machinery as the other executors.
+// produces. Every executor of the simulator emits these same records
+// into Env.Effects — the dispatch loop here, the host's AST interpreter
+// and closure executor alike — and the host applies them in order after
+// the firing's lock transactions commit. Effects name machine state by
+// index (volatile, pipe, speculation handle); the firing instruction is
+// implicit. A death is not an effect: the host removes a dying
+// instruction (Env.Died) after applying the rest.
 const (
 	EffVolWrite    uint8 = iota // A=volatile index, Val=value
 	EffSetGEF                   // A=pipe, Flag=value
@@ -149,7 +159,7 @@ const (
 	EffInvalidate               // A=pipe, H=handle
 	EffSpecResolve              // A=pipe
 	EffReturn                   // V=result value
-	EffSpawn                    // A=pipe, Flag=cross-pipe, ArgOff/ArgN, Str=result var (-1 none)
+	EffSpawn                    // A=pipe, Flag=cross-pipe, ArgOff/ArgN, Str=result var (host table index, -1 none)
 	EffSpecSpawn                // A=pipe, ArgOff/ArgN, H=handle
 )
 
@@ -312,7 +322,7 @@ const (
 	// Spawns (sub-pipeline calls).
 	OpStallIfFull  // stall when pipe A's entry queue + pending spawns >= EntryCap
 	OpSpawnPush    // push val.New(Regs[B].Uint(), C) onto the spawn-arg arena
-	OpSpawn        // spawn effect into pipe A: B args, result var Strs[C] (C<0 none), Imm bit0 = cross-pipe
+	OpSpawn        // spawn effect into pipe A: B args, result var C (Hooks.ResultVar index, <0 none), Imm bit0 = cross-pipe
 	OpSpecSpawnFin // consume pipe B's next spec handle into slot A, spawn effect with C args
 	OpSpecCheck    // resolve/die on the instruction's speculation status (pending: keep going)
 	OpSpecBarrier  // like OpSpecCheck but stall while pending

@@ -336,6 +336,27 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
+// TestSubmitOversizedSpec pins the request-body bound: a spec larger
+// than maxSpecBytes is refused with a typed 413 and leaves no job.
+func TestSubmitOversizedSpec(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	pad := strings.Repeat("        nop\n", maxSpecBytes/12+4096)
+	_, err := c.Submit(Spec{Kind: KindSimulate, Design: "base", Asm: pad + "        ebreak\n"})
+	if err == nil {
+		t.Fatal("oversized spec admitted")
+	}
+	if !strings.Contains(err.Error(), "HTTP 413") || !strings.Contains(err.Error(), ErrSpec) {
+		t.Fatalf("oversized spec error = %v, want a 413 of kind %q", err, ErrSpec)
+	}
+	jobs, err := c.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 {
+		t.Fatalf("oversized spec created %d job(s): %+v", len(jobs), jobs)
+	}
+}
+
 // TestSubmitRejections pins spec validation as typed 400s.
 func TestSubmitRejections(t *testing.T) {
 	_, c := newTestServer(t, Config{})

@@ -104,6 +104,65 @@ func TestCancelResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestCosimCheckpointProgressAcrossResume pins that a cosim job's
+// reported checkpoint cycle is absolute: canceled after its second
+// checkpoint and resumed, the job's Progress.CheckpointCycle never goes
+// backwards on the events streams of either run.
+func TestCosimCheckpointProgressAcrossResume(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1})
+	st, err := c.Submit(Spec{
+		Kind: KindCosim, Design: "base", Asm: loopAsm(4_000),
+		CheckpointEvery: 1_000, MaxCycles: 5_000_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := st.ID
+	var seen []int
+	record := func(ev Status) {
+		if n := len(seen); n == 0 || ev.Progress.CheckpointCycle != seen[n-1] {
+			seen = append(seen, ev.Progress.CheckpointCycle)
+		}
+	}
+	sent := false
+	st, err = c.Events(testCtx(t), id, func(ev Status) bool {
+		record(ev)
+		// Cancel past the second checkpoint, so the resumed run's first
+		// checkpoint is not also the run's second.
+		if !sent && ev.Progress.Checkpoints >= 2 {
+			sent = true
+			if _, err := c.Cancel(id); err != nil {
+				t.Errorf("cancel: %v", err)
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatalf("events: %v", err)
+	}
+	if st.State != StateCanceled || !st.Resumable {
+		t.Fatalf("canceled job: state %s resumable %v, want canceled+resumable", st.State, st.Resumable)
+	}
+	if _, err := c.Resume(id); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	st, err = c.Events(testCtx(t), id, func(ev Status) bool { record(ev); return true })
+	if err != nil {
+		t.Fatalf("events after resume: %v", err)
+	}
+	if st.State != StateDone {
+		t.Fatalf("resumed job ended %s (error %+v), want done", st.State, st.Error)
+	}
+	for i := 1; i < len(seen); i++ {
+		if seen[i] < seen[i-1] {
+			t.Fatalf("checkpoint cycle went backwards across the resume: %v", seen)
+		}
+	}
+	if len(seen) < 3 {
+		t.Fatalf("too few checkpoint cycles observed to cover the resume: %v", seen)
+	}
+}
+
 // TestPreemptRestartCompletes pins graceful preemption: Close()
 // checkpoints running jobs back to queued, and a new server on the same
 // state directory recovers and finishes them with the uninterrupted

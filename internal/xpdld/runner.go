@@ -224,10 +224,8 @@ func (s *Server) runCosim(ctx context.Context, j *job) outcome {
 		Ctx:       ctx,
 	}
 	if sp.CheckpointEvery > 0 {
-		n := 0
 		opts.CheckpointEvery = sp.CheckpointEvery
-		opts.Checkpoint = func(b []byte) error {
-			n++
+		opts.Checkpoint = func(cycle int, b []byte) error {
 			// Never propagate a store failure into cosim.Run — it would
 			// abort a healthy lockstep run. Degrade to the stale
 			// checkpoint instead.
@@ -235,7 +233,7 @@ func (s *Server) runCosim(ctx context.Context, j *job) outcome {
 				s.checkpointFailed(j, err)
 				return nil
 			}
-			s.checkpointed(j, n*sp.CheckpointEvery, 0)
+			s.checkpointed(j, cycle, 0)
 			return nil
 		}
 	}

@@ -641,9 +641,20 @@ func writeError(w http.ResponseWriter, code int, kind, detail string) {
 	writeJSON(w, code, errorBody{Error: JobError{Kind: kind, Detail: detail}})
 }
 
+// maxSpecBytes bounds a submitted spec's JSON body. Real specs, design
+// source included, are tens of KiB; a larger body is refused with 413
+// before any of it is decoded into a job.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var sp Spec
-	if err := json.NewDecoder(r.Body).Decode(&sp); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&sp); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, ErrSpec,
+				fmt.Sprintf("spec body exceeds %d bytes", maxSpecBytes))
+			return
+		}
 		writeError(w, http.StatusBadRequest, ErrSpec, "bad JSON: "+err.Error())
 		return
 	}
