@@ -103,7 +103,7 @@ fuzz-corpus:
 # `go test -race ./...`.
 race:
 	go test -race -count=1 ./internal/sim/ ./internal/cosim/ ./internal/snap/ \
-		./internal/vm/ ./internal/fault/ ./internal/xpdld/ \
+		./internal/fault/ ./internal/xpdld/ \
 		./internal/bveq/ ./internal/designgen/
 
 # soak proves the kill/resume story on the real binary: a chaos run is

@@ -140,7 +140,9 @@ func TestBuildReleaseAllocsWarmPool(t *testing.T) {
 // trapping instruction's except arguments are what is left; an
 // exception rollback that allocates (a fresh snapshot, map and free
 // list per Abort), a per-point interrupt device or a per-word state
-// compare would pass it by far.
+// compare would pass it by far. A race-detector build adds allocations
+// of its own (8 to 13 measured), so there the point still runs but its
+// count is not compared.
 const maxPointAllocs = 12
 
 // TestPointAllocsWarmPool guards the per-point cost of a sweep once the
@@ -185,7 +187,7 @@ func TestPointAllocsWarmPool(t *testing.T) {
 	point()
 	allocs := testing.AllocsPerRun(20, point)
 	t.Logf("warm-pool point: %.0f allocations", allocs)
-	if allocs > maxPointAllocs {
+	if !raceEnabled && allocs > maxPointAllocs {
 		t.Errorf("warm-pool point makes %.0f allocations, guard is %d", allocs, maxPointAllocs)
 	}
 }

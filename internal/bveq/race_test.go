@@ -3,5 +3,5 @@
 package bveq
 
 // raceEnabled reports a race-detector build, under which the serial
-// exhaustive sweeps are skipped.
+// exhaustive sweeps are skipped and allocation counts go unchecked.
 const raceEnabled = true

@@ -168,25 +168,9 @@ func (t *bveqTarget) Check(prog []uint32, intr int, m *sim.Machine, runErr error
 	}
 	drained := m.InFlight() == 0
 	o := NewOracle(t.d, t.image(prog))
-	for i, r := range m.Retired() {
-		ev := Event{PC: uint32(r.Args[0].Uint()), Exc: r.Exceptional}
-		if r.Exceptional && len(r.EArgs) > 0 {
-			ev.Cause = uint32(r.EArgs[0].Uint())
-		}
-		if o.Halted {
-			return &bveq.Mismatch{Stage: "trace", Index: i, Cycle: r.Cycle,
-				Detail: fmt.Sprintf("retirement %d at pc=%d after the oracle halted", i, ev.PC)}
-		}
-		var want Event
-		if ev.Exc && ev.Cause == causeInt {
-			want = o.Interrupt()
-		} else {
-			want = o.Step()
-		}
-		if want != ev {
-			return &bveq.Mismatch{Stage: "trace", Index: i, Cycle: r.Cycle,
-				Detail: fmt.Sprintf("retirement %d: pipeline %+v, oracle %+v", i, ev, want)}
-		}
+	rets := m.Retired()
+	if i, msg := replayOracle(o, len(rets), func(i int) Event { return toEvent(rets[i]) }); i >= 0 {
+		return &bveq.Mismatch{Stage: "trace", Index: i, Cycle: rets[i].Cycle, Detail: msg}
 	}
 	if !drained {
 		// Budget elapsed with work still in flight: the prefix agreed,
@@ -195,8 +179,8 @@ func (t *bveqTarget) Check(prog []uint32, intr int, m *sim.Machine, runErr error
 		return nil
 	}
 	if !o.Halted {
-		return &bveq.Mismatch{Stage: "drain", Index: len(m.Retired()), Cycle: -1,
-			Detail: fmt.Sprintf("pipeline drained after %d retirements but the oracle has not halted (pc=%d)", len(m.Retired()), o.PC)}
+		return &bveq.Mismatch{Stage: "drain", Index: len(rets), Cycle: -1,
+			Detail: fmt.Sprintf("pipeline drained after %d retirements but the oracle has not halted (pc=%d)", len(rets), o.PC)}
 	}
 	if msg := stateDiff(t.d, o, m, intr >= 0); msg != "" {
 		return &bveq.Mismatch{Stage: "state", Detail: msg, Index: -1, Cycle: -1}

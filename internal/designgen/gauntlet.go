@@ -143,21 +143,8 @@ func Gauntlet(d *DesignSpec, prog []uint32, opts RunOpts) (div *Divergence) {
 
 	// The sequential specification replay.
 	o := NewOracle(d, prog)
-	for i, ev := range ref.trace {
-		if o.Halted {
-			return &Divergence{Stage: "trace", Engine: engines[0],
-				Detail: fmt.Sprintf("retirement %d at pc=%d after the oracle halted", i, ev.PC)}
-		}
-		var want Event
-		if ev.Exc && ev.Cause == causeInt {
-			want = o.Interrupt()
-		} else {
-			want = o.Step()
-		}
-		if want != ev {
-			return &Divergence{Stage: "trace", Engine: engines[0],
-				Detail: fmt.Sprintf("retirement %d: pipeline %+v, oracle %+v", i, ev, want)}
-		}
+	if i, msg := replayOracle(o, len(ref.trace), func(i int) Event { return ref.trace[i] }); i >= 0 {
+		return &Divergence{Stage: "trace", Engine: engines[0], Detail: msg}
 	}
 	if ref.drained {
 		if !o.Halted {
@@ -259,17 +246,47 @@ func attachStorm(m *sim.Machine, schedule fault.Schedule) {
 	}, cur.Next)
 }
 
+// toEvent projects one retirement to its architectural event.
+func toEvent(r sim.Retirement) Event {
+	ev := Event{PC: uint32(r.Args[0].Uint()), Exc: r.Exceptional}
+	if r.Exceptional && len(r.EArgs) > 0 {
+		ev.Cause = uint32(r.EArgs[0].Uint())
+	}
+	return ev
+}
+
 // toEvents projects a retirement trace to architectural events.
 func toEvents(rets []sim.Retirement) []Event {
 	out := make([]Event, 0, len(rets))
 	for _, r := range rets {
-		ev := Event{PC: uint32(r.Args[0].Uint()), Exc: r.Exceptional}
-		if r.Exceptional && len(r.EArgs) > 0 {
-			ev.Cause = uint32(r.EArgs[0].Uint())
-		}
-		out = append(out, ev)
+		out = append(out, toEvent(r))
 	}
 	return out
+}
+
+// replayOracle replays a pipeline's first n retirement events, event(i)
+// each, on the sequential oracle: the pipeline chooses the interrupt
+// boundary, and the oracle takes the interrupt at the same index. It
+// returns the index of the first retirement the oracle disagrees with,
+// and why, or -1 when all n agree. The gauntlet and the bveq target
+// both check through it.
+func replayOracle(o *Oracle, n int, event func(i int) Event) (int, string) {
+	for i := range n {
+		ev := event(i)
+		if o.Halted {
+			return i, fmt.Sprintf("retirement %d at pc=%d after the oracle halted", i, ev.PC)
+		}
+		var want Event
+		if ev.Exc && ev.Cause == causeInt {
+			want = o.Interrupt()
+		} else {
+			want = o.Step()
+		}
+		if want != ev {
+			return i, fmt.Sprintf("retirement %d: pipeline %+v, oracle %+v", i, ev, want)
+		}
+	}
+	return -1, ""
 }
 
 func diffTraces(a, b []Event) string {

@@ -215,7 +215,8 @@ func (c *compiler) target(t *LValue, nonBlocking bool) func(val.Value) {
 // Expressions
 
 // isUnsized mirrors the simulator's rule: bare literals and compositions
-// of them adapt their width to the other operand.
+// of them, including a ternary whose arms are both unsized, adapt their
+// width to the other operand.
 func isUnsized(e Expr) bool {
 	switch n := e.(type) {
 	case *Num:
@@ -224,6 +225,8 @@ func isUnsized(e Expr) bool {
 		return isUnsized(n.X)
 	case *Binary:
 		return isUnsized(n.L) && isUnsized(n.R)
+	case *Ternary:
+		return isUnsized(n.Then) && isUnsized(n.Else)
 	}
 	return false
 }

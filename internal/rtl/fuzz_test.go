@@ -68,6 +68,44 @@ func FuzzRTLExpr(f *testing.F) {
 	})
 }
 
+// TestUnsizedTernaryAdapts: a ternary whose arms are both unsized
+// literals is itself unsized, as the checker types it and the simulator
+// evaluates it, so it takes its sized partner's width. Treated as a
+// 64-bit operand instead, the compare and the divide below give 1 and 0.
+func TestUnsizedTernaryAdapts(t *testing.T) {
+	for _, tc := range []struct {
+		expr string
+		want uint64
+	}{
+		{"(a < ((c == 8'd0) ? 40 : 33))", 0},
+		{"(((c == 8'd0) ? 5 : 6) + a)", 5},
+		{"(a / ((c == 8'd0) ? 40 : 34))", 15},
+	} {
+		src := "module t(input wire [4:0] a, input wire [7:0] c, output wire [4:0] y);\n" +
+			"    assign y = " + tc.expr + ";\nendmodule\n"
+		file, err := rtl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := rtl.Elaborate(file.Module("t"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Poke("a", val.New(31, 5)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Poke("c", val.New(1, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if y, _ := m.Peek("y"); y.Uint() != tc.want {
+			t.Errorf("%s with a=31, c=1: y = %d, want %d", tc.expr, y.Uint(), tc.want)
+		}
+	}
+}
+
 // settleY elaborates a generated module, drives its inputs and returns
 // the settled output.
 func settleY(t *testing.T, src string, g *exprGen) val.Value {
@@ -231,10 +269,11 @@ func (g *exprGen) gen(depth int) node {
 	case 6: // ternary
 		c, th, el := g.gen(depth+1), g.gen(depth+1), g.gen(depth+1)
 		return node{
-			kids:   []node{c, th, el},
-			format: func(k []string) string { return "(" + k[0] + " ? " + k[1] + " : " + k[2] + ")" },
-			w:      max(th.w, el.w),
-			ew:     sameWidth(th.ew, el.ew),
+			kids:    []node{c, th, el},
+			format:  func(k []string) string { return "(" + k[0] + " ? " + k[1] + " : " + k[2] + ")" },
+			unsized: th.unsized && el.unsized,
+			w:       max(th.w, el.w),
+			ew:      sameWidth(th.ew, el.ew),
 			eval: func(g *exprGen) val.Value {
 				if c.eval(g).IsTrue() {
 					return th.eval(g)

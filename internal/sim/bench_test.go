@@ -151,7 +151,7 @@ func runPaced(b *testing.B, engine string) {
 // dispatch cost; there the three engines are within ~2x of each other.
 // Stage evaluation, not scheduling or lock machinery, dominates: a vm
 // CPU profile of every variant running every kernel, one fresh machine
-// per run, puts the bytecode dispatch loop (vm.(*Env).runSeg) at ~37%
+// per run, puts the bytecode dispatch loop ((*firing).runSeg) at ~37%
 // of the time flat, its record-layout test for field access at ~3%,
 // the per-firing write-back of the stage's written slots in
 // Machine.fire at ~3%, effect application at ~8%, the renaming lock at ~8%, and the

@@ -28,7 +28,6 @@ import (
 	"xpdl/internal/locks"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
-	"xpdl/internal/vm"
 )
 
 // cStmt executes one compiled statement against the active firing.
@@ -188,7 +187,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 				if f.stalled {
 					return
 				}
-				f.eff(vm.Effect{Kind: vm.EffVolWrite, A: vidx, Val: val.New(v.Uint(), w)})
+				f.eff(effect{kind: effVolWrite, a: vidx, val: val.New(v.Uint(), w)})
 			}
 		}
 		slot := p.assignSlot[s]
@@ -236,7 +235,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			if f.stalled {
 				return
 			}
-			f.eff(vm.Effect{Kind: vm.EffVolWrite, A: vidx, Val: val.New(v.Uint(), w)})
+			f.eff(effect{kind: effVolWrite, a: vidx, val: val.New(v.Uint(), w)})
 		}
 	case *ast.If:
 		cond := c.expr(n.Cond)
@@ -258,7 +257,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 	case *ast.SetLEF:
 		return func(f *firing) { f.lef = true }
 	case *ast.SetEArg:
-		index := n.Index
+		index, nargs := n.Index, len(c.ps.res.EArgs)
 		w := c.ps.res.EArgs[n.Index].Type.BitWidth()
 		value := c.expr(n.Value)
 		return func(f *firing) {
@@ -266,23 +265,23 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			if f.stalled {
 				return
 			}
-			f.storeEArg(index, val.New(v.Uint(), w))
+			f.storeEArg(index, val.New(v.Uint(), w), nargs)
 		}
 	case *ast.SetGEF:
 		pidx := int32(c.ps.idx)
 		flag := n.Value
 		return func(f *firing) {
-			f.eff(vm.Effect{Kind: vm.EffSetGEF, A: pidx, Flag: flag})
+			f.eff(effect{kind: effSetGEF, a: pidx, flag: flag})
 		}
 	case *ast.PipeClear:
 		pidx := int32(c.ps.idx)
 		return func(f *firing) {
-			f.eff(vm.Effect{Kind: vm.EffPipeClear, A: pidx})
+			f.eff(effect{kind: effPipeClear, a: pidx})
 		}
 	case *ast.SpecClear:
 		pidx := int32(c.ps.idx)
 		return func(f *firing) {
-			f.eff(vm.Effect{Kind: vm.EffSpecClear, A: pidx})
+			f.eff(effect{kind: effSpecClear, a: pidx})
 		}
 	case *ast.Abort:
 		lock := m.memList[p.memWBind[s].lock]
@@ -296,14 +295,14 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 		handle := c.expr(n.Handle)
 		return func(f *firing) {
 			h := handle(f).Uint()
-			f.eff(vm.Effect{Kind: vm.EffVerify, A: pidx, H: h})
+			f.eff(effect{kind: effVerify, a: pidx, h: h})
 		}
 	case *ast.Invalidate:
 		pidx := int32(c.ps.idx)
 		handle := c.expr(n.Handle)
 		return func(f *firing) {
 			h := handle(f).Uint()
-			f.eff(vm.Effect{Kind: vm.EffInvalidate, A: pidx, H: h})
+			f.eff(effect{kind: effInvalidate, a: pidx, h: h})
 		}
 	case *ast.SpecCheck:
 		ps := c.ps
@@ -317,7 +316,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			case specPending:
 				// Still speculative; keep executing speculatively.
 			case specVerified:
-				f.eff(vm.Effect{Kind: vm.EffSpecResolve, A: pidx})
+				f.eff(effect{kind: effSpecResolve, a: pidx})
 			case specInvalid:
 				f.die()
 			}
@@ -334,7 +333,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			case specPending:
 				f.stall()
 			case specVerified:
-				f.eff(vm.Effect{Kind: vm.EffSpecResolve, A: pidx})
+				f.eff(effect{kind: effSpecResolve, a: pidx})
 			case specInvalid:
 				f.die()
 			}
@@ -346,7 +345,7 @@ func (c *compiler) stmt(s ast.Stmt) cStmt {
 			if f.stalled {
 				return
 			}
-			f.eff(vm.Effect{Kind: vm.EffReturn, V: v})
+			f.eff(effect{kind: effReturn, v: v})
 		}
 	case *ast.Throw:
 		return func(f *firing) { panic("sim: untranslated throw reached the simulator") }
@@ -441,21 +440,20 @@ func (c *compiler) callStmt(n *ast.Call) cStmt {
 	cross := n.Pipe != c.ps.name
 	str := m.plan.resultVar(n)
 	return func(f *firing) {
-		e := &f.m.env
-		if len(target.entryQ)+e.SpawnCnt[tidx] >= capQ {
+		if len(target.entryQ)+f.spawnCnt[tidx] >= capQ {
 			f.stall()
 			return
 		}
-		argOff := int32(len(e.SpawnArgs))
+		argOff := int32(len(f.spawnArgs))
 		for i, ae := range argsC {
 			v := ae(f)
 			if f.stalled {
 				return
 			}
-			e.SpawnArgs = append(e.SpawnArgs, val.New(v.Uint(), paramW[i]))
+			f.spawnArgs = append(f.spawnArgs, val.New(v.Uint(), paramW[i]))
 		}
-		e.CountSpawn(tidx)
-		f.eff(vm.Effect{Kind: vm.EffSpawn, A: int32(tidx), ArgOff: argOff, ArgN: nargs, Flag: cross, Str: str})
+		f.countSpawn(tidx)
+		f.eff(effect{kind: effSpawn, a: int32(tidx), argOff: argOff, argN: nargs, flag: cross, str: str})
 	}
 }
 
@@ -473,26 +471,25 @@ func (c *compiler) specCallStmt(n *ast.SpecCall, s ast.Stmt) cStmt {
 	}
 	nargs := int32(len(n.Args))
 	return func(f *firing) {
-		e := &f.m.env
-		if len(ps.entryQ)+e.SpawnCnt[pidx] >= capQ {
+		if len(ps.entryQ)+f.spawnCnt[pidx] >= capQ {
 			f.stall()
 			return
 		}
-		argOff := int32(len(e.SpawnArgs))
+		argOff := int32(len(f.spawnArgs))
 		for i, ae := range argsC {
 			v := ae(f)
 			if f.stalled {
 				return
 			}
-			e.SpawnArgs = append(e.SpawnArgs, val.New(v.Uint(), paramW[i]))
+			f.spawnArgs = append(f.spawnArgs, val.New(v.Uint(), paramW[i]))
 		}
 		// Handle ids are consumed even if the firing later stalls — at
 		// exactly this point in both executors (see firing.specCall).
 		h := ps.specTab.nextHandle
 		ps.specTab.nextHandle++
 		f.setLocal(slot, Scalar(val.New(h, 48)))
-		e.CountSpawn(pidx)
-		f.eff(vm.Effect{Kind: vm.EffSpecSpawn, A: int32(pidx), ArgOff: argOff, ArgN: nargs, H: h})
+		f.countSpawn(pidx)
+		f.eff(effect{kind: effSpecSpawn, a: int32(pidx), argOff: argOff, argN: nargs, h: h})
 	}
 }
 
@@ -691,12 +688,11 @@ func (c *compiler) ident(n *ast.Ident) cExpr {
 	slot := b.slot
 	zero := c.ps.zeroes[slot]
 	return func(f *firing) V {
-		e := &f.m.env
-		if e.LocEp[slot] == e.Epoch {
-			return e.Loc[slot]
+		if f.locEp[slot] == f.epoch {
+			return f.loc[slot]
 		}
-		if sv := f.in.vars[slot]; sv.OK {
-			return sv.V
+		if sv := f.in.vars[slot]; sv.ok {
+			return sv.v
 		}
 		// Undriven / untaken-path read: the typed zero.
 		return zero
@@ -752,10 +748,8 @@ func (c *compiler) binary(n *ast.Binary) cExpr {
 	re := c.expr(n.R)
 	op := valOpFn(n.Op)
 	// Width adaptation of unsized literals is decided once, at compile
-	// time (mirrors firing.evalBinary / Machine.isUnsized).
-	adapt := n.Op != ast.OpShl && n.Op != ast.OpShr
-	adaptL := adapt && c.m.plan.isUnsized(n.L)
-	adaptR := adapt && !adaptL && c.m.plan.isUnsized(n.R)
+	// time (Plan.adaptSides).
+	adaptL, adaptR := c.m.plan.adaptSides(n)
 	return func(f *firing) V {
 		l := le(f)
 		if f.stalled {
@@ -798,18 +792,17 @@ func (c *compiler) callExpr(n *ast.CallExpr) cExpr {
 	case "cat":
 		argsC := c.exprs(n.Args)
 		return func(f *firing) V {
-			e := &f.m.env
-			base := len(e.ExtArgs)
+			base := len(f.extArgs)
 			for _, ae := range argsC {
 				v := ae(f)
 				if f.stalled {
-					e.ExtArgs = e.ExtArgs[:base]
+					f.extArgs = f.extArgs[:base]
 					return Scalar(v.Val)
 				}
-				e.ExtArgs = append(e.ExtArgs, v.Val)
+				f.extArgs = append(f.extArgs, v.Val)
 			}
-			r := val.Cat(e.ExtArgs[base:]...)
-			e.ExtArgs = e.ExtArgs[:base]
+			r := val.Cat(f.extArgs[base:]...)
+			f.extArgs = f.extArgs[:base]
 			return Scalar(r)
 		}
 	case "lts", "les", "gts", "ges", "shra", "divs", "rems", "mulfull":
@@ -847,27 +840,26 @@ func (c *compiler) callExpr(n *ast.CallExpr) cExpr {
 	// Extern: arguments are sized into the machine's extern scratch
 	// arena (a stack: nested extern calls nest bases LIFO). The callee
 	// only sees its sub-slice and must copy to retain (see ExternFunc).
-	if ext, ok := m.externs[n.Name]; ok {
-		decl := m.plan.externDecl(n.Name)
+	if xi, ok := m.plan.externIdx[n.Name]; ok {
+		ext, decl := m.externs[xi], m.plan.info.Prog.Externs[xi]
 		argsC := c.exprs(n.Args)
 		paramW := make([]int, len(n.Args))
 		for i := range n.Args {
 			paramW[i] = decl.Params[i].Type.BitWidth()
 		}
 		inner := func(f *firing) V {
-			e := &f.m.env
-			base := len(e.ExtArgs)
+			base := len(f.extArgs)
 			for i, ae := range argsC {
 				v := ae(f)
 				if f.stalled {
-					e.ExtArgs = e.ExtArgs[:base]
+					f.extArgs = f.extArgs[:base]
 					return Scalar(val.New(0, paramW[i]))
 				}
-				e.ExtArgs = append(e.ExtArgs, val.New(v.Uint(), paramW[i]))
+				f.extArgs = append(f.extArgs, val.New(v.Uint(), paramW[i]))
 			}
-			end := len(e.ExtArgs)
-			r := ext(e.ExtArgs[base:end:end])
-			e.ExtArgs = e.ExtArgs[:base]
+			end := len(f.extArgs)
+			r := ext(f.extArgs[base:end:end])
+			f.extArgs = f.extArgs[:base]
 			return r
 		}
 		if m.faults == nil {

@@ -6,14 +6,14 @@ import (
 	"xpdl/internal/locks"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
-	"xpdl/internal/vm"
 )
 
 // firing is the atomic attempt to execute one stage for one instruction.
 // Lock operations run inside lock transactions; everything else is
 // buffered until the attempt succeeds. The machine owns a single firing
 // record (Machine.fr) that is reset per attempt, so the hot path never
-// allocates one. Every engine's stage body reports its outcome here.
+// allocates one. Every engine's stage body reads its inputs and reports
+// its outcome here, and fills the record's slot scratch and arenas.
 type firing struct {
 	m    *Machine
 	node *stageNode
@@ -24,76 +24,152 @@ type firing struct {
 	// tookExc latches the lef value that selected a fork stage's arm
 	// (the arm itself may overwrite lef afterwards).
 	tookExc bool
-
-	// Combinational (=) and latched (<-) writes live in the machine's
-	// epoch-stamped slot scratch (Machine.env).
+	// wroteAny reports a slot write this firing.
 	wroteAny bool
 
 	lef   bool
 	eargs []val.Value
+	// eargsOwned reports that eargs is this firing's private copy (see
+	// storeEArg).
+	eargsOwned bool
+
+	// Slot scratch of combinational (=) and latched (<-) writes. A slot
+	// is live when its stamp equals epoch; fire bumps epoch per firing,
+	// so the scratch never needs clearing.
+	loc, pend     []V
+	locEp, pendEp []uint32
+	epoch         uint32
+
+	// Per-firing arenas, emptied by begin: deferred effects, spawn
+	// arguments, per-pipe spawn counts (and the pipes with a non-zero
+	// count), and the extern/cat argument stack.
+	effects    []effect
+	spawnArgs  []val.Value
+	spawnCnt   []int
+	spawnDirty []int
+	extArgs    []val.Value
 
 	funcEnv []map[string]V // interpreter-only: scoped in-language function envs
 
-	// Compiled-executor function-call state: the current slot-indexed
-	// frame plus the return latch (see compile.go).
+	// Function-call state: the closure engine's slot-indexed frame, and
+	// the return latch of the closure and bytecode engines.
 	frame     []V
 	fret      V
 	freturned bool
 }
 
-// eff buffers one machine-level effect. Effects are the vm package's
-// index-based records in the machine's reusable arena (Machine.env), so
-// buffering them allocates nothing and every engine's effects apply
+// Effect kinds. Effects are the deferred machine mutations a firing
+// produces. Every engine emits these same records into the firing's
+// effect arena, and applyEffects applies them in order after the
+// firing's lock transactions commit. Effects name machine state by
+// index (volatile, pipe, speculation handle); the firing instruction is
+// implicit. A death is not an effect: applyEffects removes a dying
+// instruction after applying the rest.
+const (
+	effVolWrite    uint8 = iota // a=volatile index, val=value
+	effSetGEF                   // a=pipe, flag=value
+	effPipeClear                // a=pipe
+	effSpecClear                // a=pipe
+	effVerify                   // a=pipe, h=handle
+	effInvalidate               // a=pipe, h=handle
+	effSpecResolve              // a=pipe
+	effReturn                   // v=result value
+	effSpawn                    // a=pipe, flag=cross-pipe, argOff/argN, str=Plan.resultVars index (-1 none)
+	effSpecSpawn                // a=pipe, argOff/argN, h=handle
+)
+
+// effect is one deferred mutation (see the eff* kinds).
+type effect struct {
+	val          val.Value
+	v            V
+	h            uint64
+	a            int32
+	argOff, argN int32
+	str          int32
+	kind         uint8
+	flag         bool
+}
+
+// eff buffers one machine-level effect in the firing's reusable arena,
+// so buffering allocates nothing and every engine's effects apply
 // through one applyEffects.
-func (f *firing) eff(e vm.Effect) { f.m.env.Effects = append(f.m.env.Effects, e) }
+func (f *firing) eff(e effect) { f.effects = append(f.effects, e) }
+
+// begin resets the record for a firing of node's instruction.
+func (f *firing) begin(node *stageNode) {
+	in := node.cur
+	f.node, f.in = node, in
+	f.epoch++
+	f.stalled, f.died, f.tookExc, f.wroteAny = false, false, false, false
+	f.lef, f.eargs, f.eargsOwned = in.lef, in.eargs, false
+	f.frame, f.fret, f.freturned = nil, V{}, false
+	f.funcEnv = f.funcEnv[:0]
+	f.m.frameTop = 0
+	f.effects = f.effects[:0]
+	f.spawnArgs = f.spawnArgs[:0]
+	f.extArgs = f.extArgs[:0]
+	for _, i := range f.spawnDirty {
+		f.spawnCnt[i] = 0
+	}
+	f.spawnDirty = f.spawnDirty[:0]
+}
+
+// countSpawn records one spawn into pipe buffered by this firing, so
+// entry-queue capacity checks see the firing's own spawns.
+func (f *firing) countSpawn(pipe int) {
+	if f.spawnCnt[pipe] == 0 {
+		f.spawnDirty = append(f.spawnDirty, pipe)
+	}
+	f.spawnCnt[pipe]++
+}
 
 // applyEffects commits a firing's buffered machine-level effects in
 // program order; called only after every lock transaction committed. A
 // death's instruction removal comes last: a body stops at the dying
 // statement, so no later effects exist.
 func (m *Machine) applyEffects(in *inst, died bool) {
-	e := &m.env
-	for i := range e.Effects {
-		ef := &e.Effects[i]
-		switch ef.Kind {
-		case vm.EffVolWrite:
-			m.volVals[ef.A] = ef.Val
-		case vm.EffSetGEF:
-			m.gefs[ef.A] = ef.Flag
-		case vm.EffPipeClear:
-			m.pipeClear(m.pipeList[ef.A], in)
-		case vm.EffSpecClear:
-			m.pipeList[ef.A].specTab.clear()
-		case vm.EffVerify:
-			m.pipeList[ef.A].specTab.verify(ef.H)
-		case vm.EffInvalidate:
-			m.pipeList[ef.A].specTab.set(ef.H, specInvalid)
+	f := &m.fr
+	for i := range f.effects {
+		ef := &f.effects[i]
+		switch ef.kind {
+		case effVolWrite:
+			m.volVals[ef.a] = ef.val
+		case effSetGEF:
+			m.gefs[ef.a] = ef.flag
+		case effPipeClear:
+			m.pipeClear(m.pipeList[ef.a], in)
+		case effSpecClear:
+			m.pipeList[ef.a].specTab.clear()
+		case effVerify:
+			m.pipeList[ef.a].specTab.verify(ef.h)
+		case effInvalidate:
+			m.pipeList[ef.a].specTab.set(ef.h, specInvalid)
 			for _, other := range m.snapshotAlive() {
-				if other.spec && other.specHandle == ef.H {
+				if other.spec && other.specHandle == ef.h {
 					m.squash(other.iid)
 				}
 			}
-		case vm.EffSpecResolve:
+		case effSpecResolve:
 			in.spec = false
-			m.pipeList[ef.A].specTab.del(in.specHandle)
-		case vm.EffReturn:
+			m.pipeList[ef.a].specTab.del(in.specHandle)
+		case effReturn:
 			caller, alive := m.alive[in.callerIID]
 			if !alive {
 				continue // caller was squashed or flushed; result is dropped
 			}
 			if in.resultVar != "" {
 				if slot, ok := caller.pipe.slotOf[in.resultVar]; ok {
-					caller.vars[slot] = slotVal{V: ef.V, OK: true}
+					caller.vars[slot] = slotVal{v: ef.v, ok: true}
 				}
 			}
 			caller.waiting = nil
-		case vm.EffSpawn:
-			ps := m.pipeList[ef.A]
-			args := e.SpawnArgs[ef.ArgOff : ef.ArgOff+ef.ArgN]
-			if ef.Flag { // blocking cross-pipe call
+		case effSpawn:
+			ps := m.pipeList[ef.a]
+			args := f.spawnArgs[ef.argOff : ef.argOff+ef.argN]
+			if ef.flag { // blocking cross-pipe call
 				rv := ""
-				if ef.Str >= 0 {
-					rv = m.plan.resultVars[ef.Str]
+				if ef.str >= 0 {
+					rv = m.plan.resultVars[ef.str]
 				}
 				m.enqueue(ps, args, in.iid, false, 0, in.iid, rv)
 				if rv != "" {
@@ -102,10 +178,10 @@ func (m *Machine) applyEffects(in *inst, died bool) {
 			} else {
 				m.enqueue(ps, args, in.iid, false, 0, 0, "")
 			}
-		case vm.EffSpecSpawn:
-			ps := m.pipeList[ef.A]
-			ps.specTab.set(ef.H, specPending)
-			m.enqueue(ps, e.SpawnArgs[ef.ArgOff:ef.ArgOff+ef.ArgN], in.iid, true, ef.H, 0, "")
+		case effSpecSpawn:
+			ps := m.pipeList[ef.a]
+			ps.specTab.set(ef.h, specPending)
+			m.enqueue(ps, f.spawnArgs[ef.argOff:ef.argOff+ef.argN], in.iid, true, ef.h, 0, "")
 		}
 	}
 	if died {
@@ -137,16 +213,8 @@ func (m *Machine) fire(node *stageNode) bool {
 		return false
 	}
 
-	e := &m.env
-	e.Epoch++
 	f := &m.fr
-	f.node, f.in = node, in
-	f.stalled, f.died, f.tookExc, f.wroteAny = false, false, false, false
-	f.lef, f.eargs = in.lef, in.eargs
-	f.frame, f.fret, f.freturned = nil, V{}, false
-	f.funcEnv = f.funcEnv[:0]
-	m.frameTop = 0
-	e.BeginFiring()
+	f.begin(node)
 
 	if node.txn {
 		for _, l := range m.memList {
@@ -155,7 +223,7 @@ func (m *Machine) fire(node *stageNode) bool {
 	}
 	switch m.engine {
 	case engVM:
-		m.execVM(f)
+		f.execVM()
 	case engInterp:
 		f.execStage()
 	default:
@@ -179,11 +247,11 @@ func (m *Machine) fire(node *stageNode) bool {
 	// exception flags, then machine-level effects in program order.
 	if f.wroteAny {
 		for _, slot := range node.writes {
-			if e.LocEp[slot] == e.Epoch {
-				in.vars[slot] = slotVal{V: e.Loc[slot], OK: true}
+			if f.locEp[slot] == f.epoch {
+				in.vars[slot] = slotVal{v: f.loc[slot], ok: true}
 			}
-			if e.PendEp[slot] == e.Epoch {
-				in.vars[slot] = slotVal{V: e.Pend[slot], OK: true}
+			if f.pendEp[slot] == f.epoch {
+				in.vars[slot] = slotVal{v: f.pend[slot], ok: true}
 			}
 		}
 	}
@@ -244,25 +312,22 @@ func (f *firing) stall() { f.stalled = true }
 
 // setLocal records a combinational (=) write, visible immediately.
 func (f *firing) setLocal(slot int, v V) {
-	e := &f.m.env
-	e.Loc[slot] = v
-	e.LocEp[slot] = e.Epoch
+	f.loc[slot] = v
+	f.locEp[slot] = f.epoch
 	f.wroteAny = true
 }
 
 // setPend records a latched (<-) write, visible from the next stage.
 func (f *firing) setPend(slot int, v V) {
-	e := &f.m.env
-	e.Pend[slot] = v
-	e.PendEp[slot] = e.Epoch
+	f.pend[slot] = v
+	f.pendEp[slot] = f.epoch
 	f.wroteAny = true
 }
 
 // getLocal reads back a combinational write from this firing.
 func (f *firing) getLocal(slot int) (V, bool) {
-	e := &f.m.env
-	if e.LocEp[slot] == e.Epoch {
-		return e.Loc[slot], true
+	if f.locEp[slot] == f.epoch {
+		return f.loc[slot], true
 	}
 	return V{}, false
 }
@@ -298,7 +363,7 @@ func (f *firing) stmt(s ast.Stmt) {
 			if f.stalled {
 				return
 			}
-			f.eff(vm.Effect{Kind: vm.EffVolWrite, A: int32(vol.idx), Val: v})
+			f.eff(effect{kind: effVolWrite, a: int32(vol.idx), val: v})
 			return
 		}
 		v := f.eval(n.RHS)
@@ -324,7 +389,7 @@ func (f *firing) stmt(s ast.Stmt) {
 		if f.stalled {
 			return
 		}
-		f.eff(vm.Effect{Kind: vm.EffVolWrite, A: int32(vol.idx), Val: v})
+		f.eff(effect{kind: effVolWrite, a: int32(vol.idx), val: v})
 	case *ast.If:
 		c := f.eval(n.Cond)
 		if f.stalled {
@@ -346,13 +411,13 @@ func (f *firing) stmt(s ast.Stmt) {
 		if f.stalled {
 			return
 		}
-		f.storeEArg(n.Index, v)
+		f.storeEArg(n.Index, v, len(tr.EArgs))
 	case *ast.SetGEF:
-		f.eff(vm.Effect{Kind: vm.EffSetGEF, A: int32(f.node.pipe.idx), Flag: n.Value})
+		f.eff(effect{kind: effSetGEF, a: int32(f.node.pipe.idx), flag: n.Value})
 	case *ast.PipeClear:
-		f.eff(vm.Effect{Kind: vm.EffPipeClear, A: int32(f.node.pipe.idx)})
+		f.eff(effect{kind: effPipeClear, a: int32(f.node.pipe.idx)})
 	case *ast.SpecClear:
-		f.eff(vm.Effect{Kind: vm.EffSpecClear, A: int32(f.node.pipe.idx)})
+		f.eff(effect{kind: effSpecClear, a: int32(f.node.pipe.idx)})
 	case *ast.Abort:
 		m.memList[m.plan.memWBind[s].lock].Abort()
 	case *ast.Call:
@@ -361,10 +426,10 @@ func (f *firing) stmt(s ast.Stmt) {
 		f.specCall(n)
 	case *ast.Verify:
 		h := f.eval(n.Handle).Uint()
-		f.eff(vm.Effect{Kind: vm.EffVerify, A: int32(f.node.pipe.idx), H: h})
+		f.eff(effect{kind: effVerify, a: int32(f.node.pipe.idx), h: h})
 	case *ast.Invalidate:
 		h := f.eval(n.Handle).Uint()
-		f.eff(vm.Effect{Kind: vm.EffInvalidate, A: int32(f.node.pipe.idx), H: h})
+		f.eff(effect{kind: effInvalidate, a: int32(f.node.pipe.idx), h: h})
 	case *ast.SpecCheck:
 		if !in.spec {
 			return
@@ -373,7 +438,7 @@ func (f *firing) stmt(s ast.Stmt) {
 		case specPending:
 			// Still speculative; keep executing speculatively.
 		case specVerified:
-			f.eff(vm.Effect{Kind: vm.EffSpecResolve, A: int32(f.node.pipe.idx)})
+			f.eff(effect{kind: effSpecResolve, a: int32(f.node.pipe.idx)})
 		case specInvalid:
 			f.die()
 		}
@@ -385,7 +450,7 @@ func (f *firing) stmt(s ast.Stmt) {
 		case specPending:
 			f.stall()
 		case specVerified:
-			f.eff(vm.Effect{Kind: vm.EffSpecResolve, A: int32(f.node.pipe.idx)})
+			f.eff(effect{kind: effSpecResolve, a: int32(f.node.pipe.idx)})
 		case specInvalid:
 			f.die()
 		}
@@ -394,7 +459,7 @@ func (f *firing) stmt(s ast.Stmt) {
 		if f.stalled {
 			return
 		}
-		f.eff(vm.Effect{Kind: vm.EffReturn, V: v})
+		f.eff(effect{kind: effReturn, v: v})
 	case *ast.Throw:
 		panic("sim: untranslated throw reached the simulator")
 	case *ast.StageSep:
@@ -405,14 +470,21 @@ func (f *firing) stmt(s ast.Stmt) {
 }
 
 // storeEArg captures one canonicalized except argument, copy-on-write:
-// the instruction's slice is replaced only on a successful firing.
-func (f *firing) storeEArg(index int, v val.Value) {
+// the instruction's slice may be shared with the retirement trace, so
+// the firing's first store copies it (with room for the pipe's n
+// except arguments) and later stores write the copy in place. The
+// instruction's slice is replaced only on a successful firing.
+func (f *firing) storeEArg(index int, v val.Value, n int) {
+	if !f.eargsOwned {
+		size := max(len(f.eargs), index+1)
+		cp := make([]val.Value, size, max(size, n))
+		copy(cp, f.eargs)
+		f.eargs, f.eargsOwned = cp, true
+	}
 	for len(f.eargs) <= index {
 		f.eargs = append(f.eargs, val.Value{})
 	}
-	cp := append([]val.Value(nil), f.eargs...)
-	cp[index] = v
-	f.eargs = cp
+	f.eargs[index] = v
 }
 
 // die squashes the executing instruction (misspeculation kill at a
@@ -465,45 +537,43 @@ func (f *firing) lockOp(n *ast.Lock) {
 func (f *firing) call(n *ast.Call) {
 	m := f.m
 	in := f.in
-	e := &m.env
 	target := m.pipe(n.Pipe)
-	if len(target.entryQ)+e.SpawnCnt[target.idx] >= m.cfg.EntryCap {
+	if len(target.entryQ)+f.spawnCnt[target.idx] >= m.cfg.EntryCap {
 		f.stall()
 		return
 	}
-	argOff := int32(len(e.SpawnArgs))
+	argOff := int32(len(f.spawnArgs))
 	for i, a := range n.Args {
 		v := f.evalScalar(a, target.decl.Params[i].Type.BitWidth())
 		if f.stalled {
 			return
 		}
-		e.SpawnArgs = append(e.SpawnArgs, v)
+		f.spawnArgs = append(f.spawnArgs, v)
 	}
-	e.CountSpawn(target.idx)
+	f.countSpawn(target.idx)
 	if n.Pipe == in.pipe.name {
-		f.eff(vm.Effect{Kind: vm.EffSpawn, A: int32(target.idx), ArgOff: argOff, ArgN: int32(len(n.Args)), Str: -1})
+		f.eff(effect{kind: effSpawn, a: int32(target.idx), argOff: argOff, argN: int32(len(n.Args)), str: -1})
 		return
 	}
 	// Blocking sub-pipeline call.
-	f.eff(vm.Effect{Kind: vm.EffSpawn, A: int32(target.idx), ArgOff: argOff, ArgN: int32(len(n.Args)),
-		Flag: true, Str: m.plan.resultVar(n)})
+	f.eff(effect{kind: effSpawn, a: int32(target.idx), argOff: argOff, argN: int32(len(n.Args)),
+		flag: true, str: m.plan.resultVar(n)})
 }
 
 func (f *firing) specCall(n *ast.SpecCall) {
 	m := f.m
-	e := &m.env
 	ps := f.node.pipe
-	if len(ps.entryQ)+e.SpawnCnt[ps.idx] >= m.cfg.EntryCap {
+	if len(ps.entryQ)+f.spawnCnt[ps.idx] >= m.cfg.EntryCap {
 		f.stall()
 		return
 	}
-	argOff := int32(len(e.SpawnArgs))
+	argOff := int32(len(f.spawnArgs))
 	for i, a := range n.Args {
 		v := f.evalScalar(a, ps.decl.Params[i].Type.BitWidth())
 		if f.stalled {
 			return
 		}
-		e.SpawnArgs = append(e.SpawnArgs, v)
+		f.spawnArgs = append(f.spawnArgs, v)
 	}
 	// Handle ids are consumed even if the firing later stalls; ids are
 	// plentiful and stale pending entries are unreachable. The handle
@@ -512,8 +582,8 @@ func (f *firing) specCall(n *ast.SpecCall) {
 	h := ps.specTab.nextHandle
 	ps.specTab.nextHandle++
 	f.setLocal(f.m.plan.assignSlot[ast.Stmt(n)], Scalar(val.New(h, 48)))
-	e.CountSpawn(ps.idx)
-	f.eff(vm.Effect{Kind: vm.EffSpecSpawn, A: int32(ps.idx), ArgOff: argOff, ArgN: int32(len(n.Args)), H: h})
+	f.countSpawn(ps.idx)
+	f.eff(effect{kind: effSpecSpawn, a: int32(ps.idx), argOff: argOff, argN: int32(len(n.Args)), h: h})
 }
 
 // pipeClear implements the translated pipeclear: every instruction in the
@@ -673,8 +743,8 @@ func (f *firing) lookup(n *ast.Ident) V {
 	if v, ok := f.getLocal(b.slot); ok {
 		return v
 	}
-	if sv := f.in.vars[b.slot]; sv.OK {
-		return sv.V
+	if sv := f.in.vars[b.slot]; sv.ok {
+		return sv.v
 	}
 	// A variable defined only on an untaken conditional path reads as a
 	// zero of its checked type (hardware: an undriven mux input).
@@ -691,11 +761,11 @@ func (f *firing) evalBinary(n *ast.Binary) V {
 		return r
 	}
 	lv, rv := l.Val, r.Val
-	if lv.Width() != rv.Width() && n.Op != ast.OpShl && n.Op != ast.OpShr {
-		switch {
-		case f.m.plan.isUnsized(n.L):
+	if lv.Width() != rv.Width() {
+		switch adaptL, adaptR := f.m.plan.adaptSides(n); {
+		case adaptL:
 			lv = val.New(lv.Uint(), rv.Width())
-		case f.m.plan.isUnsized(n.R):
+		case adaptR:
 			rv = val.New(rv.Uint(), lv.Width())
 		}
 	}
@@ -819,12 +889,12 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 	}
 
 	// Extern.
-	if ext, ok := f.m.externs[n.Name]; ok {
+	if xi, ok := f.m.plan.externIdx[n.Name]; ok {
 		if f.m.faults != nil && f.m.faults.DelayExtern(f.m.cycle, f.in.iid, siteKey(n.Name)) {
 			f.stall()
 			return Scalar(val.New(0, 1))
 		}
-		decl := f.m.plan.externDecl(n.Name)
+		ext, decl := f.m.externs[xi], f.m.plan.info.Prog.Externs[xi]
 		args := make([]val.Value, len(n.Args))
 		for i, a := range n.Args {
 			args[i] = f.evalScalar(a, decl.Params[i].Type.BitWidth())

@@ -77,6 +77,44 @@ func FuzzEngineExpr(f *testing.F) {
 	})
 }
 
+// TestUnsizedTernaryWidth: a ternary whose arms are both unsized
+// literals is unsized, as the checker types it, so every engine adapts
+// it to its sized partner's width like any unsized literal tree. Left
+// at 64 bits, the first case stores 37 and the compare picks 1.
+func TestUnsizedTernaryWidth(t *testing.T) {
+	cases := []struct {
+		expr string
+		a    uint64
+		want uint64
+	}{
+		{"(a == 5'd0 ? 5 : 6) + a", 31, 5},
+		{"(a == 5'd0 ? 5 : 6) + a", 0, 5},
+		{"a + (a == 5'd0 ? 5 : 6)", 31, 5},
+		{"((a == 5'd1 ? 3 : 4) * 10) + a", 31, 7},
+		{"(true ? 40 : 33) + a", 31, 7},
+		{"a / (a == 5'd0 ? 40 : 34)", 31, 15},
+		{"(a < (a == 5'd0 ? 40 : 33) ? 64'd1 : 64'd0)", 31, 0},
+		// A sized constant beside a run-time unsized ternary: the
+		// ternary adapts, so no immediate form may keep its width.
+		{"5'd3 + (a == 5'd0 ? 40 : 33)", 31, 4},
+		{"(a == 5'd0 ? 40 : 33) + 5'd3", 31, 4},
+	}
+	for _, tc := range cases {
+		src := fmt.Sprintf(engineExprPipe, tc.expr)
+		for _, engine := range Engines() {
+			m := build(t, src, Config{Engine: engine})
+			err := m.Start("p", val.New(tc.a, 5), val.New(0, 13), val.New(0, 32), val.New(0, 64), val.New(0, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, m, 100)
+			if got := m.MemPeek("out", 0).Uint(); got != tc.want {
+				t.Errorf("%s: %s with a=%d stores %d, want %d", engine, tc.expr, tc.a, got, tc.want)
+			}
+		}
+	}
+}
+
 // engineExprPipe is the fuzzed design: one stage computes the
 // expression and writes it, widened to 64 bits, to out[k].
 const engineExprPipe = `
@@ -225,14 +263,14 @@ func (g *exprGen) uint(w, depth int) string {
 }
 
 // unsized returns an unsized literal tree: literals combined by unary
-// and binary operators, evaluated at 64 bits until a sized partner
-// adapts the result.
+// and binary operators and selected by ternaries, evaluated at 64 bits
+// until a sized partner adapts the result.
 func (g *exprGen) unsized(depth int) string {
 	b := g.next()
 	if g.leafOnly(depth) {
 		b %= 2
 	}
-	switch b % 4 {
+	switch b % 5 {
 	case 0:
 		return fmt.Sprintf("%d", g.next())
 	case 1:
@@ -241,6 +279,8 @@ func (g *exprGen) unsized(depth int) string {
 	case 2:
 		op := []string{"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"}[g.next()%10]
 		return "(" + g.unsized(depth+1) + " " + op + " " + g.unsized(depth+1) + ")"
+	case 3: // both arms unsized: the ternary is unsized too
+		return "(" + g.cond(depth+1) + " ? " + g.unsized(depth+1) + " : " + g.unsized(depth+1) + ")"
 	default:
 		return "(" + []string{"~", "-"}[g.next()%2] + g.unsized(depth+1) + ")"
 	}

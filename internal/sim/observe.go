@@ -78,7 +78,7 @@ func (p Pipe) StageSlot(pos, slot int) (V, bool) {
 		return V{}, false
 	}
 	sv := in.vars[slot]
-	return sv.V, sv.OK
+	return sv.v, sv.ok
 }
 
 // QueueLen reports the depth of the pipeline's entry queue.

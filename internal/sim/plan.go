@@ -10,7 +10,6 @@ import (
 	"xpdl/internal/locks"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
-	"xpdl/internal/vm"
 )
 
 // Plan is the per-design half of a machine: everything that is a pure
@@ -22,15 +21,18 @@ import (
 // lock pointer: the locks belong to each machine.
 //
 // A Plan is immutable once NewPlan returns, apart from the bytecode
-// Program it compiles the first time a vm machine asks for one, and is
-// safe for concurrent use. Whoever owns the program owns its plan
-// (xpdl.Design.Plan, a bveq target); there is no package-level cache,
-// so a plan and its Program die with their design.
+// program it compiles the first time a vm machine asks for one
+// (vmProgram), and is safe for concurrent use. Whoever owns the XPDL
+// program owns its plan (xpdl.Design.Plan, a bveq target); there is no
+// package-level cache, so a plan and its bytecode die with their design.
 type Plan struct {
 	info *check.Info
 
 	consts map[string]V
 	funcs  map[string]*ast.FuncDecl
+	// externIdx maps each extern's name to its declaration index, which
+	// indexes Machine.externs.
+	externIdx map[string]int
 
 	pipes    []*pipePlan // declaration order; indexed by pipePlan.idx
 	pipeIdx  map[string]int
@@ -60,7 +62,7 @@ type Plan struct {
 	resultVars []string
 
 	vmOnce sync.Once
-	vmProg *vm.Program
+	vmProg *program
 }
 
 // pipePlan is one pipeline's shape: its stage graph and slot layout.
@@ -119,6 +121,7 @@ func NewPlan(info *check.Info, trs map[string]*core.Result) (*Plan, error) {
 		info:       info,
 		consts:     make(map[string]V, len(info.Consts)),
 		funcs:      make(map[string]*ast.FuncDecl, len(info.Prog.Funcs)),
+		externIdx:  make(map[string]int, len(info.Prog.Externs)),
 		pipeIdx:    make(map[string]int, len(info.Prog.Pipes)),
 		memByName:  make(map[string]*memBinding, len(info.Prog.Mems)),
 		vols:       make(map[string]*volatileReg, len(info.Prog.Vols)),
@@ -143,6 +146,9 @@ func NewPlan(info *check.Info, trs map[string]*core.Result) (*Plan, error) {
 	}
 	for _, f := range info.Prog.Funcs {
 		p.funcs[f.Name] = f
+	}
+	for i, ed := range info.Prog.Externs {
+		p.externIdx[ed.Name] = i
 	}
 	for _, md := range info.Prog.Mems {
 		b := &memBinding{decl: md, lock: -1, plain: -1}
@@ -301,15 +307,16 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	cfg.Engine = engName
-	for _, e := range p.info.Prog.Externs {
-		if cfg.Externs[e.Name] == nil {
+	externs := make([]ExternFunc, len(p.info.Prog.Externs))
+	for i, e := range p.info.Prog.Externs {
+		if externs[i] = cfg.Externs[e.Name]; externs[i] == nil {
 			return nil, fmt.Errorf("sim: extern %q is not bound", e.Name)
 		}
 	}
 	m := &Machine{
 		plan:      p,
 		cfg:       cfg,
-		externs:   cfg.Externs,
+		externs:   externs,
 		alive:     make(map[uint64]*inst),
 		nextIID:   1,
 		memList:   make([]locks.Lock, 0, len(p.lockNames)),
@@ -318,7 +325,6 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 		pipeList:  make([]*pipeState, len(p.pipes)),
 		gefs:      make([]bool, len(p.pipes)),
 	}
-	m.env.SpawnCnt = make([]int, len(p.pipes))
 	for _, b := range p.mems {
 		md := b.decl
 		switch md.Lock {
@@ -336,8 +342,9 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 		m.pipeList[i] = pp.instantiate()
 	}
 	n := p.maxSlots
-	m.env.Loc, m.env.LocEp = make([]V, n), make([]uint32, n)
-	m.env.Pend, m.env.PendEp = make([]V, n), make([]uint32, n)
+	m.fr.loc, m.fr.locEp = make([]V, n), make([]uint32, n)
+	m.fr.pend, m.fr.pendEp = make([]V, n), make([]uint32, n)
+	m.fr.spawnCnt = make([]int, len(p.pipes))
 	m.faults = cfg.Faults
 	m.watchdog = cfg.WatchdogCycles
 	if m.watchdog == 0 {
@@ -352,8 +359,7 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 		m.engine = engInterp
 	case "vm":
 		m.engine = engVM
-		m.vmProg = p.vmProgram()
-		m.initVMEnv()
+		m.lowerVM()
 	}
 	return m, nil
 }
@@ -570,7 +576,8 @@ func staticFieldIndex(pp *pipePlan, n *ast.FieldAccess) fieldRef {
 }
 
 // isUnsized reports whether an expression is an unsized literal (or a
-// composition of them), whose runtime width adapts to its context.
+// composition of them), whose runtime width adapts to its context. It
+// follows the checker's typing: a ternary is unsized when both arms are.
 func (p *Plan) isUnsized(e ast.Expr) bool {
 	switch n := e.(type) {
 	case *ast.IntLit:
@@ -582,16 +589,20 @@ func (p *Plan) isUnsized(e ast.Expr) bool {
 		return p.isUnsized(n.X)
 	case *ast.Binary:
 		return p.isUnsized(n.L) && p.isUnsized(n.R)
+	case *ast.Ternary:
+		return p.isUnsized(n.Then) && p.isUnsized(n.Else)
 	}
 	return false
 }
 
-// externDecl finds an extern's declaration by name.
-func (p *Plan) externDecl(name string) *ast.ExternDecl {
-	for _, e := range p.info.Prog.Externs {
-		if e.Name == name {
-			return e
-		}
+// adaptSides is the unsized-literal width rule of a binary operator,
+// shared by every engine: when the operand widths differ, an unsized
+// left operand takes the right one's width (adaptL), else an unsized
+// right operand takes the left one's (adaptR). Shifts never adapt.
+func (p *Plan) adaptSides(n *ast.Binary) (adaptL, adaptR bool) {
+	if n.Op == ast.OpShl || n.Op == ast.OpShr {
+		return false, false
 	}
-	panic(fmt.Sprintf("sim: extern %q not declared", name))
+	adaptL = p.isUnsized(n.L)
+	return adaptL, !adaptL && p.isUnsized(n.R)
 }

@@ -60,8 +60,8 @@ func (m *Machine) Reset() {
 	// resets what it uses. The slot stamps restart with the epoch, so a
 	// pooled machine's epoch counts only its current run, as a fresh
 	// machine's does.
-	e := &m.env
-	clear(e.LocEp)
-	clear(e.PendEp)
-	e.Epoch = 0
+	f := &m.fr
+	clear(f.locEp)
+	clear(f.pendEp)
+	f.epoch = 0
 }

@@ -38,28 +38,79 @@ import (
 	"xpdl/internal/locks"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
-	"xpdl/internal/vm"
 )
 
 // V is a runtime value: a bit vector or (for extern decode-style results)
 // a record of named bit vectors. Records store fields sorted by name so
-// field access resolves to an index at machine-build time. V is an alias
-// of vm.V: machine state slices are shared with the bytecode dispatch
-// loop without conversion, so all three executors see one representation.
-type V = vm.V
+// field access resolves to an index at machine-build time. All three
+// executors share this one representation.
+type V struct {
+	Rec *Rec // non-nil for records
+	Val val.Value
+}
 
-// recVal is the record payload of a V (see vm.Rec).
-type recVal = vm.Rec
+// Rec is the record payload of a V: parallel name/value slices sorted by
+// field name.
+type Rec struct {
+	Names []string
+	Vals  []val.Value
+}
 
-// slotVal is one latched variable slot of an in-flight instruction
-// (see vm.SlotVal).
-type slotVal = vm.SlotVal
+// Field looks a record field up by name. Names are sorted (see Record),
+// so the lookup is a binary search; the compiled executors avoid even
+// that by resolving field indices at machine-build time.
+func (r *Rec) Field(name string) (val.Value, bool) {
+	i, ok := slices.BinarySearch(r.Names, name)
+	if !ok {
+		return val.Value{}, false
+	}
+	return r.Vals[i], true
+}
+
+// Uint returns the scalar payload; it panics on records.
+func (v V) Uint() uint64 {
+	if v.Rec != nil {
+		panic("sim: record used as scalar")
+	}
+	return v.Val.Uint()
+}
+
+// IsRecord reports whether a V carries a record value.
+func (v V) IsRecord() bool { return v.Rec != nil }
+
+// Field reads a record field by name; ok is false for scalars or
+// unknown fields.
+func (v V) Field(name string) (val.Value, bool) {
+	if v.Rec == nil {
+		return val.Value{}, false
+	}
+	return v.Rec.Field(name)
+}
+
+// slotVal is one latched variable slot of an in-flight instruction; ok
+// distinguishes an assigned slot from an undriven one (whose reads see
+// the typed zero).
+type slotVal struct {
+	v  V
+	ok bool
+}
 
 // Scalar wraps a bit vector as a V.
 func Scalar(x val.Value) V { return V{Val: x} }
 
 // Record wraps named fields as a V.
-func Record(fields map[string]val.Value) V { return vm.Record(fields) }
+func Record(fields map[string]val.Value) V {
+	names := make([]string, 0, len(fields))
+	for n := range fields {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	vals := make([]val.Value, len(names))
+	for i, n := range names {
+		vals[i] = fields[n]
+	}
+	return V{Rec: &Rec{Names: names, Vals: vals}}
+}
 
 // SortedRecord wraps parallel field names and values as a V without
 // copying either slice. names must be sorted and unique — the layout
@@ -67,14 +118,14 @@ func Record(fields map[string]val.Value) V { return vm.Record(fields) }
 // immutable values, so one names slice can serve every record of a
 // layout.
 func SortedRecord(names []string, vals []val.Value) V {
-	return V{Rec: &recVal{Names: names, Vals: vals}}
+	return V{Rec: &Rec{Names: names, Vals: vals}}
 }
 
 // ExternFunc implements an extern combinational function in Go — the
 // analogue of an imported Verilog module in PDL. The args slice is only
 // valid for the duration of the call (the compiled executors pass a
 // reusable scratch buffer); implementations must copy it to retain it.
-type ExternFunc = vm.ExternFunc
+type ExternFunc func(args []val.Value) V
 
 // FaultInjector is the hook-point contract for deterministic fault
 // injection (see internal/fault). Hooks are timing-only: a true return
@@ -133,9 +184,11 @@ type Config struct {
 	// Engine selects the executor: "closure" (the compile-once stage
 	// executor, the default), "interp" (the per-cycle AST interpreter,
 	// kept as the differential-testing oracle and debugging aid), or
-	// "vm" (the bytecode VM over struct-of-arrays state; one compiled
-	// Program is shared by every machine of the same design). The three
-	// are semantically identical. Empty selects the default.
+	// "vm" (the bytecode engine over struct-of-arrays state, vm*.go;
+	// the plan compiles one program that every vm machine of the design
+	// shares). All three run inside one firing protocol (Machine.fire)
+	// and differ only in how a stage body executes; they are
+	// semantically identical. Empty selects the default.
 	Engine string
 	// Faults plugs a deterministic fault injector into the machine's
 	// hook points. nil (the default) disables injection entirely.
@@ -194,23 +247,26 @@ type Retirement struct {
 }
 
 // Machine simulates one compiled XPDL program. Its immutable half —
-// stage-graph shape, slot layouts, resolution tables, the vm Program —
-// lives in the shared Plan; the machine holds only mutable state.
+// stage-graph shape, slot layouts, resolution tables, the bytecode
+// program — lives in the shared Plan; the machine holds only mutable
+// state.
 type Machine struct {
 	plan *Plan
 	cfg  Config
 	// pipeList is deterministic processing order (declaration order),
 	// indexed by pipeState.idx.
 	pipeList  []*pipeState
-	memList   []locks.Lock   // locked memories, declaration order (vm lock indices)
-	plainList []*locks.Plain // plain memories, declaration order (vm plain indices)
+	memList   []locks.Lock   // locked memories, declaration order (memBinding.lock)
+	plainList []*locks.Plain // plain memories, declaration order (memBinding.plain)
 	// volVals is the struct-of-arrays home of every volatile register's
 	// value, in declaration order; volatileReg only carries the index.
 	volVals []val.Value
 	// gefs is the struct-of-arrays home of the per-pipe global exception
 	// flags, indexed by pipeState.idx.
-	gefs    []bool
-	externs map[string]ExternFunc
+	gefs []bool
+	// externs holds the bound extern functions in declaration order
+	// (Plan.externIdx), resolved from Config.Externs once per machine.
+	externs []ExternFunc
 
 	devices []func(m *Machine)
 	// deviceWakes is parallel to devices: a non-nil entry predicts the
@@ -223,17 +279,24 @@ type Machine struct {
 	funcPlans map[string]*funcPlan
 
 	// Hot-path arenas, all reused across firings so the steady-state
-	// cycle loop allocates nothing: the single firing record, in-language
-	// function frames (closure engine), the instruction free list, and
-	// the retirement-args arena. The per-firing effect, spawn and extern
-	// arenas live in env.
+	// cycle loop allocates nothing: the single firing record (which
+	// holds the per-firing slot scratch and the effect, spawn and extern
+	// arenas), in-language function frames (closure engine), the
+	// bytecode register file (vm engine), the instruction free list, and
+	// the retirement-args arena.
 	fr         firing
 	frameArena []V
 	frameTop   int
+	regs       []V
 	instPool   []*inst
 	retArgs    []val.Value
 	snapBuf    []*inst
 	descBuf    []*inst
+
+	// layoutNames[l] is the first element of the names slice of a record
+	// found to have bytecode layout l, so a record sharing that slice is
+	// recognized by one pointer compare (see fieldLayout; vm engine).
+	layoutNames []*string
 
 	cycle     int
 	nextIID   uint64
@@ -247,15 +310,7 @@ type Machine struct {
 	watchdog int           // idle-cycle limit; <= 0 disables the watchdog
 	failed   error         // sticky *InternalError after a recovered panic
 
-	// env holds the per-firing state every engine fills: the
-	// epoch-stamped slot scratch of combinational (=) and latched (<-)
-	// writes, which never needs clearing, and the effect, spawn and
-	// extern arenas. Under the vm engine it is also the dispatch
-	// environment, wired to the machine's struct-of-arrays state (see
-	// vmexec.go), and vmProg is the plan's shared immutable Program.
-	engine uint8
-	env    vm.Env
-	vmProg *vm.Program
+	engine uint8 // engClosure, engInterp or engVM
 }
 
 // pushFrame reserves n slots on the function-frame arena and returns
@@ -631,7 +686,7 @@ func (m *Machine) enqueue(ps *pipeState, args []val.Value, parent uint64, spec b
 	}
 	m.nextIID++
 	for i, s := range ps.paramSlot {
-		in.vars[s] = slotVal{V: Scalar(in.args[i]), OK: true}
+		in.vars[s] = slotVal{v: Scalar(in.args[i]), ok: true}
 	}
 	ps.entryQ = append(ps.entryQ, in)
 	m.alive[in.iid] = in

@@ -84,8 +84,8 @@ func (m *Machine) Save(wr io.Writer) error {
 		}
 		w.Int(len(in.vars))
 		for _, sv := range in.vars {
-			w.Bool(sv.OK)
-			writeV(w, sv.V)
+			w.Bool(sv.ok)
+			writeV(w, sv.v)
 		}
 		w.Bool(in.lef)
 		w.Bool(in.eargs != nil)
@@ -293,7 +293,7 @@ func (m *Machine) Restore(rd io.Reader) error {
 			if err != nil {
 				return err
 			}
-			in.vars[j] = slotVal{V: v, OK: ok}
+			in.vars[j] = slotVal{v: v, ok: ok}
 		}
 		in.lef = r.Bool()
 		in.eargs = nil
@@ -522,7 +522,7 @@ func readV(r *snap.Reader) (V, error) {
 		if err := r.Err(); err != nil {
 			return V{}, err
 		}
-		rec := &recVal{Names: make([]string, n), Vals: make([]val.Value, n)}
+		rec := &Rec{Names: make([]string, n), Vals: make([]val.Value, n)}
 		for i := 0; i < n; i++ {
 			rec.Names[i] = r.String()
 			rec.Vals[i] = r.Val()

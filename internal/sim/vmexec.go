@@ -1,193 +1,574 @@
-// The bytecode-engine bridge (Config.Engine "vm"): compiles the design
-// to one shared vm.Program, wires the machine's struct-of-arrays state
-// into its vm.Env, and supplies the vm's stage body to the one firing
-// protocol (Machine.fire) — so the engines differ only in how a stage's
-// statements execute, never in what a firing means.
+// The vm engine's stage body: the bytecode dispatch loop. It runs
+// inside the one firing protocol (Machine.fire) and works on the one
+// firing record — its inputs, outcome flags, slot scratch and arenas —
+// and on the machine's own state, so the engines differ only in how a
+// stage's statements execute, never in what a firing means.
+//
+// Stall/death discipline: the loop aborts instantly at the instruction
+// that stalls or dies. This is equivalent to the closure engine's
+// poisoned-flag threading because everything the closure engine still
+// runs after a stall is pure evaluation (see vm.go).
 package sim
 
 import (
-	"xpdl/internal/pdl/ast"
-	"xpdl/internal/vm"
+	"fmt"
+
+	"xpdl/internal/locks"
+	"xpdl/internal/val"
 )
 
-// vmProgram returns the plan's bytecode Program, compiling it the first
-// time a vm machine asks. A Program is a pure function of the plan
-// (every index space it bakes in — slots, volatiles, memories, externs,
-// functions, pipes, stage gids — comes from declaration or sorted-name
-// order), so every vm machine of the design runs one image. This is
-// what makes pooled bveq machines cheap: N machines, one decode. Closure and
-// interpreter machines never pay for the compile.
-func (p *Plan) vmProgram() *vm.Program {
-	p.vmOnce.Do(func() { p.vmProg = p.compileVM() })
-	return p.vmProg
-}
-
-// compileVM lowers the design to bytecode through hooks over the plan's
-// resolution tables.
-func (p *Plan) compileVM() *vm.Program {
-	extIdx := make(map[string]int, len(p.info.Prog.Externs))
-	for i, ed := range p.info.Prog.Externs {
-		extIdx[ed.Name] = i
-	}
-
-	memRef := func(b *memBinding) vm.MemRef {
-		return vm.MemRef{Lock: b.lock, Plain: b.plain, Depth: uint64(b.decl.Depth), Width: b.decl.Elem.Width}
-	}
-	paramW := func(params []ast.Param) []int {
-		pw := make([]int, len(params))
-		for j, prm := range params {
-			pw[j] = prm.Type.BitWidth()
-		}
-		return pw
-	}
-
-	h := vm.Hooks{
-		Ident: func(n *ast.Ident) (vm.IdentBind, bool) {
-			b, ok := p.identBind[n]
-			if !ok {
-				return vm.IdentBind{}, false
-			}
-			switch b.kind {
-			case 1:
-				return vm.IdentBind{Kind: 1, Con: b.con}, true
-			case 2:
-				return vm.IdentBind{Kind: 2, Vol: b.vol.idx}, true
-			}
-			return vm.IdentBind{Kind: 0, Slot: b.slot}, true
-		},
-		Const: func(name string) (vm.V, bool) {
-			c, ok := p.consts[name]
-			return c, ok
-		},
-		AssignVol: func(s ast.Stmt) (int, int, bool) {
-			vol, ok := p.assignVol[s]
-			if !ok {
-				return 0, 0, false
-			}
-			return vol.idx, vol.decl.Elem.Width, true
-		},
-		AssignSlot: func(s ast.Stmt) int { return p.assignSlot[s] },
-		Vol: func(name string) (int, int) {
-			reg := p.vols[name]
-			return reg.idx, reg.decl.Elem.Width
-		},
-		MemW: func(s ast.Stmt) vm.MemRef { return memRef(p.memWBind[s]) },
-		MemRead: func(n *ast.MemRead) (vm.MemRef, bool) {
-			b, ok := p.memBind[n]
-			if !ok {
-				return vm.MemRef{}, false
-			}
-			return memRef(b), true
-		},
-		FieldIndex: func(n *ast.FieldAccess) (int, []string) {
-			if f, ok := p.fieldIdx[n]; ok {
-				return f.idx, f.layout
-			}
-			return -1, nil
-		},
-		IsUnsized: p.isUnsized,
-		Extern: func(name string) (vm.ExternRef, bool) {
-			i, ok := extIdx[name]
-			if !ok {
-				return vm.ExternRef{}, false
-			}
-			return vm.ExternRef{Idx: i, ParamW: paramW(p.info.Prog.Externs[i].Params), Site: siteKey(name)}, true
-		},
-		Pipe: func(name string) vm.PipeRef {
-			pp := p.pipes[p.pipeIdx[name]]
-			return vm.PipeRef{Idx: pp.idx, ParamW: paramW(pp.decl.Params)}
-		},
-		ResultVar: func(n *ast.Call) int { return int(p.resultVar(n)) },
-	}
-
-	c := vm.NewCompiler(h, p.nstages)
-	c.CompileFuncs(p.funcs)
-	for _, pp := range p.pipes {
-		tr := pp.res
-		ctx := vm.StageCtx{
-			PipeIdx: pp.idx, PipeName: pp.name,
-			NSlots: len(pp.zeroes), SelfParamW: paramW(pp.decl.Params),
-			EArgW:  func(i int) int { return tr.EArgs[i].Type.BitWidth() },
-			NEArgs: len(tr.EArgs),
-		}
-		for _, node := range pp.graph {
-			var commit, exc []ast.Stmt
-			if node.split != nil {
-				commit, exc = node.split.commitStage0, node.split.excStage0
-			}
-			c.CompileStage(node.gid, ctx, node.stmts, commit, exc)
-		}
-	}
-	return c.Finish()
-}
-
-// initVMEnv wires the dispatch environment to the machine's
-// struct-of-arrays state, and hands each stage node what its compiled
-// stage supplies to the firing protocol. This happens once: the
-// referenced slices are fully sized by Plan.New (gefs/volVals per
-// declaration), and Restore mutates them in place.
-func (m *Machine) initVMEnv() {
-	e := &m.env
-	e.Regs = make([]vm.V, m.vmProg.MaxStageRegs+64)
-	e.Gefs = m.gefs
-	e.Vols = m.volVals
-	e.Mems = m.memList
-	e.Plains = m.plainList
-	exts := make([]vm.ExternFunc, len(m.plan.info.Prog.Externs))
-	for i, ed := range m.plan.info.Prog.Externs {
-		exts[i] = m.externs[ed.Name]
-	}
-	e.Externs = exts
-	if m.faults != nil { // keep the interface nil when injection is off
-		e.Faults = m.faults
-	}
-	e.Host = vmHost{m}
-	e.EntryCap = m.cfg.EntryCap
-	// Stages whose analysis proved no execution can stall at or after a
-	// lock mutation (StageProg.NeedsTxn) skip Begin/Commit entirely: a
-	// successful firing applies the same mutations either way, and a
-	// stalling one has nothing to roll back. Write-back visits only the
-	// slots the stage's code can write.
+// lowerVM readies a machine for the vm engine: the plan's shared
+// program, a register file for its widest stage, and what each stage
+// node supplies to the firing protocol. Stages whose analysis proved no
+// execution can stall at or after a lock mutation (stageProg.needsTxn)
+// skip Begin/Commit entirely: a successful firing applies the same
+// mutations either way, and a stalling one has nothing to roll back.
+// Write-back visits only the slots the stage's code can write.
+func (m *Machine) lowerVM() {
+	p := m.plan.vmProgram()
+	m.regs = make([]V, p.maxStageRegs+64)
 	for _, ps := range m.pipeList {
 		for _, n := range ps.nodes {
-			sp := &m.vmProg.Stages[n.gid]
-			n.writes = sp.Writes
-			n.txn = sp.NeedsTxn || (m.faults != nil && sp.NeedsTxnFaults)
+			sp := &p.stages[n.gid]
+			n.writes = sp.writes
+			n.txn = sp.needsTxn || (m.faults != nil && sp.needsTxnFaults)
 		}
 	}
 }
 
-// vmHost exposes the two pieces of machine state the dispatch loop
-// reaches outside its arenas (both on cold spawn paths).
-type vmHost struct{ m *Machine }
-
-func (h vmHost) QueueLen(pipe int) int { return len(h.m.pipeList[pipe].entryQ) }
-
-func (h vmHost) NextSpecHandle(pipe int) uint64 {
-	t := h.m.pipeList[pipe].specTab
-	v := t.nextHandle
-	t.nextHandle++
-	return v
+// execVM runs one stage: the main segment, then — when the stage is a
+// translated pipeline's fork point — the commit or exception arm
+// selected by the lef flag main left behind.
+func (f *firing) execVM() {
+	p := f.m.plan.vmProg
+	sp := &p.stages[f.node.gid]
+	f.runSeg(p, sp.main, 0)
+	if !f.stalled && !f.died {
+		f.tookExc = f.lef
+		if f.lef {
+			f.runSeg(p, sp.exc, 0)
+		} else {
+			f.runSeg(p, sp.commit, 0)
+		}
+	}
 }
 
-// execVM is the vm engine's stage body: it loads the firing's inputs
-// into the dispatch environment, runs the compiled stage, and reports
-// the outcome in the firing record.
-func (m *Machine) execVM(f *firing) {
-	node, in := f.node, f.in
-	e := &m.env
-	e.Vars = in.vars
-	e.Zero = node.pipe.zeroes
-	e.EArgs = in.eargs
-	e.IID = in.iid
-	e.Cycle = m.cycle
-	e.PipeIdx = node.pipe.idx
-	e.Lef = in.lef
-	e.Spec = in.spec
-	if in.spec {
-		e.SpecStatus = uint8(node.pipe.specTab.status(in.specHandle))
+// immOperand materializes an immediate-ALU operand: width in c's low
+// bits, adapted to the register operand's width when the immAdapt flag
+// is set and the widths differ (the unsized-literal rule).
+func immOperand(i instr, l val.Value) val.Value {
+	w := int(i.c) & 0x7f
+	if i.c&immAdapt != 0 {
+		if lw := l.Width(); lw != w {
+			w = lw
+		}
 	}
-	e.Exec(m.vmProg, &m.vmProg.Stages[node.gid])
-	f.stalled, f.died, f.wroteAny, f.tookExc = e.Stalled, e.Died, e.WroteAny, e.TookExc
-	f.lef, f.eargs = e.Lef, e.EArgs
+	return val.New(i.imm, w)
+}
+
+// runSeg executes one segment in the register window at base. It returns
+// true when an opFRet executed (function return); stalls and deaths are
+// reported in the firing record and abort the whole call stack.
+func (f *firing) runSeg(p *program, seg segment, base int) bool {
+	m, in := f.m, f.in
+	code := p.code
+	regs := m.regs
+	for pc := seg.off; pc < seg.end; {
+		i := code[pc]
+		pc++
+		switch i.op {
+		case opJmp:
+			pc = i.a
+		case opJz:
+			if !regs[base+int(i.b)].Val.IsTrue() {
+				pc = i.a
+			}
+		case opJnz:
+			if regs[base+int(i.b)].Val.IsTrue() {
+				pc = i.a
+			}
+		case opStallGef:
+			if m.gefs[i.a] {
+				f.stalled = true
+				return false
+			}
+		case opPanic:
+			panic(p.strs[i.imm])
+
+		case opConst:
+			regs[base+int(i.a)] = V{Val: val.New(i.imm, int(i.c))}
+		case opConstV:
+			regs[base+int(i.a)] = p.pool[i.imm]
+		case opMove:
+			regs[base+int(i.a)] = regs[base+int(i.b)]
+		case opLoadSlot:
+			s := int(i.b)
+			var v V
+			if f.locEp[s] == f.epoch {
+				v = f.loc[s]
+			} else if sv := in.vars[s]; sv.ok {
+				v = sv.v
+			} else {
+				v = f.node.pipe.zeroes[s]
+			}
+			regs[base+int(i.a)] = v
+		case opStoreLoc:
+			f.setLocal(int(i.a), regs[base+int(i.b)])
+		case opStorePend:
+			f.setPend(int(i.a), regs[base+int(i.b)])
+		case opLoadVol:
+			regs[base+int(i.a)] = V{Val: m.volVals[i.b]}
+		case opLoadEArg:
+			idx := int(i.b)
+			if idx < len(f.eargs) {
+				regs[base+int(i.a)] = V{Val: f.eargs[idx]}
+			} else {
+				regs[base+int(i.a)] = V{Val: val.New(0, 1)}
+			}
+		case opLoadLef:
+			regs[base+int(i.a)] = V{Val: val.Bool(f.lef)}
+		case opLoadGef:
+			pi := int(i.b)
+			if pi < 0 {
+				pi = f.node.pipe.idx
+			}
+			regs[base+int(i.a)] = V{Val: val.Bool(m.gefs[pi])}
+
+		case opAdd:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Add(regs[base+int(i.c)].Val)}
+		case opSub:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Sub(regs[base+int(i.c)].Val)}
+		case opMul:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Mul(regs[base+int(i.c)].Val)}
+		case opDivU:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.DivU(regs[base+int(i.c)].Val)}
+		case opRemU:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.RemU(regs[base+int(i.c)].Val)}
+		case opAnd:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.And(regs[base+int(i.c)].Val)}
+		case opOr:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Or(regs[base+int(i.c)].Val)}
+		case opXor:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Xor(regs[base+int(i.c)].Val)}
+		case opShl:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Shl(regs[base+int(i.c)].Val)}
+		case opShrU:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.ShrU(regs[base+int(i.c)].Val)}
+		case opEq:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.EqV(regs[base+int(i.c)].Val)}
+		case opNe:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.NeV(regs[base+int(i.c)].Val)}
+		case opLtU:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.LtU(regs[base+int(i.c)].Val)}
+		case opLeU:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.LeU(regs[base+int(i.c)].Val)}
+		case opGtU:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.GtU(regs[base+int(i.c)].Val)}
+		case opGeU:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.GeU(regs[base+int(i.c)].Val)}
+		case opLAnd:
+			regs[base+int(i.a)] = V{Val: val.Bool(regs[base+int(i.b)].Val.IsTrue() && regs[base+int(i.c)].Val.IsTrue())}
+		case opLOr:
+			regs[base+int(i.a)] = V{Val: val.Bool(regs[base+int(i.b)].Val.IsTrue() || regs[base+int(i.c)].Val.IsTrue())}
+		case opLtS:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.LtS(regs[base+int(i.c)].Val)}
+		case opLeS:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.LeS(regs[base+int(i.c)].Val)}
+		case opGtS:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.GtS(regs[base+int(i.c)].Val)}
+		case opGeS:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.GeS(regs[base+int(i.c)].Val)}
+		case opShrS:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.ShrS(regs[base+int(i.c)].Val)}
+		case opDivS:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.DivS(regs[base+int(i.c)].Val)}
+		case opRemS:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.RemS(regs[base+int(i.c)].Val)}
+		case opMulFull:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.MulFull(regs[base+int(i.c)].Val)}
+
+		case opAddI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.Add(immOperand(i, l))}
+		case opSubI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.Sub(immOperand(i, l))}
+		case opRSubI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: immOperand(i, l).Sub(l)}
+		case opMulI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.Mul(immOperand(i, l))}
+		case opAndI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.And(immOperand(i, l))}
+		case opOrI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.Or(immOperand(i, l))}
+		case opXorI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.Xor(immOperand(i, l))}
+		case opShlI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.Shl(immOperand(i, l))}
+		case opShrUI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.ShrU(immOperand(i, l))}
+		case opEqI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.EqV(immOperand(i, l))}
+		case opNeI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.NeV(immOperand(i, l))}
+		case opLtUI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.LtU(immOperand(i, l))}
+		case opLeUI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.LeU(immOperand(i, l))}
+		case opGtUI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.GtU(immOperand(i, l))}
+		case opGeUI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.GeU(immOperand(i, l))}
+		case opDivUI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.DivU(immOperand(i, l))}
+		case opRemUI:
+			l := regs[base+int(i.b)].Val
+			regs[base+int(i.a)] = V{Val: l.RemU(immOperand(i, l))}
+
+		case opBinA:
+			lv := regs[base+int(i.b)].Val
+			rv := regs[base+int(i.c)].Val
+			if lv.Width() != rv.Width() {
+				if i.imm&binAdaptL != 0 {
+					lv = val.New(lv.Uint(), rv.Width())
+				} else if i.imm&binAdaptR != 0 {
+					rv = val.New(rv.Uint(), lv.Width())
+				}
+			}
+			regs[base+int(i.a)] = V{Val: binApply(uint8(i.imm), lv, rv)}
+
+		case opNotL:
+			regs[base+int(i.a)] = V{Val: val.Bool(!regs[base+int(i.b)].Val.IsTrue())}
+		case opNotB:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Not()}
+		case opNegV:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Neg()}
+
+		case opSliceI:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Slice(int(i.c)>>7, int(i.c)&0x7f)}
+		case opSliceD:
+			h := int(regs[base+int(i.c)].Uint())
+			l := int(regs[base+int(i.imm)].Uint())
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Slice(h, l)}
+		case opZeroExtI:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.ZeroExt(int(i.c))}
+		case opSignExtI:
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.SignExt(int(i.c))}
+		case opZeroExtD:
+			w := int(regs[base+int(i.c)].Uint())
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.ZeroExt(w)}
+		case opSignExtD:
+			w := int(regs[base+int(i.c)].Uint())
+			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.SignExt(w)}
+		case opField:
+			x := regs[base+int(i.b)]
+			if x.Rec != nil && m.fieldLayout(p, x.Rec, i.imm>>32) {
+				regs[base+int(i.a)] = V{Val: x.Rec.Vals[i.c]}
+			} else {
+				regs[base+int(i.a)] = V{Val: fieldByName(p, i, x)}
+			}
+		case opCatPush:
+			f.extArgs = append(f.extArgs, regs[base+int(i.b)].Val)
+		case opCatDo:
+			k := len(f.extArgs) - int(i.c)
+			r := val.Cat(f.extArgs[k:]...)
+			f.extArgs = f.extArgs[:k]
+			regs[base+int(i.a)] = V{Val: r}
+
+		case opExternPre:
+			if m.faults != nil && m.faults.DelayExtern(m.cycle, in.iid, i.imm) {
+				f.stalled = true
+				return false
+			}
+		case opExtPush:
+			f.extArgs = append(f.extArgs, val.New(regs[base+int(i.b)].Uint(), int(i.c)))
+		case opExternCall:
+			k := len(f.extArgs) - int(i.c)
+			end := len(f.extArgs)
+			r := m.externs[i.b](f.extArgs[k:end:end])
+			f.extArgs = f.extArgs[:k]
+			regs[base+int(i.a)] = r
+
+		case opCallFunc:
+			fp := &p.funcs[i.b]
+			nb := base + int(i.imm)
+			if need := nb + fp.nRegs; need > len(m.regs) {
+				grown := make([]V, need+64)
+				copy(grown, m.regs)
+				m.regs = grown
+				regs = grown
+			}
+			ab := base + int(i.c)
+			for k := 0; k < fp.nParams; k++ {
+				regs[nb+k] = V{Val: val.New(regs[ab+k].Uint(), fp.paramW[k])}
+			}
+			for k := fp.nParams; k < fp.nVars; k++ {
+				regs[nb+k] = V{}
+			}
+			returned := f.runSeg(p, fp.seg, nb)
+			if f.stalled || f.died {
+				return false
+			}
+			if !returned {
+				// Conditional fallthrough: the declared result's zero value.
+				f.fret = V{Val: val.New(0, fp.resultW)}
+			}
+			regs = m.regs // nested calls may have grown the file
+			regs[base+int(i.a)] = f.fret
+		case opFRet:
+			f.fret = V{Val: val.New(regs[base+int(i.b)].Uint(), int(i.c))}
+			return true
+
+		case opMemReadP:
+			a := regs[base+int(i.b)].Uint() % i.imm
+			regs[base+int(i.a)] = V{Val: m.plainList[i.c].Peek(a)}
+		case opMemReadL:
+			a := regs[base+int(i.b)].Uint() % i.imm
+			l := m.memList[i.c]
+			if !l.ReadReady(in.iid, a) {
+				f.stalled = true
+				return false
+			}
+			regs[base+int(i.a)] = V{Val: l.Read(in.iid, a)}
+		case opMemWrite:
+			depth := i.imm & (1<<48 - 1)
+			w := int(i.imm >> 48)
+			a := regs[base+int(i.a)].Uint() % depth
+			m.memList[i.c].Write(in.iid, a, val.New(regs[base+int(i.b)].Uint(), w))
+
+		case opLockAcq:
+			addr := locks.Whole
+			if i.a >= 0 {
+				addr = regs[base+int(i.a)].Uint() % i.imm
+			}
+			wr := i.b != 0
+			l := m.memList[i.c]
+			if !l.CanReserve(in.iid, addr, wr) {
+				f.stalled = true
+				return false
+			}
+			l.Reserve(in.iid, addr, wr)
+			if !l.Owns(in.iid, addr, wr) {
+				f.stalled = true
+				return false
+			}
+		case opLockRes:
+			addr := locks.Whole
+			if i.a >= 0 {
+				addr = regs[base+int(i.a)].Uint() % i.imm
+			}
+			wr := i.b != 0
+			l := m.memList[i.c]
+			if !l.CanReserve(in.iid, addr, wr) {
+				f.stalled = true
+				return false
+			}
+			l.Reserve(in.iid, addr, wr)
+		case opLockBlk:
+			addr := locks.Whole
+			if i.a >= 0 {
+				addr = regs[base+int(i.a)].Uint() % i.imm
+			}
+			if !m.memList[i.c].Owns(in.iid, addr, i.b != 0) {
+				f.stalled = true
+				return false
+			}
+		case opLockRel:
+			addr := locks.Whole
+			if i.a >= 0 {
+				addr = regs[base+int(i.a)].Uint() % i.imm
+			}
+			m.memList[i.c].Release(in.iid, addr)
+		case opLockAbort:
+			m.memList[i.c].Abort()
+
+		case opStallIfFull:
+			pi := int(i.a)
+			if len(m.pipeList[pi].entryQ)+f.spawnCnt[pi] >= m.cfg.EntryCap {
+				f.stalled = true
+				return false
+			}
+		case opSpawnPush:
+			f.spawnArgs = append(f.spawnArgs, val.New(regs[base+int(i.b)].Uint(), int(i.c)))
+		case opSpawn:
+			f.countSpawn(int(i.a))
+			n := int32(i.b)
+			f.eff(effect{
+				kind: effSpawn, a: i.a, flag: i.imm&1 != 0,
+				argOff: int32(len(f.spawnArgs)) - n, argN: n, str: int32(i.c),
+			})
+		case opSpecSpawnFin:
+			pi := int(i.b)
+			// The handle is consumed even if the firing later stalls, as
+			// in the other engines.
+			t := m.pipeList[pi].specTab
+			h := t.nextHandle
+			t.nextHandle++
+			f.setLocal(int(i.a), V{Val: val.New(h, 48)})
+			f.countSpawn(pi)
+			n := int32(i.c)
+			f.eff(effect{
+				kind: effSpecSpawn, a: int32(pi),
+				argOff: int32(len(f.spawnArgs)) - n, argN: n, h: h,
+			})
+		case opSpecCheck:
+			if in.spec {
+				switch f.node.pipe.specTab.status(in.specHandle) {
+				case specVerified:
+					f.eff(effect{kind: effSpecResolve, a: i.a})
+				case specInvalid:
+					f.died = true
+					return false
+				}
+			}
+		case opSpecBarrier:
+			if in.spec {
+				switch f.node.pipe.specTab.status(in.specHandle) {
+				case specPending:
+					f.stalled = true
+					return false
+				case specVerified:
+					f.eff(effect{kind: effSpecResolve, a: i.a})
+				case specInvalid:
+					f.died = true
+					return false
+				}
+			}
+
+		case opSetLEF:
+			f.lef = true
+		case opSetEArg:
+			f.storeEArg(int(i.a), val.New(regs[base+int(i.b)].Uint(), int(i.c)), int(i.imm))
+
+		case opEffVol:
+			f.eff(effect{
+				kind: effVolWrite, a: i.a,
+				val: val.New(regs[base+int(i.b)].Uint(), int(i.c)),
+			})
+		case opEffSetGEF:
+			f.eff(effect{kind: effSetGEF, a: i.a, flag: i.imm != 0})
+		case opEffPipeClear:
+			f.eff(effect{kind: effPipeClear, a: i.a})
+		case opEffSpecClear:
+			f.eff(effect{kind: effSpecClear, a: i.a})
+		case opEffVerify:
+			f.eff(effect{kind: effVerify, a: i.a, h: regs[base+int(i.b)].Uint()})
+		case opEffInvalidate:
+			f.eff(effect{kind: effInvalidate, a: i.a, h: regs[base+int(i.b)].Uint()})
+		case opEffReturn:
+			f.eff(effect{kind: effReturn, v: regs[base+int(i.b)]})
+
+		default:
+			panic(fmt.Sprintf("vm: invalid opcode %d at pc %d", i.op, pc-1))
+		}
+	}
+	return false
+}
+
+// fieldLayout reports whether rec's names slice is the one this machine
+// has found to hold the program's record layout tag (opField's
+// Imm>>32; 0 = unknown), so the field index resolved at compile time is
+// valid for it. Records are immutable and one names slice serves every
+// record of a layout (SortedRecord), so the first record seen with
+// a layout is compared name by name and its names slice remembered;
+// after that the test is a pointer and a length compare. A record with
+// another names slice takes fieldByName, the by-name path.
+func (m *Machine) fieldLayout(p *program, rec *Rec, tag uint64) bool {
+	if tag == 0 || len(rec.Names) == 0 {
+		return false
+	}
+	l := int(tag - 1)
+	lay := p.layouts[l]
+	if len(rec.Names) != len(lay) {
+		return false
+	}
+	if l < len(m.layoutNames) && m.layoutNames[l] != nil {
+		return m.layoutNames[l] == &rec.Names[0]
+	}
+	for i, n := range rec.Names {
+		if n != lay[i] {
+			return false
+		}
+	}
+	for len(m.layoutNames) <= l {
+		m.layoutNames = append(m.layoutNames, nil)
+	}
+	m.layoutNames[l] = &rec.Names[0]
+	return true
+}
+
+// fieldByName is opField for a record of another layout, or a scalar:
+// the index still serves when it names the field, else a search by
+// name, and a panic when the field does not exist.
+func fieldByName(p *program, i instr, x V) val.Value {
+	name := p.strs[uint32(i.imm)]
+	if x.Rec == nil {
+		panic(fmt.Sprintf("sim: field access .%s on scalar", name))
+	}
+	if idx := int(i.c); idx >= 0 && idx < len(x.Rec.Names) && x.Rec.Names[idx] == name {
+		return x.Rec.Vals[idx]
+	}
+	fv, ok := x.Rec.Field(name)
+	if !ok {
+		panic(fmt.Sprintf("sim: record has no field %q", name))
+	}
+	return fv
+}
+
+// binApply dispatches a reg-reg ALU opcode on already-adapted operands;
+// it backs opBinA's generic path.
+func binApply(op uint8, l, r val.Value) val.Value {
+	switch op {
+	case opAdd:
+		return l.Add(r)
+	case opSub:
+		return l.Sub(r)
+	case opMul:
+		return l.Mul(r)
+	case opDivU:
+		return l.DivU(r)
+	case opRemU:
+		return l.RemU(r)
+	case opAnd:
+		return l.And(r)
+	case opOr:
+		return l.Or(r)
+	case opXor:
+		return l.Xor(r)
+	case opShl:
+		return l.Shl(r)
+	case opShrU:
+		return l.ShrU(r)
+	case opEq:
+		return l.EqV(r)
+	case opNe:
+		return l.NeV(r)
+	case opLtU:
+		return l.LtU(r)
+	case opLeU:
+		return l.LeU(r)
+	case opGtU:
+		return l.GtU(r)
+	case opGeU:
+		return l.GeU(r)
+	case opLAnd:
+		return val.Bool(l.IsTrue() && r.IsTrue())
+	case opLOr:
+		return val.Bool(l.IsTrue() || r.IsTrue())
+	}
+	panic(fmt.Sprintf("vm: bad opBinA sub-opcode %d", op))
 }
