@@ -109,7 +109,9 @@ race:
 # soak proves the kill/resume story on the real binary: a chaos run is
 # cut short by -timeout (exit 7, resumable snapshot written), resumed
 # from that snapshot, and must reach the same checksum and pass the
-# same golden cross-check as the uninterrupted run.
+# same golden cross-check as the uninterrupted run. A -cosim -chaos run
+# goes through the same cut and resume, and must report the same
+# lockstep cycle and retirement counts as its uninterrupted run.
 SOAK_DIR := $(or $(TMPDIR),/tmp)/xpdlsim-soak
 soak:
 	rm -rf $(SOAK_DIR) && mkdir -p $(SOAK_DIR)
@@ -124,7 +126,16 @@ soak:
 	$(SOAK_DIR)/xpdlsim -design all -chaos -seed 7 -resume $(SOAK_DIR)/soak.snap $(SOAK_DIR)/soak.s | tee $(SOAK_DIR)/resumed.out
 	grep -qxF "$$(grep '^dmem\[0\]' $(SOAK_DIR)/straight.out)" $(SOAK_DIR)/resumed.out
 	grep -q 'golden model cross-check: architectural state identical' $(SOAK_DIR)/resumed.out
-	@echo "soak: killed run resumed to an identical result"
+	$(SOAK_DIR)/xpdlsim -design all -cosim -chaos -seed 7 $(SOAK_DIR)/soak.s | tee $(SOAK_DIR)/cosim-straight.out
+	$(SOAK_DIR)/xpdlsim -design all -cosim -chaos -seed 7 -timeout 10ms \
+	  -checkpoint $(SOAK_DIR)/cosim.snap $(SOAK_DIR)/soak.s; \
+	  status=$$?; test $$status -eq 7 || \
+	  { echo "soak: expected exit 7 from the timed-out cosim run, got $$status"; exit 1; }
+	test -f $(SOAK_DIR)/cosim.snap
+	$(SOAK_DIR)/xpdlsim -design all -cosim -chaos -seed 7 -resume $(SOAK_DIR)/cosim.snap $(SOAK_DIR)/soak.s | tee $(SOAK_DIR)/cosim-resumed.out
+	line=$$(grep 'RTL cosimulation identical' $(SOAK_DIR)/cosim-straight.out) && \
+	  grep -qxF "$$line" $(SOAK_DIR)/cosim-resumed.out
+	@echo "soak: killed run and killed cosim run resumed to identical results"
 	$(MAKE) serve-soak SOAK_SEEDS=1,2,3,4 SOAK_CYCLES=1
 
 # serve-smoke boots the real daemon, pushes one job of every kind

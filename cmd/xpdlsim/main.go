@@ -27,13 +27,13 @@
 // the golden model. Composes with -exec and -chaos.
 //
 // -checkpoint names a snapshot file; with -checkpoint-every N the run
-// writes it (atomically, via rename) every N cycles, and a run stopped
-// by -timeout or Ctrl-C writes its final state there too. -resume
-// restores such a snapshot and continues the run instead of booting
-// from reset; the resuming invocation must repeat the original
+// writes it (atomically, via rename) at every multiple of N cycles, and
+// a run stopped by -timeout or Ctrl-C writes its final state there too.
+// -resume restores such a snapshot and continues the run instead of
+// booting from reset; the resuming invocation must repeat the original
 // -design/-chaos/-seed/-cosim flags (the snapshot refuses to load into
-// a different machine). All four compose with -chaos, -cosim and
-// -exec.
+// a different machine). Cycles, the -cycles budget included, count from
+// reset across resumes. All four compose with -chaos, -cosim and -exec.
 //
 // Exit codes: 0 success, 1 generic failure (including golden-model
 // mismatch), 2 usage, 3 cycle budget exhausted, 4 deadlock caught by
@@ -43,7 +43,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -152,6 +151,9 @@ func main() {
 		fatal(fmt.Errorf("unknown design %q", *design))
 	}
 
+	var r runner
+	var p *designs.Processor
+	var h *cosim.Harness
 	if *cosimFlag {
 		opts := cosim.Options{
 			Variant:    variant,
@@ -159,73 +161,63 @@ func main() {
 			MaxCycles:  *cycles,
 			Engine:     engine,
 			SkipGolden: *noGolden,
-			Ctx:        ctx,
-			Resume:     resumeData,
-		}
-		if *checkpointEvery > 0 {
-			opts.CheckpointEvery = *checkpointEvery
-			opts.Checkpoint = func(_ int, b []byte) error { return writeSnapshot(*checkpoint, b) }
 		}
 		if *chaos {
 			opts.ChaosSeed = *seed
-			fmt.Printf("chaos: timing-fault injection enabled (seed %#x)\n", *seed)
 		}
-		if resumeData != nil {
-			fmt.Printf("resuming cosimulation from %s\n", *resume)
-		}
-		res, err := cosim.Run(opts)
-		if err != nil {
-			var div *cosim.DivergenceError
-			if errors.As(err, &div) {
-				fmt.Fprintln(os.Stderr, "xpdlsim:", err)
-				os.Exit(exitDivergence)
-			}
-			var ce *cosim.CanceledError
-			if errors.As(err, &ce) {
-				canceled(*checkpoint, ce.Snapshot, err)
-			}
+		if h, err = cosim.New(opts); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("design %s: RTL cosimulation identical for %d cycles (%d instructions retired)\n",
-			variant, res.Cycles, res.Retired)
-		return
-	}
-
-	cfg := sim.Config{Engine: engine, WatchdogCycles: *watchdog}
-	if *chaos {
-		// Timing faults only: interrupt storms write mip directly, which
-		// the golden model cannot mirror, so the CLI leaves them to the
-		// chaos test suite.
-		cfg.Faults = fault.New(fault.Default(*seed))
-	}
-	p, err := designs.BuildCfg(variant, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	if err := p.Load(prog); err != nil {
-		fatal(err)
+		r = h
+	} else {
+		cfg := sim.Config{Engine: engine, WatchdogCycles: *watchdog}
+		if *chaos {
+			// Timing faults only: interrupt storms write mip directly,
+			// which the golden model cannot mirror, so the CLI leaves
+			// them to the chaos test suite.
+			cfg.Faults = fault.New(fault.Default(*seed))
+		}
+		if p, err = designs.BuildCfg(variant, cfg); err != nil {
+			fatal(err)
+		}
+		if err := p.Load(prog); err != nil {
+			fatal(err)
+		}
+		r = p
 	}
 	if resumeData != nil {
-		if err := p.M.Restore(bytes.NewReader(resumeData)); err != nil {
+		if err := r.Restore(resumeData); err != nil {
 			fatal(fmt.Errorf("resume %s: %w", *resume, err))
 		}
-		fmt.Printf("resumed from %s at cycle %d\n", *resume, p.M.Cycle())
-	} else if err := p.Boot(); err != nil {
+		fmt.Printf("resumed from %s at cycle %d\n", *resume, r.Cycle())
+	} else if err := r.Boot(); err != nil {
 		fatal(err)
 	}
-	if *pipetrace {
+	if *pipetrace && p != nil {
 		p.M.PipeTrace(os.Stdout)
 	}
 	if *chaos {
 		fmt.Printf("chaos: timing-fault injection enabled (seed %#x)\n", *seed)
 	}
-	n, err := runSim(ctx, p, *cycles, *checkpoint, *checkpointEvery)
-	if err != nil {
+	var save func(int, []byte) error
+	if *checkpointEvery > 0 {
+		save = func(_ int, b []byte) error { return writeSnapshot(*checkpoint, b) }
+	}
+	if err := sim.RunCheckpointed(ctx, r, *cycles, *checkpointEvery, save); err != nil {
 		var ce *sim.CanceledError
 		if errors.As(err, &ce) {
 			canceled(*checkpoint, ce.Snapshot, err)
 		}
 		fatal(err)
+	}
+	if h != nil {
+		res, err := h.Finish()
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("design %s: RTL cosimulation identical for %d cycles (%d instructions retired)\n",
+			variant, res.Cycles, res.Retired)
+		return
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
@@ -239,7 +231,7 @@ func main() {
 		f.Close()
 	}
 	fmt.Printf("design %s: %d instructions in %d cycles (CPI %.3f)\n",
-		variant, p.RetiredCount(), n, p.CPI())
+		variant, p.RetiredCount(), p.Cycle(), p.CPI())
 	if *trace {
 		for _, r := range p.Retired() {
 			mark := " "
@@ -262,29 +254,12 @@ func main() {
 	}
 }
 
-// runSim advances the machine under ctx. With checkpointing enabled it
-// runs in -checkpoint-every sized chunks, persisting a snapshot at each
-// chunk boundary, so a later kill loses at most one interval of work.
-func runSim(ctx context.Context, p *designs.Processor, cycles int, path string, every int) (int, error) {
-	if every <= 0 {
-		return p.RunCtx(ctx, cycles)
-	}
-	total := 0
-	for {
-		n, err := p.RunCtx(ctx, min(every, cycles-total))
-		total += n
-		var cb *sim.CycleBudgetError
-		if err == nil || !errors.As(err, &cb) || total >= cycles {
-			return total, err
-		}
-		b, err := p.M.SaveBytes()
-		if err != nil {
-			return total, err
-		}
-		if err := writeSnapshot(path, b); err != nil {
-			return total, err
-		}
-	}
+// runner is what xpdlsim runs: a *designs.Processor or, under -cosim,
+// a *cosim.Harness.
+type runner interface {
+	sim.Runner
+	Boot() error
+	Restore(b []byte) error
 }
 
 // writeSnapshot persists a snapshot atomically (write-then-rename), so
@@ -317,11 +292,14 @@ func canceled(path string, snapshot []byte, err error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "xpdlsim:", err)
 	var (
-		cb *sim.CycleBudgetError
-		dl *sim.DeadlockError
-		ie *sim.InternalError
+		cb  *sim.CycleBudgetError
+		dl  *sim.DeadlockError
+		ie  *sim.InternalError
+		div *cosim.DivergenceError
 	)
 	switch {
+	case errors.As(err, &div):
+		os.Exit(exitDivergence)
 	case errors.As(err, &cb):
 		os.Exit(exitBudget)
 	case errors.As(err, &dl):

@@ -42,6 +42,10 @@ type Info struct {
 	Prog   *ast.Program
 	Consts map[string]Const
 	Pipes  map[string]*PipeInfo
+	// TernaryWidth holds the checked width of every ternary with one
+	// unsized-literal arm and one sized arm. The ternary has the sized
+	// arm's type, so its unsized arm, when taken, adapts to this width.
+	TernaryWidth map[*ast.Ternary]int
 }
 
 // Const is an evaluated compile-time constant. Width 0 means the constant
@@ -124,9 +128,10 @@ func Analyze(prog *ast.Program, opts Options) (*Info, []diag.Diagnostic) {
 		prog:  prog,
 		diags: &diag.List{Max: opts.MaxErrors},
 		info: &Info{
-			Prog:   prog,
-			Consts: make(map[string]Const),
-			Pipes:  make(map[string]*PipeInfo),
+			Prog:         prog,
+			Consts:       make(map[string]Const),
+			Pipes:        make(map[string]*PipeInfo),
+			TernaryWidth: make(map[*ast.Ternary]int),
 		},
 		lockSeq:     make(map[string][]lockEvent),
 		usedMems:    make(map[string]bool),

@@ -23,25 +23,35 @@ import (
 	"xpdl/internal/pdl/token"
 )
 
-// CostOp classifies an operation for delay lookup. The classes mirror
-// internal/ir's OpClass so synth can translate its tables directly.
+// CostOp buckets combinational hardware by cost class: the stage-cost
+// lint's delay lookup here, and internal/ir's per-stage operation
+// inventory, which synth's area and timing tables are keyed by.
 type CostOp int
 
 // Operation classes.
 const (
-	CostAdd CostOp = iota
-	CostMul
-	CostDiv
-	CostCmp
-	CostLogic
-	CostShift
-	CostMux
-	CostMemRd
-	CostMemWr
-	CostLock
-	CostSpec
-	CostCtl
+	CostAdd   CostOp = iota // adders/subtractors
+	CostMul                 // multipliers
+	CostDiv                 // dividers
+	CostCmp                 // comparators
+	CostLogic               // bitwise gates
+	CostShift               // shifters
+	CostMux                 // multiplexers (ternaries, predicated updates)
+	CostMemRd               // memory read ports touched
+	CostMemWr               // memory write ports touched
+	CostLock                // lock-control operations
+	CostSpec                // speculation-table operations
+	CostCtl                 // exception control (lef/gef/pipeclear/abort...)
 )
+
+var costOpNames = [...]string{
+	CostAdd: "add", CostMul: "mul", CostDiv: "div", CostCmp: "cmp", CostLogic: "logic",
+	CostShift: "shift", CostMux: "mux", CostMemRd: "memrd", CostMemWr: "memwr",
+	CostLock: "lock", CostSpec: "spec", CostCtl: "ctl",
+}
+
+// String names the class.
+func (o CostOp) String() string { return costOpNames[o] }
 
 // CostModel gives per-operation chain delays in nanoseconds.
 type CostModel struct {
@@ -199,7 +209,7 @@ func (e *costEstimator) expr(x ast.Expr) float64 {
 	case *ast.Unary:
 		return e.expr(n.X) + m.op(CostLogic)
 	case *ast.Binary:
-		return maxf(e.expr(n.L), e.expr(n.R)) + m.op(binCost(n.Op))
+		return maxf(e.expr(n.L), e.expr(n.R)) + m.op(BinCost(n.Op))
 	case *ast.Ternary:
 		return maxf(e.expr(n.Cond), maxf(e.expr(n.Then), e.expr(n.Else))) + m.op(CostMux)
 	case *ast.CallExpr:
@@ -277,7 +287,8 @@ func (e *costEstimator) inlineFuncDepth(f *ast.FuncDecl) float64 {
 	return ret
 }
 
-func binCost(op ast.BinOp) CostOp {
+// BinCost classifies a binary operator.
+func BinCost(op ast.BinOp) CostOp {
 	switch op {
 	case ast.OpAdd, ast.OpSub:
 		return CostAdd

@@ -53,9 +53,15 @@ func (pc *pipeChecker) exprTypeEx(e ast.Expr, allowSync bool) ast.Type {
 		tt := pc.exprTypeEx(n.Then, false)
 		et := pc.exprTypeEx(n.Else, false)
 		switch {
-		case tt.Kind == ast.TUInt && tt.Width == 0:
+		case isUnsized(tt):
+			if !isUnsized(et) && et.Kind != ast.TRecord {
+				c.info.TernaryWidth[n] = et.BitWidth()
+			}
 			return et
-		case et.Kind == ast.TUInt && et.Width == 0:
+		case isUnsized(et):
+			if tt.Kind != ast.TRecord {
+				c.info.TernaryWidth[n] = tt.BitWidth()
+			}
 			return tt
 		case !tt.Equal(et):
 			c.errorf(n.ExprPos(), "E-TYPE", "ternary arms disagree: %s vs %s", tt, et)
@@ -202,7 +208,7 @@ func (pc *pipeChecker) callType(n *ast.CallExpr) ast.Type {
 				c.errorf(n.ExprPos(), "E-TYPE", "cat operand has type %s; need sized uint or bool", t)
 				return ast.UIntType(1)
 			}
-			if t.Kind == ast.TUInt && t.Width == 0 {
+			if isUnsized(t) {
 				c.errorf(n.ExprPos(), "E-TYPE", "cat operands must have explicit widths (use sized literals)")
 				return ast.UIntType(1)
 			}

@@ -683,11 +683,15 @@ func isBoolish(t ast.Type) bool {
 	return t.Kind == ast.TBool || (t.Kind == ast.TUInt && t.Width == 1)
 }
 
+// isUnsized reports the type of an unsized literal (tree), which adopts
+// its width from context.
+func isUnsized(t ast.Type) bool { return t.Kind == ast.TUInt && t.Width == 0 }
+
 // assignable reports whether a value of type 'from' can initialize a
 // location of type 'to'. Width-0 uints are unsized literals that adopt any
 // width.
 func assignable(to, from ast.Type) bool {
-	if from.Kind == ast.TUInt && from.Width == 0 {
+	if isUnsized(from) {
 		return to.Kind == ast.TUInt || to.Kind == ast.TBool
 	}
 	if to.Kind == ast.TUInt && from.Kind == ast.TBool {

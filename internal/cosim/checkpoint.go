@@ -17,42 +17,13 @@ import (
 	"runtime/debug"
 
 	"xpdl/internal/rtl"
+	"xpdl/internal/sim"
 	"xpdl/internal/snap"
 )
 
-// CanceledError reports a cosimulation stopped by context cancellation
-// at a cycle boundary. Snapshot (when non-nil) is a combined
-// checkpoint restorable via Options.Resume under the same Options.
-type CanceledError struct {
-	Cycle    int
-	Snapshot []byte
-	Cause    error
-}
-
-func (e *CanceledError) Error() string {
-	return fmt.Sprintf("cosim: run canceled at cycle %d: %v", e.Cycle, e.Cause)
-}
-
-func (e *CanceledError) Unwrap() error { return e.Cause }
-
-// InternalError reports a panic recovered inside the cosimulation
-// loop — the RTL evaluator (via *rtl.PanicError) or the harness's own
-// compare path — converted to a typed error so a cosim run can never
-// kill the process. Snapshot is a best-effort repro checkpoint.
-type InternalError struct {
-	Cycle    int
-	Panic    any
-	Stack    []byte
-	Snapshot []byte
-}
-
-func (e *InternalError) Error() string {
-	return fmt.Sprintf("cosim: internal error at cycle %d: %v", e.Cycle, e.Panic)
-}
-
-// checkpoint serializes both machines and the harness cursor. Valid
-// only at a cycle boundary (between h.cycle calls).
-func (h *harness) checkpoint(cycles int) ([]byte, error) {
+// SaveBytes serializes both machines and the harness cursor into a
+// combined checkpoint. Valid only at a cycle boundary.
+func (h *Harness) SaveBytes() ([]byte, error) {
 	var buf bytes.Buffer
 	w := snap.NewWriter(&buf)
 	mb, err := h.p.M.SaveBytes()
@@ -61,7 +32,7 @@ func (h *harness) checkpoint(cycles int) ([]byte, error) {
 	}
 	w.Bytes(mb)
 	h.model.SaveState(w)
-	w.Int(cycles)
+	w.Int(h.cycles)
 	w.Int(h.prevRetired)
 	w.Int(len(h.mirror))
 	for _, v := range h.mirror {
@@ -73,67 +44,69 @@ func (h *harness) checkpoint(cycles int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// restoreCheckpoint loads a combined checkpoint into the freshly built
-// harness and returns the cycle count to continue from. The harness
-// must have been built with the same Options the checkpoint was taken
-// under (same variant, program, seed and executor).
-func (h *harness) restoreCheckpoint(data []byte) (int, error) {
+// Restore loads a combined checkpoint into the freshly built harness,
+// in place of Boot. The harness must have been built with the same
+// Options the checkpoint was taken under (same variant, program, seed
+// and executor).
+func (h *Harness) Restore(data []byte) error {
 	r, err := snap.Open(bytes.NewReader(data))
 	if err != nil {
-		return 0, err
+		return err
 	}
 	mb := r.Bytes()
 	if err := r.Err(); err != nil {
-		return 0, err
+		return err
 	}
 	if err := h.p.M.Restore(bytes.NewReader(mb)); err != nil {
-		return 0, fmt.Errorf("cosim: restore simulator: %w", err)
+		return fmt.Errorf("cosim: restore simulator: %w", err)
 	}
 	if err := h.model.RestoreState(r); err != nil {
-		return 0, fmt.Errorf("cosim: restore rtl model: %w", err)
+		return fmt.Errorf("cosim: restore rtl model: %w", err)
 	}
 	cycles := r.Int()
 	prev := r.Int()
 	n := r.Int()
 	if err := r.Err(); err != nil {
-		return 0, err
+		return err
 	}
 	h.mirror = h.mirror[:0]
 	for i := 0; i < n; i++ {
 		h.mirror = append(h.mirror, r.Int()-1)
 	}
 	if err := r.Finish(); err != nil {
-		return 0, err
+		return err
 	}
-	if cycles < 1 {
-		return 0, fmt.Errorf("cosim: checkpoint cycle count %d out of range", cycles)
+	if cycles < 0 {
+		return fmt.Errorf("cosim: checkpoint cycle count %d out of range", cycles)
 	}
 	if prev > len(h.p.M.Retired()) {
-		return 0, fmt.Errorf("cosim: checkpoint retirement cursor %d beyond trace (%d)", prev, len(h.p.M.Retired()))
+		return fmt.Errorf("cosim: checkpoint retirement cursor %d beyond trace (%d)", prev, len(h.p.M.Retired()))
 	}
-	h.prevRetired = prev
-	return cycles, nil
+	h.prevRetired, h.cycles = prev, cycles
+	return nil
 }
 
 // cycleContained runs one lockstep cycle with panic containment: any
 // panic that escapes the harness's own compare path — the simulator
 // and the RTL evaluator already contain theirs — becomes a typed
-// *InternalError, as does a contained *rtl.PanicError, both bundling a
-// best-effort repro checkpoint.
-func (h *harness) cycleContained(boot bool, cycles int) (err error) {
+// *sim.InternalError, as does a contained *rtl.PanicError, both
+// bundling a best-effort repro checkpoint.
+func (h *Harness) cycleContained() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			ie := &InternalError{Cycle: cycles, Panic: r, Stack: debug.Stack()}
-			ie.Snapshot, _ = h.checkpoint(cycles)
-			err = ie
+			err = h.internalError(r, debug.Stack())
 		}
 	}()
-	err = h.cycle(boot)
+	err = h.cycle()
 	var pe *rtl.PanicError
 	if errors.As(err, &pe) {
-		ie := &InternalError{Cycle: cycles, Panic: pe.Panic, Stack: pe.Stack}
-		ie.Snapshot, _ = h.checkpoint(cycles)
-		return ie
+		return h.internalError(pe.Panic, pe.Stack)
 	}
 	return err
+}
+
+func (h *Harness) internalError(p any, stack []byte) *sim.InternalError {
+	ie := &sim.InternalError{Cycle: h.cycles, Panic: p, Stack: stack}
+	ie.Snapshot, _ = h.SaveBytes()
+	return ie
 }

@@ -18,17 +18,37 @@ import (
 	"xpdl/internal/workloads"
 )
 
+// drive runs opts to drain the way xpdld and xpdlsim do: New, then
+// Restore(resume) or Boot, then sim.RunCheckpointed with save called
+// every `every` cycles, then Finish.
+func drive(ctx context.Context, opts Options, resume []byte, every int, save func(int, []byte) error) (*Result, error) {
+	h, err := New(opts)
+	if err != nil {
+		return nil, err
+	}
+	if resume != nil {
+		err = h.Restore(resume)
+	} else {
+		err = h.Boot()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := sim.RunCheckpointed(ctx, h, h.opts.MaxCycles, every, save); err != nil {
+		return nil, err
+	}
+	return h.Finish()
+}
+
 // checkpointedRun runs opts straight through while capturing the last
 // checkpoint taken at the given interval, returning both.
 func checkpointedRun(t *testing.T, opts Options, every int) (*Result, []byte) {
 	t.Helper()
 	var last []byte
-	opts.CheckpointEvery = every
-	opts.Checkpoint = func(_ int, b []byte) error {
+	res, err := drive(context.Background(), opts, nil, every, func(_ int, b []byte) error {
 		last = append(last[:0], b...)
 		return nil
-	}
-	res, err := Run(opts)
+	})
 	if err != nil {
 		t.Fatalf("%s: checkpointed run: %v", opts.Variant, err)
 	}
@@ -48,8 +68,7 @@ func resumeCase(t *testing.T, opts Options) {
 	if chk.Cycles != ref.Cycles || chk.Retired != ref.Retired {
 		t.Fatalf("checkpointing perturbed the run: %+v vs %+v", chk, ref)
 	}
-	opts.Resume = snap
-	res, err := Run(opts)
+	res, err := drive(context.Background(), opts, snap, 0, nil)
 	if err != nil {
 		t.Fatalf("%s: resumed run: %v", opts.Variant, err)
 	}
@@ -81,7 +100,7 @@ func TestCosimResumeEquivalence(t *testing.T) {
 }
 
 // TestCosimCancelLeavesResumableCheckpoint proves the cancellation
-// contract end to end: a canceled cosim returns a *CanceledError whose
+// contract end to end: a canceled cosim returns a *sim.CanceledError whose
 // snapshot resumes to the same result as the uninterrupted run. The
 // cancel fires from the checkpoint callback, so the stopping cycle is
 // deterministic.
@@ -91,14 +110,10 @@ func TestCosimCancelLeavesResumableCheckpoint(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	canceled := opts
-	canceled.Ctx = ctx
-	canceled.CheckpointEvery = ref.Cycles / 2
-	canceled.Checkpoint = func(int, []byte) error { cancel(); return nil }
-	_, err := Run(canceled)
-	var ce *CanceledError
+	_, err := drive(ctx, opts, nil, ref.Cycles/2, func(int, []byte) error { cancel(); return nil })
+	var ce *sim.CanceledError
 	if !errors.As(err, &ce) {
-		t.Fatalf("canceled cosim: got %v, want *CanceledError", err)
+		t.Fatalf("canceled cosim: got %v, want *sim.CanceledError", err)
 	}
 	if ce.Snapshot == nil {
 		t.Fatal("CanceledError carries no checkpoint")
@@ -107,13 +122,35 @@ func TestCosimCancelLeavesResumableCheckpoint(t *testing.T) {
 		t.Fatalf("canceled at cycle %d, want %d", ce.Cycle, ref.Cycles/2)
 	}
 
-	opts.Resume = ce.Snapshot
-	res, err := Run(opts)
+	res, err := drive(context.Background(), opts, ce.Snapshot, 0, nil)
 	if err != nil {
 		t.Fatalf("resume canceled cosim: %v", err)
 	}
 	if res.Cycles != ref.Cycles || res.Retired != ref.Retired {
 		t.Fatalf("resumed run diverged: %+v, straight run %+v", res, ref)
+	}
+}
+
+// TestCosimCancelBeforeFirstCycle: a run canceled before its first
+// lockstep cycle (a deadline that expires while the harness is built)
+// still leaves a checkpoint that resumes to the uninterrupted result.
+func TestCosimCancelBeforeFirstCycle(t *testing.T) {
+	opts := Options{Variant: designs.All, Program: mustAsm(t, progLoop), ChaosSeed: 0xC053}
+	ref := run(t, opts)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := drive(ctx, opts, nil, 0, nil)
+	var ce *sim.CanceledError
+	if !errors.As(err, &ce) || ce.Cycle != 0 || ce.Snapshot == nil {
+		t.Fatalf("canceled cosim: got %v, want a *sim.CanceledError at cycle 0 with a checkpoint", err)
+	}
+	res, err := drive(context.Background(), opts, ce.Snapshot, 0, nil)
+	if err != nil {
+		t.Fatalf("resume from cycle 0: %v", err)
+	}
+	if *res != *ref {
+		t.Fatalf("resumed run %+v, straight run %+v", *res, *ref)
 	}
 }
 
@@ -139,8 +176,7 @@ func TestCosimResumeRejectsWrongVariant(t *testing.T) {
 	_, snap := checkpointedRun(t, opts, ref.Cycles/2)
 	bad := opts
 	bad.Variant = designs.Fatal
-	bad.Resume = snap
-	if _, err := Run(bad); err == nil {
+	if _, err := drive(context.Background(), bad, snap, 0, nil); err == nil {
 		t.Fatal("cross-variant cosim resume accepted")
 	}
 }
@@ -169,12 +205,10 @@ func TestCosimEngineIndependent(t *testing.T) {
 	}
 	runEngine := func(t *testing.T, opts Options) trace {
 		var tr trace
-		opts.CheckpointEvery = 7
-		opts.Checkpoint = func(_ int, b []byte) error {
+		res, err := drive(context.Background(), opts, nil, 7, func(_ int, b []byte) error {
 			tr.sums = append(tr.sums, sha256.Sum256(b))
 			return nil
-		}
-		res, err := Run(opts)
+		})
 		if err != nil {
 			t.Fatalf("%s on %s: %v", opts.Variant, opts.Engine, err)
 		}

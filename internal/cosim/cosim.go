@@ -83,17 +83,6 @@ type Options struct {
 	// SkipGolden suppresses the final OIAT diff (set automatically for
 	// storm runs, whose interrupt timing the golden model cannot replay).
 	SkipGolden bool
-	// Ctx, when non-nil, cancels the run at the next cycle boundary; Run
-	// then returns a *CanceledError carrying a resumable checkpoint.
-	Ctx context.Context
-	// CheckpointEvery, when positive, calls Checkpoint with a combined
-	// checkpoint every N cycles. cycle is the checkpoint's absolute
-	// cycle, counted from reset across resumes.
-	CheckpointEvery int
-	Checkpoint      func(cycle int, b []byte) error
-	// Resume, when non-nil, restores a combined checkpoint taken under
-	// identical Options instead of booting from reset.
-	Resume []byte
 }
 
 // Result summarises a successful run.
@@ -212,8 +201,11 @@ func RTLFuncs(externs []*ast.ExternDecl, impls map[string]sim.ExternFunc) (map[s
 	return funcs, nil
 }
 
-// harness holds both machines and the plan tying their coordinates.
-type harness struct {
+// Harness runs one cosimulation: both machines and the plan tying
+// their coordinates. It has a simulator's shape — New, then Boot or
+// Restore, RunCtx, SaveBytes — so sim.RunCheckpointed drives it, and
+// Finish checks the drained run.
+type Harness struct {
 	opts   Options
 	p      *designs.Processor
 	model  *rtl.Model
@@ -221,6 +213,7 @@ type harness struct {
 	pr     probes
 	rec    recorder
 	mirror []int
+	cycles int // lockstep cycles since reset
 
 	// device write captured by the OnCycle hook, replayed onto the
 	// RTL's <devVol>_dev_* ports the same cycle.
@@ -285,68 +278,78 @@ type memProbe struct {
 	sim sim.Mem
 }
 
-// Run cosimulates one program on one variant and reports the first
-// divergence as a *DivergenceError.
+// Run cosimulates one program on one variant from reset and reports
+// the first divergence as a *DivergenceError.
 func Run(opts Options) (*Result, error) {
-	h, err := newHarness(opts)
+	h, err := New(opts)
 	if err != nil {
 		return nil, err
 	}
-	opts, p := h.opts, h.p
-	cycles := 0
-	if opts.Resume != nil {
-		if cycles, err = h.restoreCheckpoint(opts.Resume); err != nil {
-			return nil, err
-		}
-	} else if err := h.boot(); err != nil {
+	if err := h.Boot(); err != nil {
 		return nil, err
 	}
-
-	var done <-chan struct{}
-	if opts.Ctx != nil {
-		done = opts.Ctx.Done()
+	if err := sim.RunCheckpointed(context.Background(), h, h.opts.MaxCycles, 0, nil); err != nil {
+		return nil, err
 	}
-	for p.M.InFlight() > 0 {
-		if cycles >= opts.MaxCycles {
-			return nil, fmt.Errorf("cosim: cycle budget %d exhausted with %d in flight",
-				opts.MaxCycles, p.M.InFlight())
+	return h.Finish()
+}
+
+// RunCtx runs up to n lockstep cycles, stopping early once the
+// simulator drains, with sim.Machine.RunCtx's contract: an exhausted
+// budget is a *sim.CycleBudgetError, cancellation at a cycle boundary
+// a *sim.CanceledError carrying a combined checkpoint (see Restore),
+// and a panic escaping the harness's own compare path, or one the RTL
+// evaluator contained (*rtl.PanicError), a *sim.InternalError with a
+// best-effort repro checkpoint. The simulator contains its own panics.
+func (h *Harness) RunCtx(ctx context.Context, n int) (int, error) {
+	start := h.cycles
+	done := ctx.Done()
+	for h.cycles-start < n {
+		if h.p.M.InFlight() == 0 {
+			return h.cycles - start, nil
 		}
 		select {
 		case <-done:
-			ce := &CanceledError{Cycle: cycles, Cause: opts.Ctx.Err()}
-			ce.Snapshot, _ = h.checkpoint(cycles)
-			return nil, ce
+			ce := &sim.CanceledError{Cycle: h.cycles, Cause: ctx.Err()}
+			ce.Snapshot, _ = h.SaveBytes()
+			return h.cycles - start, ce
 		default:
 		}
-		if err := h.cycleContained(cycles == 0, cycles); err != nil {
-			return nil, err
+		if err := h.cycleContained(); err != nil {
+			return h.cycles - start, err
 		}
-		cycles++
-		if opts.CheckpointEvery > 0 && opts.Checkpoint != nil && cycles%opts.CheckpointEvery == 0 {
-			b, err := h.checkpoint(cycles)
-			if err != nil {
-				return nil, fmt.Errorf("cosim: checkpoint at cycle %d: %w", cycles, err)
-			}
-			if err := opts.Checkpoint(cycles, b); err != nil {
-				return nil, fmt.Errorf("cosim: checkpoint at cycle %d: %w", cycles, err)
-			}
-		}
+		h.cycles++
 	}
+	if h.p.M.InFlight() > 0 {
+		return n, &sim.CycleBudgetError{Budget: n, Cycle: h.cycles,
+			InFlight: h.p.M.InFlight(), Diag: h.p.M.Diagnose()}
+	}
+	return h.cycles - start, nil
+}
 
+// Cycle reports the lockstep cycles run since reset, across resumes.
+func (h *Harness) Cycle() int { return h.cycles }
+
+// RetiredCount counts the simulator's cpu retirements so far.
+func (h *Harness) RetiredCount() int { return h.p.RetiredCount() }
+
+// Finish checks a drained run: every word of the locked memories, then
+// (unless skipped) the golden OIAT diff.
+func (h *Harness) Finish() (*Result, error) {
 	if err := h.finalDiff(); err != nil {
 		return nil, err
 	}
-	if !opts.SkipGolden {
+	if !h.opts.SkipGolden {
 		if err := h.goldenDiff(); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Cycles: cycles, Retired: p.RetiredCount()}, nil
+	return &Result{Cycles: h.cycles, Retired: h.p.RetiredCount()}, nil
 }
 
-// newHarness builds both machines for opts, with defaults applied, and
-// resolves the probes; neither machine has been booted yet.
-func newHarness(opts Options) (*harness, error) {
+// New builds both machines for opts, with defaults applied, and
+// resolves the probes. Neither machine runs until Boot or Restore.
+func New(opts Options) (*Harness, error) {
 	if opts.MaxCycles == 0 {
 		opts.MaxCycles = 200000
 	}
@@ -357,7 +360,7 @@ func newHarness(opts Options) (*harness, error) {
 		opts.SkipGolden = true
 	}
 
-	h := &harness{opts: opts}
+	h := &Harness{opts: opts}
 	h.devVol = opts.StormVol
 	if h.devVol == "" {
 		h.devVol = "mip"
@@ -485,7 +488,7 @@ func newHarness(opts Options) (*harness, error) {
 
 // resolve looks up every RTL signal and memory the harness touches per
 // cycle, and the simulator slot and memory each one is compared with.
-func (h *harness) resolve() error {
+func (h *Harness) resolve() error {
 	m, plan, pr := h.model, h.plan, &h.pr
 	var err error
 	sig := func(name string) rtl.Signal {
@@ -573,9 +576,9 @@ func (h *harness) resolve() error {
 // perturbs the cosimulated machine exactly as it does the chaos suite.
 var stormBits = [...]uint32{riscv.MIPMSIP, riscv.MIPMTIP, riscv.MIPMEIP}
 
-// boot resets the RTL, loads it from the simulator and boots the
+// Boot resets the RTL, loads it from the simulator and boots the
 // simulator.
-func (h *harness) boot() error {
+func (h *Harness) Boot() error {
 	if err := h.resetAndLoad(); err != nil {
 		return err
 	}
@@ -591,7 +594,7 @@ func (h *harness) boot() error {
 
 // resetAndLoad pulses reset and initialises the RTL memories to match
 // the loaded simulator.
-func (h *harness) resetAndLoad() error {
+func (h *Harness) resetAndLoad() error {
 	m, pr := h.model, &h.pr
 	pr.rst.Poke(val.New(1, 1))
 	if err := m.Settle(); err != nil {
@@ -628,8 +631,9 @@ func (h *harness) resetAndLoad() error {
 }
 
 // cycle advances both machines one clock and compares them.
-func (h *harness) cycle(boot bool) error {
+func (h *Harness) cycle() error {
 	p, m, pr := h.p, h.model, &h.pr
+	boot := h.cycles == 0
 	simCycle := p.M.Cycle()
 
 	h.rec.reset(h.mirror)
@@ -699,7 +703,7 @@ func diverge(cycle int, signal string, got, want uint64, detail string) error {
 // can retire in the same cycle (one on the commit tail, one on the
 // except tail); the ports then expose the mux-priority one, so the
 // harness matches on the exceptional flag.
-func (h *harness) compareRetire(cycle int) error {
+func (h *Harness) compareRetire(cycle int) error {
 	pr := &h.pr
 	all := h.p.M.Retired()
 	delta := all[h.prevRetired:]
@@ -768,7 +772,7 @@ func (s *slotProbe) fieldOf(v sim.V) (val.Value, bool) {
 }
 
 // compareState diffs committed architectural state after the clock edge.
-func (h *harness) compareState(cycle int) error {
+func (h *Harness) compareState(cycle int) error {
 	plan, pr := h.plan, &h.pr
 	msim, cpu := h.p.M, pr.cpu
 
@@ -863,7 +867,7 @@ func compareMem(cycle int, mp *memProbe) error {
 
 // finalDiff re-checks every locked memory word once the pipeline has
 // drained (the per-cycle loop throttles large memories).
-func (h *harness) finalDiff() error {
+func (h *Harness) finalDiff() error {
 	cycle := h.p.M.Cycle()
 	for i := range h.pr.mems {
 		if err := compareMem(cycle, &h.pr.mems[i]); err != nil {
@@ -878,7 +882,7 @@ func (h *harness) finalDiff() error {
 // compareState matched every volatile at every clock edge, the last one
 // included, and finalDiff every word of the locked memories (the
 // register file and data memory) after drain.
-func (h *harness) goldenDiff() error {
+func (h *Harness) goldenDiff() error {
 	o := designs.OIAT{Variant: h.opts.Variant, Text: h.opts.Program.Text, Data: h.opts.Program.Data,
 		Firmware: h.opts.Firmware}
 	if h.opts.InterruptAt > 0 {

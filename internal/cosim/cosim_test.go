@@ -1,13 +1,16 @@
 package cosim
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
 
+	"xpdl"
 	"xpdl/internal/asm"
 	"xpdl/internal/designs"
 	"xpdl/internal/riscv"
+	"xpdl/internal/sim"
 	"xpdl/internal/synth"
 	"xpdl/internal/workloads"
 )
@@ -243,7 +246,7 @@ func TestLockstepExceptions(t *testing.T) {
 // and every volatile must be probed (compared at every clock edge).
 func TestGoldenDiffReadsCheckedState(t *testing.T) {
 	for _, v := range designs.Variants() {
-		h, err := newHarness(Options{Variant: v, Program: mustAsm(t, progLoop)})
+		h, err := New(Options{Variant: v, Program: mustAsm(t, progLoop)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,20 +442,18 @@ func TestCompareStateAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := newHarness(Options{Variant: designs.All, Program: prog})
+	h, err := New(Options{Variant: designs.All, Program: prog})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.boot(); err != nil {
+	if err := h.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	for c := 0; c < 200; c++ {
-		if err := h.cycle(c == 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if h.p.M.InFlight() == 0 {
+	var cb *sim.CycleBudgetError
+	if _, err := h.RunCtx(context.Background(), 200); err == nil {
 		t.Fatal("fib drained within 200 cycles; pick a later compare point")
+	} else if !errors.As(err, &cb) {
+		t.Fatal(err)
 	}
 	// A multiple of DMemEvery, so the data memory is compared too.
 	cycle := 4 * h.opts.DMemEvery
@@ -463,5 +464,56 @@ func TestCompareStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("compareState allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestMixedTernaryWidth: a ternary with one unsized arm and one sized
+// arm takes the unsized arm at the sized arm's width, in the simulator
+// and in the emitted Verilog alike. With a = 31 and the condition true,
+// (c ? 40 : a) + a is 7 and a < (c ? 40 : a) is false; lockstep proves
+// the RTL computes the same values the simulator stores.
+func TestMixedTernaryWidth(t *testing.T) {
+	const src = `
+memory out: uint<32>[4] with bypass, comb_read;
+memory cmp: uint<32>[4] with bypass, comb_read;
+
+pipe cpu(pc: uint<32>)[out, cmp] {
+    a = pc[4:0] | 5'd31;
+    c = pc | 32'd1;
+    r = (c[0:0] ? 40 : a) + a;
+    lt = a < (c[0:0] ? 40 : a);
+    acquire(out[2'd0], W);
+    acquire(cmp[2'd0], W);
+    ---
+    out[2'd0] <- ext(r, 32);
+    cmp[2'd0] <- (lt ? 32'd1 : 32'd0);
+commit:
+    release(out[2'd0]);
+    release(cmp[2'd0]);
+except(code: uint<4>):
+    skip;
+}
+`
+	des, err := xpdl.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range sim.Engines() {
+		h, err := New(Options{Design: des, Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Boot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.RunCheckpointed(context.Background(), h, 100, 0, nil); err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if _, err := h.Finish(); err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if r, lt := h.p.M.MemPeek("out", 0).Uint(), h.p.M.MemPeek("cmp", 0).Uint(); r != 7 || lt != 0 {
+			t.Errorf("%s: (c ? 40 : a) + a = %d, a < (c ? 40 : a) = %d; want 7 and 0", engine, r, lt)
+		}
 	}
 }

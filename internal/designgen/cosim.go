@@ -1,10 +1,12 @@
 package designgen
 
 import (
+	"errors"
 	"strings"
 
 	"xpdl"
 	"xpdl/internal/cosim"
+	"xpdl/internal/sim"
 )
 
 // checkCosim executes the generated design's emitted Verilog in RTL
@@ -32,9 +34,13 @@ func checkCosim(d *DesignSpec, src string, prog []uint32, chaosSeed uint64, maxC
 		StormSchedule: schedule,
 		StormVol:      "ipend",
 	})
+	var cb *sim.CycleBudgetError
+	if errors.As(err, &cb) {
+		return nil
+	}
 	if err != nil {
 		msg := err.Error()
-		if strings.Contains(msg, "synthesizable subset") || strings.Contains(msg, "cycle budget") {
+		if strings.Contains(msg, "synthesizable subset") {
 			return nil
 		}
 		return &Divergence{Stage: "cosim", Detail: msg}

@@ -146,11 +146,10 @@ func (c *Checker) Check(m *sim.Machine, o *OIAT) *Mismatch {
 				claimed |= line
 			}
 		}
-		g.Trace = g.Trace[:0]
-		if err := g.Step(); err != nil {
+		gev, err := g.Step()
+		if err != nil {
 			return traceMismatch(idx, r.Cycle, "golden model: %v", err)
 		}
-		gev := g.Trace[0]
 		if pc != gev.PC {
 			return traceMismatch(idx, r.Cycle, "retirement %d: pipeline pc %#x, golden pc %#x", idx, pc, gev.PC)
 		}
@@ -193,8 +192,7 @@ func (c *Checker) Check(m *sim.Machine, o *OIAT) *Mismatch {
 		// bounded by the retirements the run could have made (at most
 		// two a cycle, one per commit tail).
 		for steps := 2 * m.Cycle(); !g.Halted && steps > 0; steps-- {
-			g.Trace = g.Trace[:0]
-			if err := g.Step(); err != nil {
+			if _, err := g.Step(); err != nil {
 				return &Mismatch{Stage: "drain", Index: n, Cycle: -1, Detail: "golden model: " + err.Error()}
 			}
 		}

@@ -1,6 +1,7 @@
 package designs
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -70,6 +71,15 @@ func (p *Processor) Run(maxCycles int) (int, error) { return p.M.Run(maxCycles) 
 func (p *Processor) RunCtx(ctx context.Context, maxCycles int) (int, error) {
 	return p.M.RunCtx(ctx, maxCycles)
 }
+
+// Cycle reports the machine's cycle, counted from reset.
+func (p *Processor) Cycle() int { return p.M.Cycle() }
+
+// SaveBytes snapshots the machine; see sim.Machine.SaveBytes.
+func (p *Processor) SaveBytes() ([]byte, error) { return p.M.SaveBytes() }
+
+// Restore loads a SaveBytes snapshot in place of Boot.
+func (p *Processor) Restore(b []byte) error { return p.M.Restore(bytes.NewReader(b)) }
 
 // Reg reads architectural register x[i].
 func (p *Processor) Reg(i uint32) uint32 {

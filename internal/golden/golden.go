@@ -21,7 +21,8 @@ import (
 	"xpdl/internal/riscv"
 )
 
-// Event is one entry of the golden retirement trace.
+// Event is one architectural step of the golden model, as Step
+// reports it.
 type Event struct {
 	PC  uint32
 	Raw uint32
@@ -41,10 +42,8 @@ type Machine struct {
 	IMem []uint32 // word-addressed instruction ROM
 	DMem []uint32 // word-addressed data RAM
 
-	Halted   bool
-	Retired  uint64
-	Trace    []Event
-	MaxTrace int
+	Halted  bool
+	Retired uint64
 }
 
 // New builds a machine with the given memory images (word arrays).
@@ -53,18 +52,16 @@ func New(text, data []uint32, dmemWords int) *Machine {
 		dmemWords = len(data)
 	}
 	m := &Machine{
-		IMem:     append([]uint32(nil), text...),
-		DMem:     make([]uint32, dmemWords),
-		MaxTrace: 1 << 20,
+		IMem: append([]uint32(nil), text...),
+		DMem: make([]uint32, dmemWords),
 	}
 	copy(m.DMem, data)
 	return m
 }
 
 // Reset returns the machine to the state New(text, data, len(m.DMem))
-// builds, reusing its memories and trace storage (the data memory grows
-// only if data is longer). Slices of the old Trace must not be used
-// after it.
+// builds, reusing its memories (the data memory grows only if data is
+// longer).
 func (m *Machine) Reset(text, data []uint32) {
 	dmem := m.DMem
 	if len(dmem) < len(data) {
@@ -73,10 +70,8 @@ func (m *Machine) Reset(text, data []uint32) {
 	clear(dmem)
 	copy(dmem, data)
 	*m = Machine{
-		IMem:     append(m.IMem[:0], text...),
-		DMem:     dmem,
-		Trace:    m.Trace[:0],
-		MaxTrace: 1 << 20,
+		IMem: append(m.IMem[:0], text...),
+		DMem: dmem,
 	}
 }
 
@@ -117,15 +112,9 @@ func (m *Machine) ClearInterrupt(bit uint32) {
 	m.setCSR(riscv.CSRMIP, m.csr(riscv.CSRMIP)&^bit)
 }
 
-func (m *Machine) record(ev Event) {
-	if len(m.Trace) < m.MaxTrace {
-		m.Trace = append(m.Trace, ev)
-	}
-}
-
 // trap performs precise trap entry: mepc gets the faulting pc, mcause the
 // cause, mstatus stacks MIE, and control transfers to mtvec.
-func (m *Machine) trap(pc, cause, tval uint32) {
+func (m *Machine) trap(pc, cause, tval uint32) Event {
 	m.setCSR(riscv.CSRMEPC, pc)
 	m.setCSR(riscv.CSRMCause, cause)
 	m.setCSR(riscv.CSRMTVal, tval)
@@ -138,7 +127,7 @@ func (m *Machine) trap(pc, cause, tval uint32) {
 	s &^= riscv.MStatusMIE
 	m.setCSR(riscv.CSRMStatus, s)
 	m.PC = m.csr(riscv.CSRMTVec) &^ 3
-	m.record(Event{PC: pc, Trap: true, Cause: cause})
+	return Event{PC: pc, Trap: true, Cause: cause}
 }
 
 // pendingInterrupt returns the highest-priority enabled pending
@@ -159,12 +148,13 @@ func (m *Machine) pendingInterrupt() (uint32, bool) {
 	return 0, false
 }
 
-// Step executes one architectural step: either an interrupt is taken
-// (before the next instruction executes) or one instruction runs to
-// completion, possibly trapping.
-func (m *Machine) Step() error {
+// Step executes one architectural step and reports it: either an
+// interrupt is taken (before the next instruction executes) or one
+// instruction runs to completion, possibly trapping. A halted machine
+// does nothing and reports the zero Event.
+func (m *Machine) Step() (Event, error) {
 	if m.Halted {
-		return nil
+		return Event{}, nil
 	}
 	if cause, ok := m.pendingInterrupt(); ok {
 		// Acknowledge-on-entry, matching the paper's Fig. 8 flow (the
@@ -178,18 +168,16 @@ func (m *Machine) Step() error {
 		case riscv.CauseMachineTimer:
 			m.ClearInterrupt(riscv.MIPMTIP)
 		}
-		m.trap(m.PC, cause, 0)
-		return nil
+		return m.trap(m.PC, cause, 0), nil
 	}
 
 	pc := m.PC
 	if pc%4 != 0 {
-		m.trap(pc, riscv.CauseMisalignedFetch, pc)
-		return nil
+		return m.trap(pc, riscv.CauseMisalignedFetch, pc), nil
 	}
 	widx := pc >> 2
 	if int(widx) >= len(m.IMem) {
-		return fmt.Errorf("golden: fetch past end of text at pc=%#x", pc)
+		return Event{}, fmt.Errorf("golden: fetch past end of text at pc=%#x", pc)
 	}
 	raw := m.IMem[widx]
 	in := riscv.Decode(raw)
@@ -239,15 +227,13 @@ func (m *Machine) Step() error {
 		addr := rs1 + uint32(in.Imm)
 		v, cause, ok := m.load(in.Op, addr)
 		if !ok {
-			m.trap(pc, cause, addr)
-			return nil
+			return m.trap(pc, cause, addr), nil
 		}
 		rd = v
 	case riscv.SB, riscv.SH, riscv.SW:
 		addr := rs1 + uint32(in.Imm)
 		if cause, ok := m.store(in.Op, addr, rs2); !ok {
-			m.trap(pc, cause, addr)
-			return nil
+			return m.trap(pc, cause, addr), nil
 		}
 	case riscv.ADDI:
 		rd = rs1 + uint32(in.Imm)
@@ -326,14 +312,12 @@ func (m *Machine) Step() error {
 			rd = rs1 % rs2
 		}
 	case riscv.ECALL:
-		m.trap(pc, riscv.CauseECallM, 0)
-		return nil
+		return m.trap(pc, riscv.CauseECallM, 0), nil
 	case riscv.EBREAK:
 		// Workload-termination convention (see package doc).
 		m.Halted = true
-		m.record(Event{PC: pc, Raw: raw})
 		m.Retired++
-		return nil
+		return Event{PC: pc, Raw: raw}, nil
 	case riscv.MRET:
 		s := m.MStatus()
 		if s&riscv.MStatusMPIE != 0 {
@@ -348,8 +332,7 @@ func (m *Machine) Step() error {
 		// Hint / no-op in this subset.
 	case riscv.CSRRW, riscv.CSRRS, riscv.CSRRC, riscv.CSRRWI, riscv.CSRRSI, riscv.CSRRCI:
 		if _, implemented := riscv.CSRIndex(in.CSR); !implemented {
-			m.trap(pc, riscv.CauseIllegalInst, raw)
-			return nil
+			return m.trap(pc, riscv.CauseIllegalInst, raw), nil
 		}
 		old := m.csr(in.CSR)
 		src := rs1
@@ -370,8 +353,7 @@ func (m *Machine) Step() error {
 		}
 		rd = old
 	case riscv.ILLEGAL:
-		m.trap(pc, riscv.CauseIllegalInst, raw)
-		return nil
+		return m.trap(pc, riscv.CauseIllegalInst, raw), nil
 	}
 
 	if writeRd {
@@ -380,8 +362,7 @@ func (m *Machine) Step() error {
 	m.Regs[0] = 0
 	m.PC = next
 	m.Retired++
-	m.record(Event{PC: pc, Raw: raw})
-	return nil
+	return Event{PC: pc, Raw: raw}, nil
 }
 
 func (m *Machine) load(op riscv.Op, addr uint32) (v uint32, cause uint32, ok bool) {
@@ -452,7 +433,7 @@ func b2u(b bool) uint32 {
 // Run steps until halt or maxSteps.
 func (m *Machine) Run(maxSteps int) error {
 	for i := 0; i < maxSteps && !m.Halted; i++ {
-		if err := m.Step(); err != nil {
+		if _, err := m.Step(); err != nil {
 			return err
 		}
 	}

@@ -278,17 +278,29 @@ loop:   addi t0, t0, 1
     `)
 	m := New(p.Text, p.Data, 64)
 	m.RaiseInterrupt(riscv.MIPMTIP) // pending but mie/mstatus disabled
-	if err := m.Run(200); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Halted {
-		t.Fatal("program should complete, ignoring the masked interrupt")
-	}
-	for _, ev := range m.Trace {
+	for _, ev := range stepToHalt(t, m, 200) {
 		if ev.Trap {
 			t.Fatal("masked interrupt was taken")
 		}
 	}
+}
+
+// stepToHalt steps m until it halts, at most maxSteps times, and
+// returns the events Step reported.
+func stepToHalt(t *testing.T, m *Machine, maxSteps int) []Event {
+	t.Helper()
+	var evs []Event
+	for i := 0; i < maxSteps && !m.Halted; i++ {
+		ev, err := m.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	if !m.Halted {
+		t.Fatalf("program did not halt within %d steps", maxSteps)
+	}
+	return evs
 }
 
 func TestCSRReadWriteSemantics(t *testing.T) {
@@ -341,15 +353,20 @@ func TestDivisionEdgeCases(t *testing.T) {
 }
 
 func TestTraceRecordsRetirementOrder(t *testing.T) {
-	m := runAsm(t, `
+	p, err := asm.Assemble(`
         nop
         nop
         ebreak
-    `, 10)
-	if len(m.Trace) != 3 {
-		t.Fatalf("trace length = %d", len(m.Trace))
+    `)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, ev := range m.Trace {
+	m := New(p.Text, p.Data, 64)
+	evs := stepToHalt(t, m, 10)
+	if len(evs) != 3 {
+		t.Fatalf("trace length = %d", len(evs))
+	}
+	for i, ev := range evs {
 		if ev.PC != uint32(i*4) {
 			t.Errorf("trace[%d].PC = %d", i, ev.PC)
 		}
@@ -405,7 +422,7 @@ func TestFetchPastEndIsError(t *testing.T) {
 	m := New([]uint32{0x00000013}, nil, 16) // single nop, falls off the end
 	var err error
 	for i := 0; i < 5 && err == nil && !m.Halted; i++ {
-		err = m.Step()
+		_, err = m.Step()
 	}
 	if err == nil {
 		t.Fatal("fetch past end of text should error")
@@ -466,25 +483,5 @@ func TestWFIAndFenceAreNops(t *testing.T) {
     `, 20)
 	if m.Regs[10] != 2 {
 		t.Errorf("a0 = %d", m.Regs[10])
-	}
-}
-
-func TestTraceCapRespected(t *testing.T) {
-	p, _ := asm.Assemble(`
-        li t0, 0
-l:      addi t0, t0, 1
-        li t1, 50
-        bne t0, t1, l
-        ebreak`)
-	m := New(p.Text, p.Data, 16)
-	m.MaxTrace = 5
-	if err := m.Run(1000); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Trace) != 5 {
-		t.Errorf("trace = %d entries, want capped 5", len(m.Trace))
-	}
-	if m.Retired < 50 {
-		t.Error("retired counter must keep counting past the cap")
 	}
 }

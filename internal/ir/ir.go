@@ -16,34 +16,6 @@ import (
 	"xpdl/internal/pdl/ast"
 )
 
-// OpClass buckets combinational hardware by cost class.
-type OpClass int
-
-// Operation classes.
-const (
-	OpAdd   OpClass = iota // adders/subtractors
-	OpMul                  // multipliers
-	OpDiv                  // dividers
-	OpCmp                  // comparators
-	OpLogic                // bitwise gates
-	OpShift                // shifters
-	OpMux                  // multiplexers (ternaries, predicated updates)
-	OpMemRd                // memory read ports touched
-	OpMemWr                // memory write ports touched
-	OpLock                 // lock-control operations
-	OpSpec                 // speculation-table operations
-	OpCtl                  // exception control (lef/gef/pipeclear/abort...)
-)
-
-var opClassNames = map[OpClass]string{
-	OpAdd: "add", OpMul: "mul", OpDiv: "div", OpCmp: "cmp", OpLogic: "logic",
-	OpShift: "shift", OpMux: "mux", OpMemRd: "memrd", OpMemWr: "memwr",
-	OpLock: "lock", OpSpec: "spec", OpCtl: "ctl",
-}
-
-// String names the class.
-func (c OpClass) String() string { return opClassNames[c] }
-
 // OpCount is one operation-class tally with the summed operand width.
 type OpCount struct {
 	Count int
@@ -57,7 +29,7 @@ type Stage struct {
 	// Index within its chain.
 	Index int
 	// Ops tallies combinational work by class.
-	Ops map[OpClass]OpCount
+	Ops map[check.CostOp]OpCount
 	// Externs counts calls to each extern function.
 	Externs map[string]int
 	// InRegBits is the width of the pipeline register feeding this
@@ -205,7 +177,7 @@ func (lp *lowering) newStage(kind string, index int) *Stage {
 	return &Stage{
 		Kind:    kind,
 		Index:   index,
-		Ops:     make(map[OpClass]OpCount),
+		Ops:     make(map[check.CostOp]OpCount),
 		Externs: make(map[string]int),
 	}
 }
@@ -279,7 +251,7 @@ func (lp *lowering) assignRegisters(p *Pipeline) {
 	}
 }
 
-func (st *Stage) add(c OpClass, n, bitsEach int) {
+func (st *Stage) add(c check.CostOp, n, bitsEach int) {
 	oc := st.Ops[c]
 	oc.Count += n
 	oc.Bits += n * bitsEach
@@ -294,14 +266,14 @@ func (lp *lowering) stmt(st *Stage, s ast.Stmt, stage int) {
 		lp.def(n.Name, stage)
 	case *ast.VolWrite:
 		lp.expr(st, n.RHS, stage)
-		st.add(OpMemWr, 1, 32)
+		st.add(check.CostMemWr, 1, 32)
 	case *ast.MemWrite:
 		lp.expr(st, n.Index, stage)
 		lp.expr(st, n.RHS, stage)
-		st.add(OpMemWr, 1, 32)
+		st.add(check.CostMemWr, 1, 32)
 	case *ast.If:
 		lp.expr(st, n.Cond, stage)
-		st.add(OpMux, 1, 32)
+		st.add(check.CostMux, 1, 32)
 		for _, t := range n.Then {
 			lp.stmt(st, t, stage)
 		}
@@ -312,7 +284,7 @@ func (lp *lowering) stmt(st *Stage, s ast.Stmt, stage int) {
 		if n.Index != nil {
 			lp.expr(st, n.Index, stage)
 		}
-		st.add(OpLock, 1, 8)
+		st.add(check.CostLock, 1, 8)
 	case *ast.Call:
 		for _, a := range n.Args {
 			lp.expr(st, a, stage)
@@ -320,35 +292,35 @@ func (lp *lowering) stmt(st *Stage, s ast.Stmt, stage int) {
 		if n.Result != "" {
 			lp.def(n.Result, stage+1)
 		}
-		st.add(OpCtl, 1, 8)
+		st.add(check.CostCtl, 1, 8)
 	case *ast.SpecCall:
 		for _, a := range n.Args {
 			lp.expr(st, a, stage)
 		}
 		lp.def(n.Handle, stage)
-		st.add(OpSpec, 1, 8)
+		st.add(check.CostSpec, 1, 8)
 	case *ast.Verify:
 		lp.expr(st, n.Handle, stage)
-		st.add(OpSpec, 1, 4)
+		st.add(check.CostSpec, 1, 4)
 	case *ast.Invalidate:
 		lp.expr(st, n.Handle, stage)
-		st.add(OpSpec, 1, 4)
+		st.add(check.CostSpec, 1, 4)
 	case *ast.SpecCheck, *ast.SpecBarrier:
-		st.add(OpSpec, 1, 4)
+		st.add(check.CostSpec, 1, 4)
 	case *ast.Return:
 		lp.expr(st, n.Value, stage)
 	case *ast.SetLEF:
 		st.Throws++
-		st.add(OpCtl, 1, 1)
+		st.add(check.CostCtl, 1, 1)
 	case *ast.SetEArg:
 		lp.expr(st, n.Value, stage)
-		st.add(OpCtl, 1, 32)
+		st.add(check.CostCtl, 1, 32)
 	case *ast.SetGEF:
-		st.add(OpCtl, 1, 1)
+		st.add(check.CostCtl, 1, 1)
 	case *ast.PipeClear, *ast.SpecClear:
-		st.add(OpCtl, 1, 8)
+		st.add(check.CostCtl, 1, 8)
 	case *ast.Abort:
-		st.add(OpCtl, 1, 8)
+		st.add(check.CostCtl, 1, 8)
 	case *ast.Throw:
 		// Pre-translation trees are not lowered; tolerate for tools.
 		st.Throws++
@@ -362,30 +334,16 @@ func (lp *lowering) expr(st *Stage, e ast.Expr, stage int) {
 	case *ast.IntLit, *ast.BoolLit, *ast.EArgRef, *ast.LefRef, *ast.GefRef:
 	case *ast.Unary:
 		lp.expr(st, n.X, stage)
-		st.add(OpLogic, 1, 32)
+		st.add(check.CostLogic, 1, 32)
 	case *ast.Binary:
 		lp.expr(st, n.L, stage)
 		lp.expr(st, n.R, stage)
-		w := 32
-		switch n.Op {
-		case ast.OpAdd, ast.OpSub:
-			st.add(OpAdd, 1, w)
-		case ast.OpMul:
-			st.add(OpMul, 1, w)
-		case ast.OpDiv, ast.OpMod:
-			st.add(OpDiv, 1, w)
-		case ast.OpShl, ast.OpShr:
-			st.add(OpShift, 1, w)
-		case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
-			st.add(OpCmp, 1, w)
-		default:
-			st.add(OpLogic, 1, w)
-		}
+		st.add(check.BinCost(n.Op), 1, 32)
 	case *ast.Ternary:
 		lp.expr(st, n.Cond, stage)
 		lp.expr(st, n.Then, stage)
 		lp.expr(st, n.Else, stage)
-		st.add(OpMux, 1, 32)
+		st.add(check.CostMux, 1, 32)
 	case *ast.CallExpr:
 		for _, a := range n.Args {
 			lp.expr(st, a, stage)
@@ -394,19 +352,19 @@ func (lp *lowering) expr(st *Stage, e ast.Expr, stage int) {
 		case "ext", "sext", "cat":
 			// Pure wiring.
 		case "lts", "les", "gts", "ges":
-			st.add(OpCmp, 1, 32)
+			st.add(check.CostCmp, 1, 32)
 		case "shra":
-			st.add(OpShift, 1, 32)
+			st.add(check.CostShift, 1, 32)
 		case "divs", "rems":
-			st.add(OpDiv, 1, 32)
+			st.add(check.CostDiv, 1, 32)
 		case "mulfull":
-			st.add(OpMul, 1, 32)
+			st.add(check.CostMul, 1, 32)
 		default:
 			st.Externs[n.Name]++
 		}
 	case *ast.MemRead:
 		lp.expr(st, n.Index, stage)
-		st.add(OpMemRd, 1, 32)
+		st.add(check.CostMemRd, 1, 32)
 	case *ast.Slice:
 		lp.expr(st, n.X, stage)
 	case *ast.FieldAccess:

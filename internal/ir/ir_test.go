@@ -81,8 +81,8 @@ pipe p(i: uint<32>)[] {
     k = mulfull(i, b);
 }`)
 	st := d.Pipelines[0].Body[0]
-	wantMin := map[OpClass]int{
-		OpAdd: 1, OpMul: 2, OpDiv: 1, OpShift: 1, OpCmp: 2, OpLogic: 1, OpMux: 1,
+	wantMin := map[check.CostOp]int{
+		check.CostAdd: 1, check.CostMul: 2, check.CostDiv: 1, check.CostShift: 1, check.CostCmp: 2, check.CostLogic: 1, check.CostMux: 1,
 	}
 	for class, n := range wantMin {
 		if st.Ops[class].Count < n {
@@ -163,7 +163,7 @@ pipe p(i: uint<8>)[] { y = double(i); }`)
 	if st.Externs["double"] != 1 {
 		// In-language functions are currently counted as extern-like
 		// blocks; either accounting is acceptable, but it must appear.
-		if st.Ops[OpAdd].Count == 0 {
+		if st.Ops[check.CostAdd].Count == 0 {
 			t.Error("function body contributes no hardware")
 		}
 	}

@@ -268,6 +268,14 @@ func (g *exprGen) gen(depth int) node {
 		}
 	case 6: // ternary
 		c, th, el := g.gen(depth+1), g.gen(depth+1), g.gen(depth+1)
+		// One unsized arm beside an arm of known width is taken at that
+		// width, as the simulator takes it and synth emits it.
+		switch {
+		case th.unsized && !el.unsized && el.ew > 0:
+			th = resized(th, el.ew)
+		case el.unsized && !th.unsized && th.ew > 0:
+			el = resized(el, th.ew)
+		}
 		return node{
 			kids:    []node{c, th, el},
 			format:  func(k []string) string { return "(" + k[0] + " ? " + k[1] + " : " + k[2] + ")" },
@@ -374,6 +382,18 @@ func (g *exprGen) gen(depth int) node {
 				return applyBin(op, lv, rv, signed)
 			},
 		}
+	}
+}
+
+// resized spells x the way synth emits a ternary's unsized arm beside
+// a sized one, (w'd0 | (x)): x taken at w bits.
+func resized(x node, w int) node {
+	return node{
+		kids:   []node{x},
+		format: func(k []string) string { return fmt.Sprintf("(%d'd0 | (%s))", w, k[0]) },
+		w:      w,
+		ew:     w,
+		eval:   func(g *exprGen) val.Value { return val.New(x.eval(g).Uint(), w) },
 	}
 }
 

@@ -596,9 +596,10 @@ func (c *compiler) expr(e ast.Expr) cExpr {
 	case *ast.Binary:
 		return c.binary(n)
 	case *ast.Ternary:
+		thenW, elseW := c.m.plan.armWidths(n)
 		cond := c.expr(n.Cond)
-		then := c.expr(n.Then)
-		els := c.expr(n.Else)
+		then := adaptTo(c.expr(n.Then), thenW)
+		els := adaptTo(c.expr(n.Else), elseW)
 		return func(f *firing) V {
 			cv := cond(f)
 			if f.stalled {
@@ -741,6 +742,15 @@ func valOpFn(op ast.BinOp) func(val.Value, val.Value) val.Value {
 		return val.Value.GeU
 	}
 	panic("sim: unhandled binary operator")
+}
+
+// adaptTo applies Plan.armWidths to a ternary arm: w > 0 resizes the
+// arm's value to w bits.
+func adaptTo(e cExpr, w int) cExpr {
+	if w == 0 {
+		return e
+	}
+	return func(f *firing) V { return Scalar(e(f).Val.ZeroExt(w)) }
 }
 
 func (c *compiler) binary(n *ast.Binary) cExpr {

@@ -209,24 +209,6 @@ except(c: uint<4>):
 	}
 }
 
-func TestRunUntilPredicate(t *testing.T) {
-	src := `
-pipe p(i: uint<32>)[] {
-    if (i < 50) { call p(i + 1); }
-    y = i;
-}
-`
-	m := build(t, src, Config{})
-	m.Start("p", val.New(0, 32))
-	n, err := m.RunUntil(1000, func(m *Machine) bool { return len(m.Retired()) >= 10 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Retired()) < 10 || n >= 1000 {
-		t.Errorf("RunUntil stopped at %d retirements after %d cycles", len(m.Retired()), n)
-	}
-}
-
 func TestPipeTraceOutput(t *testing.T) {
 	m := build(t, counterPipe, Config{})
 	var buf strings.Builder

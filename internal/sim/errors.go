@@ -122,8 +122,8 @@ func (d *Diagnosis) String() string {
 	return strings.TrimSuffix(b.String(), " ")
 }
 
-// diagnose builds the bounded snapshot.
-func (m *Machine) diagnose() Diagnosis {
+// Diagnose builds the bounded snapshot of m as it stands.
+func (m *Machine) Diagnose() Diagnosis {
 	var d Diagnosis
 	for _, ps := range m.pipeList {
 		for _, n := range ps.nodes {

@@ -679,10 +679,16 @@ func (f *firing) eval(e ast.Expr) V {
 		if f.stalled {
 			return c
 		}
+		thenW, elseW := f.m.plan.armWidths(n)
+		arm, w := n.Else, elseW
 		if c.Val.IsTrue() {
-			return f.eval(n.Then)
+			arm, w = n.Then, thenW
 		}
-		return f.eval(n.Else)
+		v := f.eval(arm)
+		if w > 0 {
+			v = Scalar(v.Val.ZeroExt(w))
+		}
+		return v
 	case *ast.CallExpr:
 		return f.evalCall(n)
 	case *ast.MemRead:

@@ -115,6 +115,40 @@ func TestUnsizedTernaryWidth(t *testing.T) {
 	}
 }
 
+// TestMixedTernaryWidth: a ternary with one unsized arm and one sized
+// arm has the sized arm's type, so every engine takes the unsized arm
+// at that width. Left at 64 bits, the first case stores 71 and the
+// compare picks 1.
+func TestMixedTernaryWidth(t *testing.T) {
+	cases := []struct {
+		expr string
+		c    uint64
+		want uint64
+	}{
+		{"(c[0:0] ? 40 : a) + a", 1, 7},
+		{"(a < (c[0:0] ? 40 : a) ? 64'd1 : 64'd0)", 1, 0},
+		{"(c[0:0] ? 40 : a) + a", 0, 30},
+		{"(c[0:0] ? a : 40) + a", 0, 7},
+		{"(true ? 40 : a) + a", 0, 7},
+		// The unsized arm is itself an unsized ternary.
+		{"(c[0:0] ? (c[1:1] ? 40 : 33) : a) + a", 1, 0},
+	}
+	for _, tc := range cases {
+		src := fmt.Sprintf(engineExprPipe, tc.expr)
+		for _, engine := range Engines() {
+			m := build(t, src, Config{Engine: engine})
+			err := m.Start("p", val.New(31, 5), val.New(0, 13), val.New(tc.c, 32), val.New(0, 64), val.New(0, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(t, m, 100)
+			if got := m.MemPeek("out", 0).Uint(); got != tc.want {
+				t.Errorf("%s: %s with a=31 c=%d stores %d, want %d", engine, tc.expr, tc.c, got, tc.want)
+			}
+		}
+	}
+}
+
 // engineExprPipe is the fuzzed design: one stage computes the
 // expression and writes it, widened to 64 bits, to out[k].
 const engineExprPipe = `
@@ -229,8 +263,17 @@ func (g *exprGen) uint(w, depth int) string {
 			amt = g.unsized(depth + 1)
 		}
 		return "(" + g.uint(w, depth+1) + " " + op + " " + amt + ")"
-	case 7: // ternary
-		return "(" + g.cond(depth+1) + " ? " + g.uint(w, depth+1) + " : " + g.uint(w, depth+1) + ")"
+	case 7: // ternary; one arm may be an unsized tree, taken at the other's width
+		cond, unsized := g.cond(depth+1), int(g.next()%4)
+		var arms [2]string
+		for i := range arms {
+			if i == unsized {
+				arms[i] = g.unsized(depth + 1)
+			} else {
+				arms[i] = g.uint(w, depth+1)
+			}
+		}
+		return "(" + cond + " ? " + arms[0] + " : " + arms[1] + ")"
 	case 8: // ext/sext of any width (narrowing truncates)
 		fn := []string{"ext", "sext"}[g.next()%2]
 		return fmt.Sprintf("%s(%s, %d)", fn, g.uint(g.width(), depth+1), w)

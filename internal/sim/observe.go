@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sort"
-
-	"xpdl/internal/val"
-)
+import "xpdl/internal/val"
 
 // Observer receives the machine's schedule events as they happen. The
 // cosimulation harness implements it to replay the simulator's schedule
@@ -23,10 +19,6 @@ type Observer interface {
 	// otherwise queuePos >= 0 gives its current entry-queue index.
 	InstKilled(pipe string, pos int, queuePos int)
 }
-
-// PipeNodes reports how many stage nodes a pipeline has in processing
-// order (exception chain downstream-first, commit tail, then body).
-func (m *Machine) PipeNodes(pipe string) int { return len(m.pipe(pipe).nodes) }
 
 // NodeLabel names the node at a processing-order position (diagnostics).
 func (m *Machine) NodeLabel(pipe string, pos int) string {
@@ -90,18 +82,6 @@ func (p Pipe) QueueArg(i, argIdx int) val.Value { return p.ps.entryQ[i].args[arg
 
 // Gef reports whether the pipeline is in exception-handling mode.
 func (p Pipe) Gef() bool { return p.m.gefs[p.ps.idx] }
-
-// SlotNames lists a pipeline's variable slots in slot order (sorted
-// checker variable names — the layout mirrored by synth.RTLPlan.Slots).
-func (m *Machine) SlotNames(pipe string) []string {
-	ps := m.pipe(pipe)
-	names := make([]string, 0, len(ps.slotOf))
-	for n := range ps.slotOf {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // SlotIndex resolves a variable name to its slot index.
 func (m *Machine) SlotIndex(pipe, name string) (int, bool) {

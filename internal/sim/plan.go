@@ -595,6 +595,22 @@ func (p *Plan) isUnsized(e ast.Expr) bool {
 	return false
 }
 
+// armWidths is the unsized-literal width rule of a ternary, shared by
+// every engine. A ternary with one unsized arm and one sized arm has the
+// sized arm's type (check.Info.TernaryWidth), so its unsized arm, when
+// taken, adapts to that width. It reports the width each arm adapts to,
+// 0 for none.
+func (p *Plan) armWidths(n *ast.Ternary) (then, els int) {
+	w := p.info.TernaryWidth[n]
+	if w == 0 {
+		return 0, 0
+	}
+	if p.isUnsized(n.Then) {
+		return w, 0
+	}
+	return 0, w
+}
+
 // adaptSides is the unsized-literal width rule of a binary operator,
 // shared by every engine: when the operand widths differ, an unsized
 // left operand takes the right one's width (adaptL), else an unsized

@@ -145,7 +145,11 @@ func TestResetEqualsFresh(t *testing.T) {
 						if inj != nil {
 							reused.AttachStorm(inj)
 						}
-						_, _ = reused.M.RunUntil(97+13*i, func(m *sim.Machine) bool { return m.GefSet("cpu") })
+						for c := 0; c < 97+13*i && reused.M.InFlight() > 0 && !reused.M.GefSet("cpu"); c++ {
+							if reused.M.Step() != nil {
+								break
+							}
+						}
 						reused.M.Reset()
 						got := runLoaded(t, reused, progs[i], inj)
 						if msg := diffResetRuns(want, got); msg != "" {

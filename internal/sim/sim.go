@@ -28,6 +28,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -896,7 +897,7 @@ func (m *Machine) step() error {
 	if m.watchdog > 0 && m.idleFor > m.watchdog {
 		return &DeadlockError{
 			Cycle: m.cycle, Idle: m.idleFor,
-			InFlight: len(m.alive), Diag: m.diagnose(),
+			InFlight: len(m.alive), Diag: m.Diagnose(),
 		}
 	}
 	return nil
@@ -918,37 +919,19 @@ func (m *Machine) pullEntry(ps *pipeState, node *stageNode) {
 	}
 }
 
-// Run advances up to maxCycles cycles, stopping early when no work
-// remains. It reports how many cycles elapsed. Exhausting the budget
-// with instructions still in flight returns a *CycleBudgetError.
+// Run is RunCtx without cancellation.
 func (m *Machine) Run(maxCycles int) (int, error) {
-	start := m.cycle
-	for m.cycle-start < maxCycles {
-		if len(m.alive) == 0 {
-			return m.cycle - start, nil
-		}
-		m.quiesceSkip(maxCycles - (m.cycle - start))
-		if m.cycle-start >= maxCycles {
-			break
-		}
-		if err := m.Step(); err != nil {
-			return m.cycle - start, err
-		}
-	}
-	if len(m.alive) > 0 {
-		return maxCycles, &CycleBudgetError{
-			Budget: maxCycles, Cycle: m.cycle,
-			InFlight: len(m.alive), Diag: m.diagnose(),
-		}
-	}
-	return m.cycle - start, nil
+	return m.RunCtx(context.Background(), maxCycles)
 }
 
-// RunCtx is Run with cancellation: the context is checked at every
-// cycle boundary, and cancellation or deadline expiry returns a
-// *CanceledError carrying a snapshot of the machine at that boundary,
-// so an interrupted run is always resumable (Machine.Restore). The
-// machine itself is left healthy — stepping can continue in-process.
+// RunCtx advances up to maxCycles cycles, stopping early when no work
+// remains, and reports how many cycles elapsed. Exhausting the budget
+// with instructions still in flight returns a *CycleBudgetError. The
+// context is checked at every cycle boundary: cancellation or deadline
+// expiry returns a *CanceledError carrying a snapshot of the machine
+// at that boundary, so an interrupted run is always resumable
+// (Machine.Restore). The machine itself is left healthy — stepping can
+// continue in-process.
 func (m *Machine) RunCtx(ctx context.Context, maxCycles int) (int, error) {
 	start := m.cycle
 	done := ctx.Done()
@@ -956,12 +939,14 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles int) (int, error) {
 		if len(m.alive) == 0 {
 			return m.cycle - start, nil
 		}
-		select {
-		case <-done:
-			ce := &CanceledError{Cycle: m.cycle, Cause: ctx.Err()}
-			ce.Snapshot, _ = m.SaveBytes()
-			return m.cycle - start, ce
-		default:
+		if done != nil { // nil under Run: the saturated loop skips the select
+			select {
+			case <-done:
+				ce := &CanceledError{Cycle: m.cycle, Cause: ctx.Err()}
+				ce.Snapshot, _ = m.SaveBytes()
+				return m.cycle - start, ce
+			default:
+			}
 		}
 		m.quiesceSkip(maxCycles - (m.cycle - start))
 		if m.cycle-start >= maxCycles {
@@ -974,10 +959,54 @@ func (m *Machine) RunCtx(ctx context.Context, maxCycles int) (int, error) {
 	if len(m.alive) > 0 {
 		return maxCycles, &CycleBudgetError{
 			Budget: maxCycles, Cycle: m.cycle,
-			InFlight: len(m.alive), Diag: m.diagnose(),
+			InFlight: len(m.alive), Diag: m.Diagnose(),
 		}
 	}
 	return m.cycle - start, nil
+}
+
+// Runner is a run RunCheckpointed can drive: a *Machine, or a harness
+// stepping one in lockstep with another model (cosim). RunCtx follows
+// Machine.RunCtx's contract: it stops early on drain, and reports an
+// exhausted budget, a cancellation and a contained panic with
+// *CycleBudgetError, *CanceledError and *InternalError.
+type Runner interface {
+	Cycle() int
+	RunCtx(ctx context.Context, n int) (int, error)
+	SaveBytes() ([]byte, error)
+}
+
+// RunCheckpointed runs r until it drains or its cycle, counted from
+// reset across resumes, reaches budget. When every > 0 it hands save a
+// checkpoint at every multiple of every cycles the run passes with work
+// still in flight, so a resumed run checkpoints on the same cycles as
+// an uninterrupted one. A save error ends the run with that error; a
+// caller that would rather keep going logs it and returns nil. An
+// exhausted budget is reported against budget, not against the last
+// stretch.
+func RunCheckpointed(ctx context.Context, r Runner, budget, every int, save func(cycle int, b []byte) error) error {
+	for {
+		n := budget - r.Cycle()
+		if every > 0 {
+			n = min(n, every-r.Cycle()%every)
+		}
+		_, err := r.RunCtx(ctx, max(n, 0))
+		var cb *CycleBudgetError
+		if !errors.As(err, &cb) {
+			return err
+		}
+		if r.Cycle() >= budget {
+			cb.Budget = budget
+			return err
+		}
+		b, err := r.SaveBytes()
+		if err == nil {
+			err = save(r.Cycle(), b)
+		}
+		if err != nil {
+			return fmt.Errorf("checkpoint at cycle %d: %w", r.Cycle(), err)
+		}
+	}
 }
 
 // quiesceSkip implements quiescent-cycle fast-forward for the vm
@@ -1059,27 +1088,6 @@ func (m *Machine) Advance(n int) error {
 		}
 	}
 	return nil
-}
-
-// RunUntil advances until pred returns true, up to maxCycles.
-func (m *Machine) RunUntil(maxCycles int, pred func(*Machine) bool) (int, error) {
-	start := m.cycle
-	for m.cycle-start < maxCycles {
-		if pred(m) || len(m.alive) == 0 {
-			break
-		}
-		if err := m.Step(); err != nil {
-			return m.cycle - start, err
-		}
-	}
-	return m.cycle - start, nil
-}
-
-// stateDump renders the bounded machine diagnosis (see errors.go); the
-// old unbounded per-stage listing grew linearly with design size.
-func (m *Machine) stateDump() string {
-	d := m.diagnose()
-	return d.String()
 }
 
 // squash kills an instruction and all its descendants (younger spawns),

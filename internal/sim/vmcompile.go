@@ -933,19 +933,20 @@ func (sc *segc) binRR(op ast.BinOp, lr, rr int, adaptL, adaptR bool, want int) i
 }
 
 func (sc *segc) ternary(n *ast.Ternary, want int) int {
+	thenW, elseW := sc.c.p.armWidths(n)
 	if cv, ok := sc.fold(n.Cond); ok {
 		// Constant condition: only one arm can ever evaluate.
 		if cv.Val.IsTrue() {
-			return sc.expr(n.Then, want)
+			return sc.arm(n.Then, thenW, want)
 		}
-		return sc.expr(n.Else, want)
+		return sc.arm(n.Else, elseW, want)
 	}
 	dst := sc.dstReg(want)
 	cr := sc.expr(n.Cond, -1)
 	jz := sc.emit(instr{op: opJz, b: int16(cr)})
 	saved := cloneCache(sc.cache)
 	sc.wrote(dst)
-	if r := sc.expr(n.Then, dst); r != dst {
+	if r := sc.arm(n.Then, thenW, dst); r != dst {
 		sc.emit(instr{op: opMove, a: int32(dst), b: int16(r)})
 	}
 	thenCache := cloneCache(sc.cache)
@@ -953,11 +954,24 @@ func (sc *segc) ternary(n *ast.Ternary, want int) int {
 	sc.patch(jz)
 	copy(sc.cache, saved)
 	sc.wrote(dst)
-	if r := sc.expr(n.Else, dst); r != dst {
+	if r := sc.arm(n.Else, elseW, dst); r != dst {
 		sc.emit(instr{op: opMove, a: int32(dst), b: int16(r)})
 	}
 	sc.patch(jmp)
 	intersectCache(sc.cache, thenCache)
+	return dst
+}
+
+// arm evaluates a ternary arm, resized to w bits when w > 0
+// (Plan.armWidths).
+func (sc *segc) arm(e ast.Expr, w, want int) int {
+	if w == 0 {
+		return sc.expr(e, want)
+	}
+	r := sc.expr(e, -1)
+	dst := sc.dstReg(want)
+	sc.wrote(dst)
+	sc.emit(instr{op: opZeroExtI, a: int32(dst), b: int16(r), c: int16(w)})
 	return dst
 }
 
@@ -1167,10 +1181,16 @@ func (sc *segc) fold1(e ast.Expr) (V, bool) {
 		if !ok {
 			return V{}, false
 		}
+		thenW, elseW := sc.c.p.armWidths(n)
+		arm, w := n.Else, elseW
 		if c.Val.IsTrue() {
-			return sc.fold1(n.Then)
+			arm, w = n.Then, thenW
 		}
-		return sc.fold1(n.Else)
+		v, ok := sc.fold1(arm)
+		if ok && w > 0 {
+			v = Scalar(v.Val.ZeroExt(w))
+		}
+		return v, ok
 	case *ast.Slice:
 		x, ok := sc.fold1(n.X)
 		if !ok {

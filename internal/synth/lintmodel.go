@@ -1,30 +1,22 @@
 package synth
 
 import (
+	"maps"
+
 	"xpdl/internal/check"
-	"xpdl/internal/ir"
 )
 
 // LintCostModel derives the checker's stage-cost lint model from this
 // package's technology constants, so xpdlvet and the synthesis report
 // agree on what an operation costs. (check cannot import synth — the
-// dependency runs synth -> ir -> check — hence the translation here.)
+// dependency runs synth -> ir -> check — hence the copy here.)
 func LintCostModel(t Tech) *check.CostModel {
-	classes := map[ir.OpClass]check.CostOp{
-		ir.OpAdd: check.CostAdd, ir.OpMul: check.CostMul, ir.OpDiv: check.CostDiv,
-		ir.OpCmp: check.CostCmp, ir.OpLogic: check.CostLogic, ir.OpShift: check.CostShift,
-		ir.OpMux: check.CostMux, ir.OpMemRd: check.CostMemRd, ir.OpMemWr: check.CostMemWr,
-		ir.OpLock: check.CostLock, ir.OpSpec: check.CostSpec, ir.OpCtl: check.CostCtl,
-	}
 	m := &check.CostModel{
 		ClockOverheadNS: t.ClockOverhead,
-		OpNS:            make(map[check.CostOp]float64, len(classes)),
+		OpNS:            maps.Clone(t.DelayPerClass),
 		ExternNS:        make(map[string]float64, len(t.ExternDelay)),
 	}
 	var maxExtern float64
-	for cls, op := range classes {
-		m.OpNS[op] = t.DelayPerClass[cls]
-	}
 	for name, d := range t.ExternDelay {
 		m.ExternNS[name] = d
 		if d > maxExtern {

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 
+	"xpdl/internal/check"
 	"xpdl/internal/ir"
 	"xpdl/internal/pdl/ast"
 )
@@ -26,17 +27,17 @@ type Tech struct {
 	Name string
 
 	// Area, in µm².
-	RegBitArea    float64                // one flip-flop bit
-	AreaPerBit    map[ir.OpClass]float64 // combinational classes, per operand bit
-	ExternArea    map[string]float64     // fixed blocks
-	LockEntryBits int                    // bookkeeping bits per in-flight lock reservation
-	LockEntries   int                    // modeled reservation-queue depth
-	SpecEntryBits int                    // bits per speculation-table entry
+	RegBitArea    float64                  // one flip-flop bit
+	AreaPerBit    map[check.CostOp]float64 // combinational classes, per operand bit
+	ExternArea    map[string]float64       // fixed blocks
+	LockEntryBits int                      // bookkeeping bits per in-flight lock reservation
+	LockEntries   int                      // modeled reservation-queue depth
+	SpecEntryBits int                      // bits per speculation-table entry
 	SpecEntries   int
 
 	// Timing, in ns.
-	ClockOverhead float64                // clk->q + setup + margin
-	DelayPerClass map[ir.OpClass]float64 // chain contribution when the class is present
+	ClockOverhead float64                  // clk->q + setup + margin
+	DelayPerClass map[check.CostOp]float64 // chain contribution when the class is present
 	ExternDelay   map[string]float64
 	ThrowMuxDelay float64 // per level of the throw priority chain
 	GefGuardDelay float64 // the Fig. 7 control-path mux
@@ -50,11 +51,11 @@ func ASIC45() Tech {
 	return Tech{
 		Name:       "asic45",
 		RegBitArea: 6.3,
-		AreaPerBit: map[ir.OpClass]float64{
-			ir.OpAdd: 2.6, ir.OpMul: 34.0, ir.OpDiv: 52.0, ir.OpCmp: 1.3,
-			ir.OpLogic: 0.9, ir.OpShift: 3.4, ir.OpMux: 1.7,
-			ir.OpMemRd: 2.1, ir.OpMemWr: 2.1, ir.OpLock: 4.0, ir.OpSpec: 5.0,
-			ir.OpCtl: 2.2,
+		AreaPerBit: map[check.CostOp]float64{
+			check.CostAdd: 2.6, check.CostMul: 34.0, check.CostDiv: 52.0, check.CostCmp: 1.3,
+			check.CostLogic: 0.9, check.CostShift: 3.4, check.CostMux: 1.7,
+			check.CostMemRd: 2.1, check.CostMemWr: 2.1, check.CostLock: 4.0, check.CostSpec: 5.0,
+			check.CostCtl: 2.2,
 		},
 		ExternArea: map[string]float64{
 			"decode": 2350, "alu": 14400, "nextpc": 2050,
@@ -64,11 +65,11 @@ func ASIC45() Tech {
 		SpecEntryBits: 12, SpecEntries: 8,
 
 		ClockOverhead: 0.55,
-		DelayPerClass: map[ir.OpClass]float64{
-			ir.OpAdd: 0.36, ir.OpMul: 2.6, ir.OpDiv: 3.4, ir.OpCmp: 0.42,
-			ir.OpLogic: 0.14, ir.OpShift: 0.5, ir.OpMux: 0.16,
-			ir.OpMemRd: 1.15, ir.OpMemWr: 0.3, ir.OpLock: 0.38, ir.OpSpec: 0.2,
-			ir.OpCtl: 0.1,
+		DelayPerClass: map[check.CostOp]float64{
+			check.CostAdd: 0.36, check.CostMul: 2.6, check.CostDiv: 3.4, check.CostCmp: 0.42,
+			check.CostLogic: 0.14, check.CostShift: 0.5, check.CostMux: 0.16,
+			check.CostMemRd: 1.15, check.CostMemWr: 0.3, check.CostLock: 0.38, check.CostSpec: 0.2,
+			check.CostCtl: 0.1,
 		},
 		ExternDelay: map[string]float64{
 			"decode": 1.8, "alu": 3.55, "nextpc": 1.9,
@@ -166,7 +167,7 @@ func pipelineArea(p *ir.Pipeline, t Tech) Area {
 		a.StageRegs += float64(s.InRegBits) * t.RegBitArea
 		for class, oc := range s.Ops {
 			a.Comb += float64(oc.Bits) * t.AreaPerBit[class]
-			if class == ir.OpSpec && oc.Count > 0 {
+			if class == check.CostSpec && oc.Count > 0 {
 				specUsed = true
 			}
 		}
@@ -233,7 +234,7 @@ func TimingOf(d *ir.Design, t Tech) Timing {
 				}
 			}
 			delay += externMax
-			classes := make([]ir.OpClass, 0, len(s.Ops))
+			classes := make([]check.CostOp, 0, len(s.Ops))
 			for c := range s.Ops {
 				classes = append(classes, c)
 			}

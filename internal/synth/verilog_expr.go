@@ -69,7 +69,17 @@ func (g *rtlgen) expr(e ast.Expr) string {
 		}
 		g.failf("unsupported unary operator")
 	case *ast.Ternary:
-		return fmt.Sprintf("((%s) ? (%s) : (%s))", g.expr(n.Cond), g.expr(n.Then), g.expr(n.Else))
+		cond, then, els := g.expr(n.Cond), g.expr(n.Then), g.expr(n.Else)
+		// A ternary typed by its one sized arm resizes the unsized arm
+		// to that arm's width, as the simulator does when it takes it.
+		if w := g.info.TernaryWidth[n]; w > 0 {
+			if g.widthOf(n.Then) <= 0 {
+				then = g.resizeExpr(n.Then, w)
+			} else {
+				els = g.resizeExpr(n.Else, w)
+			}
+		}
+		return fmt.Sprintf("((%s) ? (%s) : (%s))", cond, then, els)
 	case *ast.CallExpr:
 		return g.exprCall(n)
 	case *ast.MemRead:

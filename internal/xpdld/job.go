@@ -85,7 +85,7 @@ const (
 	ErrAssemble    = "assemble"         // assembler rejected the program
 	ErrBudget      = "cycle-budget"     // sim.CycleBudgetError
 	ErrDeadlock    = "deadlock"         // sim.DeadlockError
-	ErrInternal    = "internal"         // sim.InternalError / cosim.InternalError / panic
+	ErrInternal    = "internal"         // sim.InternalError / runner panic
 	ErrDivergence  = "divergence"       // cosim.DivergenceError
 	ErrGolden      = "golden-mismatch"  // golden-model cross-check failed
 	ErrSnapCorrupt = "snapshot-corrupt" // snap.CorruptError restoring a checkpoint

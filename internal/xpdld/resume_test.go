@@ -276,8 +276,8 @@ func TestCheckpointCorruption(t *testing.T) {
 			b[4] = 0x63 // version varint right after the 4-byte magic
 			return b
 		}, ErrSnapVersion},
-		// The cosim path restores inside cosim.Run; its snap errors must
-		// keep their identity through classifyRunErr.
+		// A cosim job restores its combined checkpoint through the same
+		// resume path as simulate and chaos jobs.
 		{"cosim-truncated", KindCosim, func(b []byte) []byte {
 			return b[:len(b)/2]
 		}, ErrSnapCorrupt},

@@ -1,7 +1,6 @@
 package xpdld
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -15,7 +14,6 @@ import (
 	"xpdl/internal/designs"
 	"xpdl/internal/fault"
 	"xpdl/internal/sim"
-	"xpdl/internal/snap"
 )
 
 // outcome is what a runner hands back to the worker loop.
@@ -47,10 +45,8 @@ func (s *Server) run(ctx context.Context, j *job) (out outcome) {
 	switch j.spec.Kind {
 	case KindCompile:
 		return s.runCompile(ctx, j)
-	case KindSimulate, KindChaos:
+	case KindSimulate, KindChaos, KindCosim:
 		return s.runSim(ctx, j)
-	case KindCosim:
-		return s.runCosim(ctx, j)
 	case KindBveq:
 		return s.runBveq(ctx, j)
 	}
@@ -86,102 +82,19 @@ func (s *Server) runCompile(ctx context.Context, j *job) outcome {
 	}}
 }
 
-// runSim executes a simulate or chaos job: the design's machine runs
-// the program in CheckpointEvery-sized chunks, persisting a snapshot at
-// every chunk boundary, then cross-checks the drained state against the
-// sequential golden model. A fresh invocation resumes from the stored
-// checkpoint when one exists — that one code path serves preemption,
-// user cancellation and crash recovery alike.
+// runSim executes a simulate, chaos or cosim job. A simulate or chaos
+// job runs the design's machine and cross-checks the drained state
+// against the sequential golden model; a cosim job runs the simulator
+// and the emitted Verilog in lockstep, with the harness's combined
+// checkpoint as the durable unit. Both run through drive.
 func (s *Server) runSim(ctx context.Context, j *job) outcome {
 	sp := j.spec
 	v, _ := VariantByName(sp.Design)
 	src := designSource(sp)
-	d, err := s.cache.Compile(src)
-	if err != nil {
-		return failed(ErrCompile, err)
-	}
 	prog, jerr := sp.program()
 	if jerr != nil {
 		return outcome{jerr: jerr}
 	}
-	cfg := sim.Config{
-		Engine:   sp.Engine,
-		Externs:  designs.Externs(),
-		MaxTrace: sp.MaxTrace,
-	}
-	if sp.Kind == KindChaos {
-		// Timing faults only — interrupt storms write mip directly,
-		// which the golden model cannot mirror (same policy as xpdlsim).
-		cfg.Faults = fault.New(fault.Default(sp.Seed))
-	}
-	m, err := d.NewMachine(cfg)
-	if err != nil {
-		return failed(ErrCompile, err)
-	}
-	p := &designs.Processor{Variant: v, Design: d, M: m}
-	if err := p.Load(prog); err != nil {
-		return failed(ErrAssemble, err)
-	}
-	if ckpt, ok, err := s.store.ReadCheckpoint(j.id); err != nil {
-		return outcome{jerr: classifySnapshotErr(err)}
-	} else if ok {
-		if err := m.Restore(bytes.NewReader(ckpt)); err != nil {
-			return outcome{jerr: classifySnapshotErr(err)}
-		}
-		s.metrics.Inc("xpdld_jobs_resumed_total")
-	} else if err := p.Boot(); err != nil {
-		return failed(ErrRun, err)
-	}
-
-	for {
-		left := sp.MaxCycles - m.Cycle()
-		if left <= 0 {
-			return outcome{jerr: &JobError{
-				Kind:   ErrBudget,
-				Detail: fmt.Sprintf("cycle budget of %d exhausted with work in flight", sp.MaxCycles),
-			}}
-		}
-		chunk := left
-		if sp.CheckpointEvery > 0 && sp.CheckpointEvery < chunk {
-			chunk = sp.CheckpointEvery
-		}
-		_, err := p.RunCtx(ctx, chunk)
-		if err == nil {
-			break // pipeline drained — the workload halted and retired
-		}
-		var ce *sim.CanceledError
-		if errors.As(err, &ce) {
-			if ce.Snapshot != nil {
-				// A failed write here only costs resume granularity: the
-				// job resumes from its previous durable checkpoint (or
-				// scratch) and still converges on the same report.
-				if werr := s.store.WriteCheckpoint(j.id, ce.Snapshot); werr != nil {
-					s.checkpointFailed(j, werr)
-				} else {
-					s.checkpointed(j, m.Cycle(), p.RetiredCount())
-				}
-			}
-			return outcome{canceled: true}
-		}
-		var cb *sim.CycleBudgetError
-		if errors.As(err, &cb) && m.Cycle() < sp.MaxCycles {
-			b, serr := m.SaveBytes()
-			if serr != nil {
-				return failed(ErrRun, serr)
-			}
-			// Graceful degradation: a checkpoint that cannot be persisted
-			// must not fail a healthy running job — keep computing with
-			// the previous (stale) checkpoint as the recovery point.
-			if werr := s.store.WriteCheckpoint(j.id, b); werr != nil {
-				s.checkpointFailed(j, werr)
-			} else {
-				s.checkpointed(j, m.Cycle(), p.RetiredCount())
-			}
-			continue
-		}
-		return classifyRunErr(err)
-	}
-
 	rep := &Report{
 		Kind:       sp.Kind,
 		Design:     sp.Design,
@@ -190,86 +103,123 @@ func (s *Server) runSim(ctx context.Context, j *job) outcome {
 		ProgHash:   progHash(prog),
 		Engine:     engineName(sp.Engine),
 		Seed:       sp.Seed,
-		Cycles:     m.Cycle(),
-		Retired:    p.RetiredCount(),
-		Checksum:   fmt.Sprintf("%#x", p.DMemWord(0)),
-		StateCRC:   stateCRC(p),
+		GoldenOK:   true,
 	}
-	o := designs.OIAT{Variant: v, Text: prog.Text, Data: prog.Data}
-	if mm := new(designs.Checker).Check(m, &o); mm != nil {
-		return failed(ErrGolden, mm)
-	}
-	rep.GoldenOK = true
-	return outcome{report: rep}
-}
-
-// runCosim executes a cosim job: the simulator and the emitted Verilog
-// in lockstep, with the harness's combined checkpoint as the durable
-// unit.
-func (s *Server) runCosim(ctx context.Context, j *job) outcome {
-	sp := j.spec
-	v, _ := VariantByName(sp.Design)
-	prog, jerr := sp.program()
-	if jerr != nil {
-		return outcome{jerr: jerr}
-	}
-	opts := cosim.Options{
-		Variant:   v,
-		Program:   prog,
-		MaxCycles: sp.MaxCycles,
-		Engine:    sp.Engine,
-		// Storm-free chaos (seed 0 disables injection) keeps the golden
-		// cross-check meaningful.
-		ChaosSeed: sp.Seed,
-		Ctx:       ctx,
-	}
-	if sp.CheckpointEvery > 0 {
-		opts.CheckpointEvery = sp.CheckpointEvery
-		opts.Checkpoint = func(cycle int, b []byte) error {
-			// Never propagate a store failure into cosim.Run — it would
-			// abort a healthy lockstep run. Degrade to the stale
-			// checkpoint instead.
-			if err := s.store.WriteCheckpoint(j.id, b); err != nil {
-				s.checkpointFailed(j, err)
-				return nil
+	var r runner
+	var finish func() error
+	if sp.Kind == KindCosim {
+		h, err := cosim.New(cosim.Options{
+			Variant:   v,
+			Program:   prog,
+			MaxCycles: sp.MaxCycles,
+			Engine:    sp.Engine,
+			// Storm-free chaos (seed 0 disables injection) keeps the
+			// golden cross-check meaningful.
+			ChaosSeed: sp.Seed,
+		})
+		if err != nil {
+			return classifyRunErr(err)
+		}
+		r = h
+		finish = func() error {
+			_, err := h.Finish()
+			return err
+		}
+	} else {
+		d, err := s.cache.Compile(src)
+		if err != nil {
+			return failed(ErrCompile, err)
+		}
+		cfg := sim.Config{
+			Engine:   sp.Engine,
+			Externs:  designs.Externs(),
+			MaxTrace: sp.MaxTrace,
+		}
+		if sp.Kind == KindChaos {
+			// Timing faults only — interrupt storms write mip directly,
+			// which the golden model cannot mirror (same policy as
+			// xpdlsim).
+			cfg.Faults = fault.New(fault.Default(sp.Seed))
+		}
+		m, err := d.NewMachine(cfg)
+		if err != nil {
+			return failed(ErrCompile, err)
+		}
+		p := &designs.Processor{Variant: v, Design: d, M: m}
+		if err := p.Load(prog); err != nil {
+			return failed(ErrAssemble, err)
+		}
+		r = p
+		finish = func() error {
+			rep.Checksum = fmt.Sprintf("%#x", p.DMemWord(0))
+			rep.StateCRC = stateCRC(p)
+			o := designs.OIAT{Variant: v, Text: prog.Text, Data: prog.Data}
+			if mm := new(designs.Checker).Check(m, &o); mm != nil {
+				return mm
 			}
-			s.checkpointed(j, cycle, 0)
 			return nil
 		}
 	}
-	if ckpt, ok, err := s.store.ReadCheckpoint(j.id); err != nil {
-		return outcome{jerr: classifySnapshotErr(err)}
-	} else if ok {
-		opts.Resume = ckpt
-		s.metrics.Inc("xpdld_jobs_resumed_total")
+	if out, done := s.drive(ctx, j, r); !done {
+		return out
 	}
-	res, err := cosim.Run(opts)
-	if err != nil {
-		var ce *cosim.CanceledError
-		if errors.As(err, &ce) {
-			if ce.Snapshot != nil {
-				if werr := s.store.WriteCheckpoint(j.id, ce.Snapshot); werr != nil {
-					s.checkpointFailed(j, werr)
-				} else {
-					s.checkpointed(j, ce.Cycle, 0)
-				}
-			}
-			return outcome{canceled: true}
-		}
+	rep.Cycles, rep.Retired = r.Cycle(), r.RetiredCount()
+	if err := finish(); err != nil {
 		return classifyRunErr(err)
 	}
-	return outcome{report: &Report{
-		Kind:       KindCosim,
-		Design:     sp.Design,
-		DesignHash: DesignHash(designSource(sp)),
-		Workload:   sp.Workload,
-		ProgHash:   progHash(prog),
-		Engine:     engineName(sp.Engine),
-		Seed:       sp.Seed,
-		Cycles:     res.Cycles,
-		Retired:    res.Retired,
-		GoldenOK:   true,
-	}}
+	return outcome{report: rep}
+}
+
+// runner is what a simulate, chaos or cosim job runs: a
+// *designs.Processor or a *cosim.Harness.
+type runner interface {
+	sim.Runner
+	Boot() error
+	Restore(b []byte) error
+	RetiredCount() int
+}
+
+// drive resumes r from the job's stored checkpoint, or boots it, and
+// runs it to drain under the spec's cycle budget, persisting a
+// checkpoint at every multiple of CheckpointEvery cycles and on
+// cancellation. That one path serves preemption, user cancellation and
+// crash recovery alike. done reports a drained run; otherwise out is
+// the job's outcome.
+func (s *Server) drive(ctx context.Context, j *job, r runner) (out outcome, done bool) {
+	if ckpt, ok, err := s.store.ReadCheckpoint(j.id); err != nil {
+		return outcome{jerr: classifySnapshotErr(err)}, false
+	} else if ok {
+		if err := r.Restore(ckpt); err != nil {
+			return outcome{jerr: classifySnapshotErr(err)}, false
+		}
+		s.metrics.Inc("xpdld_jobs_resumed_total")
+	} else if err := r.Boot(); err != nil {
+		return failed(ErrRun, err), false
+	}
+	// Graceful degradation: a checkpoint that cannot be persisted must
+	// not fail a healthy running job. It only costs resume granularity:
+	// the job resumes from its previous durable checkpoint (or scratch)
+	// and still converges on the same report.
+	persist := func(cycle int, b []byte) error {
+		if err := s.store.WriteCheckpoint(j.id, b); err != nil {
+			s.checkpointFailed(j, err)
+		} else {
+			s.checkpointed(j, cycle, r.RetiredCount())
+		}
+		return nil
+	}
+	err := sim.RunCheckpointed(ctx, r, j.spec.MaxCycles, j.spec.CheckpointEvery, persist)
+	var ce *sim.CanceledError
+	switch {
+	case errors.As(err, &ce):
+		if ce.Snapshot != nil {
+			persist(ce.Cycle, ce.Snapshot)
+		}
+		return outcome{canceled: true}, false
+	case err != nil:
+		return classifyRunErr(err), false
+	}
+	return outcome{}, true
 }
 
 // runBveq executes a bounded-equivalence job. Verify is a pure
@@ -308,8 +258,6 @@ func (s *Server) runBveq(ctx context.Context, j *job) outcome {
 }
 
 // classifyRunErr maps typed simulator/cosim errors onto job errors.
-// Snapshot container errors can surface here too (a cosim resume
-// restores inside Run); they keep their snapshot-* identity.
 func classifyRunErr(err error) outcome {
 	var (
 		cb  *sim.CycleBudgetError
@@ -317,13 +265,8 @@ func classifyRunErr(err error) outcome {
 		ie  *sim.InternalError
 		div *cosim.DivergenceError
 		mm  *designs.Mismatch
-		cie *cosim.InternalError
-		sve *snap.VersionError
-		sce *snap.CorruptError
 	)
 	switch {
-	case errors.As(err, &sve), errors.As(err, &sce):
-		return outcome{jerr: classifySnapshotErr(err)}
 	case errors.As(err, &cb):
 		return failed(ErrBudget, err)
 	case errors.As(err, &dl):
@@ -334,8 +277,6 @@ func classifyRunErr(err error) outcome {
 		return failed(ErrDivergence, err)
 	case errors.As(err, &mm):
 		return failed(ErrGolden, err)
-	case errors.As(err, &cie):
-		return failed(ErrInternal, err)
 	}
 	return failed(ErrRun, err)
 }
@@ -388,10 +329,7 @@ func stateCRC(p *designs.Processor) string {
 func (s *Server) checkpointed(j *job, cycle, retired int) {
 	s.metrics.Inc("xpdld_checkpoints_written_total")
 	j.mu.Lock()
-	j.progress.Cycle = cycle
-	if retired > 0 {
-		j.progress.Retired = retired
-	}
+	j.progress.Cycle, j.progress.Retired = cycle, retired
 	j.progress.CheckpointCycle = cycle
 	j.progress.Checkpoints++
 	j.attempts = 0

@@ -46,12 +46,6 @@ type Store struct {
 	mu sync.Mutex
 }
 
-// OpenStore creates/opens the store rooted at dir on the real
-// filesystem.
-func OpenStore(dir string) (*Store, error) {
-	return OpenStoreFS(dir, faultfs.OS())
-}
-
 // OpenStoreFS creates/opens the store over an explicit filesystem —
 // the fault-injection seam.
 func OpenStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
@@ -63,9 +57,6 @@ func OpenStoreFS(dir string, fsys faultfs.FS) (*Store, error) {
 	}
 	return &Store{root: dir, fs: fsys}, nil
 }
-
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
 
 func (s *Store) jobDir(id string) string { return filepath.Join(s.root, "jobs", id) }
 
@@ -162,15 +153,6 @@ func (s *Store) ReadCheckpoint(id string) (data []byte, ok bool, err error) {
 // flip bits in it through this).
 func (s *Store) CheckpointPath(id string) string {
 	return filepath.Join(s.jobDir(id), "ckpt.snap")
-}
-
-// DropCheckpoint removes a job's checkpoint, if any.
-func (s *Store) DropCheckpoint(id string) error {
-	err := s.fs.Remove(filepath.Join(s.jobDir(id), "ckpt.snap"))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	return err
 }
 
 // WriteReport persists the canonical report bytes.
