@@ -39,8 +39,9 @@ const handlerWord = 16
 // in a fixed array instead of allocating.
 const imageWords = 32
 
-// rv32ImmSeries is the immediate domain the Width knob indexes into.
-var rv32ImmSeries = []uint32{5, 3, 9, 14, 7, 11, 2, 8}
+// ImmSeries is the immediate domain the Width knob indexes into, for
+// the hand-written variants and the generated designs alike.
+var ImmSeries = []uint32{5, 3, 9, 14, 7, 11, 2, 8}
 
 // VariantTarget adapts one hand-written processor variant to the gate.
 type VariantTarget struct {
@@ -124,8 +125,8 @@ func NewVariantTarget(v designs.Variant, width int, corrupt func(map[string]*cor
 	if width <= 0 {
 		width = 2
 	}
-	if width > len(rv32ImmSeries) {
-		width = len(rv32ImmSeries)
+	if width > len(ImmSeries) {
+		width = len(ImmSeries)
 	}
 	// letters appends one letter per snippet, spelled as written.
 	letters := func(dst *[]Inst, srcs ...string) error {
@@ -151,7 +152,7 @@ func NewVariantTarget(v designs.Variant, width int, corrupt func(map[string]*cor
 	}
 	t.alphabet = append(t.alphabet, beq)
 	for i := 0; i < width; i++ {
-		src := fmt.Sprintf("addi %s, t0, %d", []string{"t0", "t1"}[i%2], rv32ImmSeries[i])
+		src := fmt.Sprintf("addi %s, t0, %d", []string{"t0", "t1"}[i%2], ImmSeries[i])
 		if err := letters(&t.alphabet, src); err != nil {
 			return nil, err
 		}

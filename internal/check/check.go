@@ -34,6 +34,7 @@ import (
 	"xpdl/internal/diag"
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/pdl/token"
+	"xpdl/internal/val"
 )
 
 // Info is the result of a successful check: the resolved program plus the
@@ -42,11 +43,72 @@ type Info struct {
 	Prog   *ast.Program
 	Consts map[string]Const
 	Pipes  map[string]*PipeInfo
-	// TernaryWidth holds the checked width of every ternary with one
-	// unsized-literal arm and one sized arm. The ternary has the sized
-	// arm's type, so its unsized arm, when taken, adapts to this width.
-	TernaryWidth map[*ast.Ternary]int
+	// types records every source expression the checker typed, in the
+	// manner of go/types' Info.Types: its checked type and, for a
+	// constant the checker folded (slice bounds, ext/sext widths,
+	// constant identifiers and their subexpressions), its value. It is
+	// the one width rule: every engine and the Verilog emitter read how
+	// wide an expression is, and whether it is unsized and adapts to its
+	// context, from here (TypeAndValue and the methods below). Only the
+	// nodes the translator creates (EArgRef, GefRef, LefRef) are absent.
+	// An entry indexes tvs, which holds each distinct TypeAndValue once
+	// (a compiled design stays in a daemon's cache); index 0 is the zero
+	// TypeAndValue, kind TInvalid, that a missing entry reads.
+	types map[ast.Expr]int32
+	tvs   []TypeAndValue
 }
+
+// TypeAndValue is one expression's entry in the checker's type table.
+type TypeAndValue struct {
+	Type ast.Type
+	// Value is the folded value when Const is set.
+	Value uint64
+	Const bool
+}
+
+// TypeAndValue returns e's entry in the type table. An expression the
+// checker never typed has the zero entry, whose type has kind TInvalid.
+func (info *Info) TypeAndValue(e ast.Expr) TypeAndValue { return info.tvs[info.types[e]] }
+
+// TypeOf returns e's checked type, kind TInvalid when the checker never
+// typed e.
+func (info *Info) TypeOf(e ast.Expr) ast.Type { return info.TypeAndValue(e).Type }
+
+// Unsized reports whether e is typed as an unsized uint: a literal
+// tree, or a shift of one, whose width adapts to its context.
+func (info *Info) Unsized(e ast.Expr) bool { return isUnsized(info.TypeOf(e)) }
+
+// ArmWidths is the width rule of a ternary: an unsized arm of a sized
+// ternary, when taken, adapts to the ternary's type. It reports the
+// width each arm adapts to, 0 for none.
+func (info *Info) ArmWidths(n *ast.Ternary) (then, els int) {
+	if info.Unsized(n) {
+		return 0, 0
+	}
+	w := info.TypeOf(n).BitWidth()
+	if info.Unsized(n.Then) {
+		then = w
+	}
+	if info.Unsized(n.Else) {
+		els = w
+	}
+	return then, els
+}
+
+// AdaptSides is the width rule of a binary operator: when the operand
+// widths differ, an unsized operand takes the other one's width (adaptL,
+// else adaptR). A shift has its left operand's type and never adapts.
+func (info *Info) AdaptSides(n *ast.Binary) (adaptL, adaptR bool) {
+	if n.Op == ast.OpShl || n.Op == ast.OpShr {
+		return false, false
+	}
+	adaptL = info.Unsized(n.L)
+	return adaptL, !adaptL && info.Unsized(n.R)
+}
+
+// IntValue returns the folded value of a constant operand the checker
+// validated: a slice bound or an ext/sext width.
+func (info *Info) IntValue(e ast.Expr) int { return int(info.TypeAndValue(e).Value) }
 
 // Const is an evaluated compile-time constant. Width 0 means the constant
 // adopts its width from context, like an unsized literal.
@@ -128,11 +190,13 @@ func Analyze(prog *ast.Program, opts Options) (*Info, []diag.Diagnostic) {
 		prog:  prog,
 		diags: &diag.List{Max: opts.MaxErrors},
 		info: &Info{
-			Prog:         prog,
-			Consts:       make(map[string]Const),
-			Pipes:        make(map[string]*PipeInfo),
-			TernaryWidth: make(map[*ast.Ternary]int),
+			Prog:   prog,
+			Consts: make(map[string]Const),
+			Pipes:  make(map[string]*PipeInfo),
+			types:  make(map[ast.Expr]int32),
+			tvs:    make([]TypeAndValue, 1),
 		},
+		tvIdx:       make(map[tvKey]int32),
 		lockSeq:     make(map[string][]lockEvent),
 		usedMems:    make(map[string]bool),
 		writtenMems: make(map[string]bool),
@@ -180,6 +244,9 @@ type checker struct {
 	// pipeLocals collects per-pipeline (and per-function) local-variable
 	// usage for the dead-code pass, in declaration order.
 	pipeLocals []*localUsage
+
+	// tvIdx finds the shared Info.tvs entry of a scalar TypeAndValue.
+	tvIdx map[tvKey]int32
 
 	// Whole-program use sets for the dead-code pass.
 	usedMems    map[string]bool
@@ -260,8 +327,46 @@ func (c *checker) collect() {
 	}
 }
 
-// evalConst folds a constant expression.
+// evalConst folds a constant expression and records every node it
+// folds, with its value, in the type table.
 func (c *checker) evalConst(e ast.Expr) (Const, bool) {
+	cv, ok := c.fold(e)
+	if ok {
+		tv := TypeAndValue{Type: ast.UIntType0(cv.Width), Value: cv.val().Uint(), Const: true}
+		if cv.IsBool {
+			tv.Type = ast.BoolType()
+		}
+		c.record(e, tv)
+	}
+	return cv, ok
+}
+
+// tvKey identifies a scalar TypeAndValue, for sharing one tvs entry.
+type tvKey struct {
+	kind    ast.TypeKind
+	width   int
+	value   uint64
+	isConst bool
+}
+
+// record enters e in the type table.
+func (c *checker) record(e ast.Expr, tv TypeAndValue) {
+	k := tvKey{tv.Type.Kind, tv.Type.Width, tv.Value, tv.Const}
+	i, ok := c.tvIdx[k]
+	if !ok || tv.Type.Kind == ast.TRecord {
+		i = int32(len(c.info.tvs))
+		c.info.tvs = append(c.info.tvs, tv)
+		if tv.Type.Kind != ast.TRecord {
+			c.tvIdx[k] = i
+		}
+	}
+	c.info.types[e] = i
+}
+
+// fold computes a constant with the engines' arithmetic (internal/val)
+// and width rule: an unsized operand takes its sized partner's width,
+// except across a shift, which has its left operand's width.
+func (c *checker) fold(e ast.Expr) (Const, bool) {
 	switch n := e.(type) {
 	case *ast.IntLit:
 		return Const{Value: n.Value, Width: n.Width}, true
@@ -269,90 +374,79 @@ func (c *checker) evalConst(e ast.Expr) (Const, bool) {
 		return Const{Bool: n.Value, IsBool: true}, true
 	case *ast.Ident:
 		cv, ok := c.info.Consts[n.Name]
+		if ok {
+			c.usedConsts[n.Name] = true
+		}
 		return cv, ok
 	case *ast.Unary:
 		x, ok := c.evalConst(n.X)
-		if !ok {
+		switch {
+		case !ok:
 			return Const{}, false
-		}
-		switch n.Op {
-		case ast.OpNot:
-			return Const{Bool: !constTruth(x), IsBool: true}, true
-		case ast.OpBNot:
-			w := x.Width
-			if w == 0 {
-				w = 64
-			}
-			return Const{Value: ^x.Value & widthMask(w), Width: x.Width}, true
-		case ast.OpNeg:
-			w := x.Width
-			if w == 0 {
-				w = 64
-			}
-			return Const{Value: (-x.Value) & widthMask(w), Width: x.Width}, true
+		case n.Op == ast.OpNot:
+			return Const{Bool: !x.val().IsTrue(), IsBool: true}, true
+		case x.IsBool:
+			return Const{}, false // ~ and - need a uint
+		case n.Op == ast.OpBNot:
+			return Const{Value: x.val().Not().Uint(), Width: x.Width}, true
+		case n.Op == ast.OpNeg:
+			return Const{Value: x.val().Neg().Uint(), Width: x.Width}, true
 		}
 	case *ast.Binary:
-		l, ok1 := c.evalConst(n.L)
-		r, ok2 := c.evalConst(n.R)
-		if !ok1 || !ok2 {
+		l, okL := c.evalConst(n.L)
+		r, okR := c.evalConst(n.R)
+		op, okOp := foldOps[n.Op]
+		if !okL || !okR || !okOp {
 			return Const{}, false
 		}
-		w := l.Width
-		if w == 0 {
-			w = r.Width
+		lv, rv := l.val(), r.val()
+		shift := n.Op == ast.OpShl || n.Op == ast.OpShr
+		switch {
+		case shift:
+		case l.unsized() && !r.unsized():
+			lv = val.New(lv.Uint(), rv.Width())
+		case r.unsized() && !l.unsized():
+			rv = val.New(rv.Uint(), lv.Width())
 		}
-		mw := w
-		if mw == 0 {
-			mw = 64
-		}
-		mask := widthMask(mw)
+		v := op(lv, rv)
 		switch n.Op {
-		case ast.OpAdd:
-			return Const{Value: (l.Value + r.Value) & mask, Width: w}, true
-		case ast.OpSub:
-			return Const{Value: (l.Value - r.Value) & mask, Width: w}, true
-		case ast.OpMul:
-			return Const{Value: (l.Value * r.Value) & mask, Width: w}, true
-		case ast.OpShl:
-			return Const{Value: (l.Value << (r.Value & 63)) & mask, Width: w}, true
-		case ast.OpShr:
-			return Const{Value: (l.Value >> (r.Value & 63)) & mask, Width: w}, true
-		case ast.OpOr:
-			return Const{Value: l.Value | r.Value, Width: w}, true
-		case ast.OpAnd:
-			return Const{Value: l.Value & r.Value, Width: w}, true
-		case ast.OpXor:
-			return Const{Value: l.Value ^ r.Value, Width: w}, true
-		case ast.OpEq:
-			return Const{Bool: l.Value == r.Value, IsBool: true}, true
-		case ast.OpNe:
-			return Const{Bool: l.Value != r.Value, IsBool: true}, true
-		case ast.OpLt:
-			return Const{Bool: l.Value < r.Value, IsBool: true}, true
-		case ast.OpLe:
-			return Const{Bool: l.Value <= r.Value, IsBool: true}, true
-		case ast.OpGt:
-			return Const{Bool: l.Value > r.Value, IsBool: true}, true
-		case ast.OpGe:
-			return Const{Bool: l.Value >= r.Value, IsBool: true}, true
+		case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
+			return Const{Bool: v.IsTrue(), IsBool: true}, true
 		}
+		switch {
+		case l.IsBool || r.IsBool:
+			return Const{}, false
+		case l.unsized() && (shift || r.unsized()):
+			return Const{Value: v.Uint()}, true
+		}
+		return Const{Value: v.Uint(), Width: v.Width()}, true
 	}
 	return Const{}, false
 }
 
-func constTruth(cv Const) bool {
-	if cv.IsBool {
-		return cv.Bool
-	}
-	return cv.Value != 0
+// foldOps are the operators a constant expression may use.
+var foldOps = map[ast.BinOp]func(val.Value, val.Value) val.Value{
+	ast.OpAdd: val.Value.Add, ast.OpSub: val.Value.Sub, ast.OpMul: val.Value.Mul,
+	ast.OpShl: val.Value.Shl, ast.OpShr: val.Value.ShrU,
+	ast.OpOr: val.Value.Or, ast.OpAnd: val.Value.And, ast.OpXor: val.Value.Xor,
+	ast.OpEq: val.Value.EqV, ast.OpNe: val.Value.NeV,
+	ast.OpLt: val.Value.LtU, ast.OpLe: val.Value.LeU, ast.OpGt: val.Value.GtU, ast.OpGe: val.Value.GeU,
 }
 
-func widthMask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
+// val is the constant as the engines hold it: an unsized one at 64
+// bits.
+func (cv Const) val() val.Value {
+	if cv.IsBool {
+		return val.Bool(cv.Bool)
 	}
-	return (uint64(1) << uint(w)) - 1
+	w := cv.Width
+	if w == 0 {
+		w = 64
+	}
+	return val.New(cv.Value, w)
 }
+
+func (cv Const) unsized() bool { return !cv.IsBool && cv.Width == 0 }
 
 // ConstInt extracts a compile-time integer from an expression if possible.
 func (c *checker) constInt(e ast.Expr) (uint64, bool) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"xpdl/internal/pdl/ast"
 	"xpdl/internal/pdl/parser"
 )
 
@@ -664,4 +665,78 @@ pipe cpu(pc: uint<32>)[rf, imem, dmem] {
     rf[ext(rd, 5)] <- dmem_out;
     release(rf[ext(rd, 5)]);
 }`)
+}
+
+// TestTypeTable: Info.Types holds every expression's checked type and
+// the value of every constant operand the checker folds. A shift has
+// its left operand's type, so a shifted unsized literal stays unsized.
+func TestTypeTable(t *testing.T) {
+	info := checkSrc(t, `
+const HI = 6;
+pipe p(x: uint<8>, a: uint<5>)[] {
+    s = 3 << a;
+    y = x[HI+1:2];
+    z = sext(x, 16);
+    q = (x == 8'd0 ? 40 : x);
+}`)
+	body := info.Prog.Pipes[0].Body
+	rhs := func(i int) ast.Expr { return body[i].(*ast.Assign).RHS }
+	if shl := rhs(0); !info.Unsized(shl) {
+		t.Errorf("3 << a has type %s, want unsized", info.TypeOf(shl))
+	}
+	sl := rhs(1).(*ast.Slice)
+	if got := info.TypeOf(sl); got.Width != 6 {
+		t.Errorf("x[HI+1:2] has type %s, want uint<6>", got)
+	}
+	if hi, lo := info.IntValue(sl.Hi), info.IntValue(sl.Lo); hi != 7 || lo != 2 {
+		t.Errorf("slice bounds fold to [%d:%d], want [7:2]", hi, lo)
+	}
+	if w := info.IntValue(rhs(2).(*ast.CallExpr).Args[1]); w != 16 {
+		t.Errorf("sext width folds to %d, want 16", w)
+	}
+	if then, els := info.ArmWidths(rhs(3).(*ast.Ternary)); then != 8 || els != 0 {
+		t.Errorf("arm widths %d, %d; want 8, 0", then, els)
+	}
+	if got := info.TypeOf(ast.NewEArgRef(body[0].StmtPos(), 0)); got.Kind != ast.TInvalid {
+		t.Errorf("an expression the checker never saw has type %s, want TInvalid", got)
+	}
+	if len(warnsWithCode(analyzeWarn(t, `
+const HI = 3;
+pipe p(x: uint<8>)[] { y = x[HI:0]; }`), "W-DEAD-CONST")) != 0 {
+		t.Error("a constant used only as a slice bound is reported unused")
+	}
+}
+
+// TestUnsizedOperandRules: the places where an unsized value has no
+// well-defined width are rejected.
+func TestUnsizedOperandRules(t *testing.T) {
+	checkErr(t, `pipe p(x: uint<8>)[] { y = shra(40, x); }`, "shra needs a sized first operand")
+	checkErr(t, `pipe p(x: uint<8>)[] { y = (x + 1)[7:0]; z = (3 << x)[64:0]; }`, "exceeds uint<64>")
+	checkErr(t, `
+extern func dec(i: uint<32>) -> (op: uint<5>, rd: uint<5>);
+pipe p(x: uint<32>)[] { d = (x == 0 ? 5 : dec(x)); }`, "ternary arms disagree")
+}
+
+// TestConstFoldMatchesEngines: constants fold with the engines' width
+// rule and arithmetic. An unsized operand is compared at its sized
+// partner's width (40 is 8 at 5 bits), a shift amount is taken modulo
+// the width (internal/val), and a shift keeps its left operand's type.
+func TestConstFoldMatchesEngines(t *testing.T) {
+	info := checkSrc(t, `
+const LT = 40 < 5'd20;
+const S = 5'd1 << 5;
+const U = 3 << 5'd4;
+const E = true == false;
+pipe p(x: uint<8>)[] { y = x; }
+`)
+	for name, want := range map[string]Const{
+		"LT": {Bool: true, IsBool: true},
+		"S":  {Value: 1, Width: 5},
+		"U":  {Value: 48},
+		"E":  {IsBool: true},
+	} {
+		if got := info.Consts[name]; got != want {
+			t.Errorf("%s = %+v, want %+v", name, got, want)
+		}
+	}
 }

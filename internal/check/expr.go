@@ -18,7 +18,17 @@ func (pc *pipeChecker) exprTypeAllowSync(e ast.Expr) ast.Type {
 	return pc.exprTypeEx(e, true)
 }
 
+// exprTypeEx types e and records its type in the type table, keeping the
+// value of a node already folded as a constant.
 func (pc *pipeChecker) exprTypeEx(e ast.Expr, allowSync bool) ast.Type {
+	t := pc.typeOf(e, allowSync)
+	if !pc.c.info.TypeAndValue(e).Const {
+		pc.c.record(e, TypeAndValue{Type: t})
+	}
+	return t
+}
+
+func (pc *pipeChecker) typeOf(e ast.Expr, allowSync bool) ast.Type {
 	c := pc.c
 	switch n := e.(type) {
 	case *ast.IntLit:
@@ -50,18 +60,15 @@ func (pc *pipeChecker) exprTypeEx(e ast.Expr, allowSync bool) ast.Type {
 		if !isBoolish(ct) {
 			c.errorf(n.ExprPos(), "E-TYPE", "ternary condition must be bool, got %s", ct)
 		}
+		// An unsized arm takes the other arm's type, so when taken it
+		// adapts to that width; the ternary is unsized only when both
+		// arms are.
 		tt := pc.exprTypeEx(n.Then, false)
 		et := pc.exprTypeEx(n.Else, false)
 		switch {
-		case isUnsized(tt):
-			if !isUnsized(et) && et.Kind != ast.TRecord {
-				c.info.TernaryWidth[n] = et.BitWidth()
-			}
+		case isUnsized(tt) && assignable(et, tt):
 			return et
-		case isUnsized(et):
-			if tt.Kind != ast.TRecord {
-				c.info.TernaryWidth[n] = tt.BitWidth()
-			}
+		case isUnsized(et) && assignable(tt, et):
 			return tt
 		case !tt.Equal(et):
 			c.errorf(n.ExprPos(), "E-TYPE", "ternary arms disagree: %s vs %s", tt, et)
@@ -100,8 +107,7 @@ func (pc *pipeChecker) identType(n *ast.Ident) ast.Type {
 		}
 		return t
 	}
-	if cv, ok := c.info.Consts[name]; ok {
-		c.usedConsts[name] = true
+	if cv, ok := c.evalConst(n); ok {
 		if cv.IsBool {
 			return ast.BoolType()
 		}
@@ -247,6 +253,11 @@ func (pc *pipeChecker) callType(n *ast.CallExpr) ast.Type {
 		case "shra", "divs", "rems":
 			lt := pc.exprTypeEx(n.Args[0], false)
 			pc.exprTypeEx(n.Args[1], false)
+			if isUnsized(lt) {
+				// Its width, and so its sign bit, would depend on context.
+				c.errorf(n.ExprPos(), "E-TYPE", "%s needs a sized first operand", n.Name)
+				return ast.UIntType(1)
+			}
 			return lt
 		case "mulfull":
 			lt := pc.exprTypeEx(n.Args[0], false)
@@ -348,8 +359,12 @@ func (pc *pipeChecker) sliceType(n *ast.Slice) ast.Type {
 		c.errorf(n.ExprPos(), "E-TYPE", "inverted slice [%d:%d]", hi, lo)
 		return ast.UIntType(1)
 	}
-	if xt.Width != 0 && int(hi) >= xt.Width {
-		c.errorf(n.ExprPos(), "E-TYPE", "slice [%d:%d] exceeds uint<%d>", hi, lo, xt.Width)
+	w := xt.Width
+	if w == 0 {
+		w = 64 // an unsized operand is evaluated at 64 bits
+	}
+	if hi >= uint64(w) {
+		c.errorf(n.ExprPos(), "E-TYPE", "slice [%d:%d] exceeds uint<%d>", hi, lo, w)
 		return ast.UIntType(1)
 	}
 	return ast.UIntType(int(hi-lo) + 1)

@@ -26,7 +26,6 @@ import (
 	"xpdl/internal/designs"
 	"xpdl/internal/fault"
 	"xpdl/internal/pdl/ast"
-	"xpdl/internal/riscv"
 	"xpdl/internal/rtl"
 	"xpdl/internal/sim"
 	"xpdl/internal/synth"
@@ -468,8 +467,8 @@ func New(opts Options) (*Harness, error) {
 		p.M.OnCycle(func(m *sim.Machine) {
 			raised := false
 			if opts.Storm && inj != nil {
-				if line, ok := inj.Storm(m.Cycle(), len(stormBits)); ok {
-					p.RaiseInterrupt(stormBits[line])
+				if line, ok := inj.Storm(m.Cycle(), len(designs.StormBits)); ok {
+					p.RaiseInterrupt(designs.StormBits[line])
 					raised = true
 				}
 			}
@@ -571,10 +570,6 @@ func (h *Harness) resolve() error {
 	pr.plainMems = memProbes(plan.PlainMems)
 	return err
 }
-
-// stormBits mirrors designs.AttachStorm's line order, so a chaos seed
-// perturbs the cosimulated machine exactly as it does the chaos suite.
-var stormBits = [...]uint32{riscv.MIPMSIP, riscv.MIPMTIP, riscv.MIPMEIP}
 
 // Boot resets the RTL, loads it from the simulator and boots the
 // simulator.

@@ -470,26 +470,39 @@ func TestCompareStateAllocFree(t *testing.T) {
 // TestMixedTernaryWidth: a ternary with one unsized arm and one sized
 // arm takes the unsized arm at the sized arm's width, in the simulator
 // and in the emitted Verilog alike. With a = 31 and the condition true,
-// (c ? 40 : a) + a is 7 and a < (c ? 40 : a) is false; lockstep proves
-// the RTL computes the same values the simulator stores.
+// (c ? 40 : a) + a is 7 and a < (c ? 40 : a) is false. A shift has its
+// left operand's type, so with s = 4 the unsized 3 << s adapts to 5 bits
+// (48 -> 16): (3 << s) < 5'd20 holds and (3 << s) / 5'd7 is 2. Lockstep
+// proves the RTL computes the same values the simulator stores.
 func TestMixedTernaryWidth(t *testing.T) {
 	const src = `
 memory out: uint<32>[4] with bypass, comb_read;
 memory cmp: uint<32>[4] with bypass, comb_read;
+memory shl: uint<32>[4] with bypass, comb_read;
+memory quo: uint<32>[4] with bypass, comb_read;
 
-pipe cpu(pc: uint<32>)[out, cmp] {
+pipe cpu(pc: uint<32>)[out, cmp, shl, quo] {
     a = pc[4:0] | 5'd31;
     c = pc | 32'd1;
+    s = (pc[4:0] & 5'd0) | 5'd4;
     r = (c[0:0] ? 40 : a) + a;
     lt = a < (c[0:0] ? 40 : a);
+    sl = (3 << s) < 5'd20;
+    q = (3 << s) / 5'd7;
     acquire(out[2'd0], W);
     acquire(cmp[2'd0], W);
+    acquire(shl[2'd0], W);
+    acquire(quo[2'd0], W);
     ---
     out[2'd0] <- ext(r, 32);
     cmp[2'd0] <- (lt ? 32'd1 : 32'd0);
+    shl[2'd0] <- (sl ? 32'd1 : 32'd0);
+    quo[2'd0] <- ext(q, 32);
 commit:
     release(out[2'd0]);
     release(cmp[2'd0]);
+    release(shl[2'd0]);
+    release(quo[2'd0]);
 except(code: uint<4>):
     skip;
 }
@@ -512,8 +525,61 @@ except(code: uint<4>):
 		if _, err := h.Finish(); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
-		if r, lt := h.p.M.MemPeek("out", 0).Uint(), h.p.M.MemPeek("cmp", 0).Uint(); r != 7 || lt != 0 {
+		m := h.p.M
+		if r, lt := m.MemPeek("out", 0).Uint(), m.MemPeek("cmp", 0).Uint(); r != 7 || lt != 0 {
 			t.Errorf("%s: (c ? 40 : a) + a = %d, a < (c ? 40 : a) = %d; want 7 and 0", engine, r, lt)
 		}
+		if sl, q := m.MemPeek("shl", 0).Uint(), m.MemPeek("quo", 0).Uint(); sl != 1 || q != 2 {
+			t.Errorf("%s: (3 << s) < 5'd20 = %d, (3 << s) / 5'd7 = %d; want 1 and 2", engine, sl, q)
+		}
+	}
+}
+
+// TestTwoWritesOneMemoryRejected: a stage node stages one write per
+// memory, so a stage that writes two words of one locked memory falls
+// out of the synthesizable subset instead of emitting Verilog that
+// commits only the last write.
+func TestTwoWritesOneMemoryRejected(t *testing.T) {
+	const src = `
+memory out: uint<32>[4] with basic, comb_read;
+
+pipe cpu(pc: uint<32>)[out] {
+    acquire(out[2'd0], W);
+    acquire(out[2'd1], W);
+    out[2'd0] <- pc + 32'd30;
+    out[2'd1] <- pc + 32'd31;
+    release(out[2'd0]);
+    release(out[2'd1]);
+}
+`
+	des, err := xpdl.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Options{Design: des, MaxCycles: 100})
+	if err == nil || !strings.Contains(err.Error(), "fell out of the synthesizable subset") {
+		t.Fatalf("cosim of a stage writing out[0] and out[1]: %v, want the subset error", err)
+	}
+}
+
+// TestBoolConstant: a bool constant reaches the RTL with its value, so
+// the lockstep run sees the RTL store 1 as the simulator does.
+func TestBoolConstant(t *testing.T) {
+	const src = `
+const EN = true;
+memory out: uint<32>[4] with basic, comb_read;
+
+pipe cpu(pc: uint<32>)[out] {
+    acquire(out[2'd0], W);
+    out[2'd0] <- (EN ? 32'd1 : 32'd2);
+    release(out[2'd0]);
+}
+`
+	des, err := xpdl.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{Design: des, MaxCycles: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -20,9 +20,6 @@ import (
 // oracle does, so alphabet size (and hence point count) varies per
 // design — the report records both.
 
-// bveqImmSeries is the immediate domain the Width knob indexes into.
-var bveqImmSeries = []uint32{5, 3, 9, 14, 7, 11, 2, 8}
-
 type bveqTarget struct {
 	d    *DesignSpec
 	plan *sim.Plan
@@ -72,8 +69,8 @@ func BveqTarget(d *DesignSpec, width int, corrupt func(map[string]*core.Result))
 	if width <= 0 {
 		width = 2
 	}
-	if width > len(bveqImmSeries) {
-		width = len(bveqImmSeries)
+	if width > len(bveq.ImmSeries) {
+		width = len(bveq.ImmSeries)
 	}
 	add := func(w uint32, asm string) {
 		t.alphabet = append(t.alphabet, bveq.Inst{Word: w, Asm: asm})
@@ -88,8 +85,8 @@ func BveqTarget(d *DesignSpec, width int, corrupt func(map[string]*core.Result))
 	add(encode(opBnz, 0, 1, 0, 2), "bnz r1, 2")
 	for i := 0; i < width; i++ {
 		rd := 1 + i%3
-		add(encode(opAddi, rd, rd, 0, bveqImmSeries[i]),
-			fmt.Sprintf("addi r%d, r%d, %d", rd, rd, bveqImmSeries[i]))
+		add(encode(opAddi, rd, rd, 0, bveq.ImmSeries[i]),
+			fmt.Sprintf("addi r%d, r%d, %d", rd, rd, bveq.ImmSeries[i]))
 	}
 	if d.HasDmem {
 		add(encode(opSt, 0, 1, 2, 1), "st [r1+1], r2")

@@ -14,9 +14,11 @@ type StormSource interface {
 	Storm(cycle, lines int) (line int, ok bool)
 }
 
-// stormBits are the interrupt lines a storm can pulse, in Storm's line
-// order: software, timer, external.
-var stormBits = [...]uint32{riscv.MIPMSIP, riscv.MIPMTIP, riscv.MIPMEIP}
+// StormBits are the interrupt lines a storm can pulse, in Storm's line
+// order: software, timer, external. Cosimulation pulses the same lines,
+// so a chaos seed perturbs a cosimulated machine as it does the chaos
+// suite.
+var StormBits = [...]uint32{riscv.MIPMSIP, riscv.MIPMTIP, riscv.MIPMEIP}
 
 // InterruptCapable reports whether the variant declares the mip CSR —
 // the precondition for attaching an interrupt storm.
@@ -33,8 +35,8 @@ func (p *Processor) AttachStorm(src StormSource) {
 		return
 	}
 	p.M.OnCycle(func(m *sim.Machine) {
-		if line, ok := src.Storm(m.Cycle(), len(stormBits)); ok {
-			p.RaiseInterrupt(stormBits[line])
+		if line, ok := src.Storm(m.Cycle(), len(StormBits)); ok {
+			p.RaiseInterrupt(StormBits[line])
 		}
 	})
 }

@@ -214,9 +214,10 @@ func (c *compiler) target(t *LValue, nonBlocking bool) func(val.Value) {
 // ---------------------------------------------------------------------------
 // Expressions
 
-// isUnsized mirrors the simulator's rule: bare literals and compositions
-// of them, including a ternary whose arms are both unsized, adapt their
-// width to the other operand.
+// isUnsized follows the XPDL checker's typing: bare literals and
+// compositions of them, a ternary whose arms are both unsized, and a
+// shift of an unsized value (a shift is sized by its left operand)
+// adapt their width to the other operand.
 func isUnsized(e Expr) bool {
 	switch n := e.(type) {
 	case *Num:
@@ -224,12 +225,19 @@ func isUnsized(e Expr) bool {
 	case *Unary:
 		return isUnsized(n.X)
 	case *Binary:
+		if isShift(n.Op) {
+			return isUnsized(n.L)
+		}
 		return isUnsized(n.L) && isUnsized(n.R)
 	case *Ternary:
 		return isUnsized(n.Then) && isUnsized(n.Else)
 	}
 	return false
 }
+
+// isShift reports whether op is a shift, which is sized by its left
+// operand.
+func isShift(op string) bool { return op == "<<" || op == ">>" || op == ">>>" }
 
 // isSignedOperand reports whether an operand is $signed-tagged, selecting
 // the signed variant of comparisons, division and remainder.
@@ -432,7 +440,7 @@ func (c *compiler) binary(n *Binary) evalFn {
 		c.fail(errf(c.m.mod.Name, "unknown binary operator %q", n.Op))
 		return func() val.Value { return val.Value{} }
 	}
-	if n.Op == "<<" || n.Op == ">>" || n.Op == ">>>" {
+	if isShift(n.Op) {
 		return func() val.Value { return op(l(), r()) }
 	}
 	switch {

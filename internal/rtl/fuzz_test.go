@@ -71,7 +71,8 @@ func FuzzRTLExpr(f *testing.F) {
 // TestUnsizedTernaryAdapts: a ternary whose arms are both unsized
 // literals is itself unsized, as the checker types it and the simulator
 // evaluates it, so it takes its sized partner's width. Treated as a
-// 64-bit operand instead, the compare and the divide below give 1 and 0.
+// 64-bit operand instead, the compare and the divide below give 1 and 0
+// (and the shift cases 0 and 6).
 func TestUnsizedTernaryAdapts(t *testing.T) {
 	for _, tc := range []struct {
 		expr string
@@ -80,6 +81,10 @@ func TestUnsizedTernaryAdapts(t *testing.T) {
 		{"(a < ((c == 8'd0) ? 40 : 33))", 0},
 		{"(((c == 8'd0) ? 5 : 6) + a)", 5},
 		{"(a / ((c == 8'd0) ? 40 : 34))", 15},
+		// A shift of an unsized literal by a sized amount is unsized:
+		// 3 << 4 adapts to 5 bits (48 -> 16).
+		{"(((3 << (c + 8'd3)) < 5'd20) ? 5'd1 : 5'd0)", 1},
+		{"((3 << (c + 8'd3)) / 5'd7)", 2},
 	} {
 		src := "module t(input wire [4:0] a, input wire [7:0] c, output wire [4:0] y);\n" +
 			"    assign y = " + tc.expr + ";\nendmodule\n"
@@ -363,10 +368,15 @@ func (g *exprGen) gen(depth int) node {
 		case "<<", ">>", ">>>":
 			bw, ew = l.w, l.ew
 		}
+		// A shift is sized by its left operand alone.
+		unsized := l.unsized && r.unsized
+		if shift {
+			unsized = l.unsized
+		}
 		return node{
 			kids:    []node{l, r},
 			format:  func(k []string) string { return "(" + k[0] + " " + op + " " + k[1] + ")" },
-			unsized: l.unsized && r.unsized,
+			unsized: unsized,
 			w:       bw,
 			ew:      ew,
 			eval: func(g *exprGen) val.Value {

@@ -596,7 +596,7 @@ func (c *compiler) expr(e ast.Expr) cExpr {
 	case *ast.Binary:
 		return c.binary(n)
 	case *ast.Ternary:
-		thenW, elseW := c.m.plan.armWidths(n)
+		thenW, elseW := c.m.plan.info.ArmWidths(n)
 		cond := c.expr(n.Cond)
 		then := adaptTo(c.expr(n.Then), thenW)
 		els := adaptTo(c.expr(n.Else), elseW)
@@ -616,16 +616,13 @@ func (c *compiler) expr(e ast.Expr) cExpr {
 		return c.memRead(n)
 	case *ast.Slice:
 		x := c.expr(n.X)
-		hi := c.expr(n.Hi)
-		lo := c.expr(n.Lo)
+		hi, lo := c.m.plan.info.IntValue(n.Hi), c.m.plan.info.IntValue(n.Lo)
 		return func(f *firing) V {
 			xv := x(f)
-			h := int(hi(f).Uint())
-			l := int(lo(f).Uint())
 			if f.stalled {
 				return xv
 			}
-			return Scalar(xv.Val.Slice(h, l))
+			return Scalar(xv.Val.Slice(hi, lo))
 		}
 	case *ast.FieldAccess:
 		x := c.expr(n.X)
@@ -744,7 +741,7 @@ func valOpFn(op ast.BinOp) func(val.Value, val.Value) val.Value {
 	panic("sim: unhandled binary operator")
 }
 
-// adaptTo applies Plan.armWidths to a ternary arm: w > 0 resizes the
+// adaptTo applies check.Info.ArmWidths to a ternary arm: w > 0 resizes the
 // arm's value to w bits.
 func adaptTo(e cExpr, w int) cExpr {
 	if w == 0 {
@@ -758,8 +755,8 @@ func (c *compiler) binary(n *ast.Binary) cExpr {
 	re := c.expr(n.R)
 	op := valOpFn(n.Op)
 	// Width adaptation of unsized literals is decided once, at compile
-	// time (Plan.adaptSides).
-	adaptL, adaptR := c.m.plan.adaptSides(n)
+	// time (check.Info.AdaptSides).
+	adaptL, adaptR := c.m.plan.info.AdaptSides(n)
 	return func(f *firing) V {
 		l := le(f)
 		if f.stalled {
@@ -786,18 +783,17 @@ func (c *compiler) callExpr(n *ast.CallExpr) cExpr {
 	switch n.Name {
 	case "ext", "sext":
 		x := c.expr(n.Args[0])
-		w := c.expr(n.Args[1])
+		w := m.plan.info.IntValue(n.Args[1])
 		signed := n.Name == "sext"
 		return func(f *firing) V {
 			xv := x(f)
-			wv := int(w(f).Uint())
 			if f.stalled {
 				return xv
 			}
 			if signed {
-				return Scalar(xv.Val.SignExt(wv))
+				return Scalar(xv.Val.SignExt(w))
 			}
-			return Scalar(xv.Val.ZeroExt(wv))
+			return Scalar(xv.Val.ZeroExt(w))
 		}
 	case "cat":
 		argsC := c.exprs(n.Args)

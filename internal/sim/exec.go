@@ -679,7 +679,7 @@ func (f *firing) eval(e ast.Expr) V {
 		if f.stalled {
 			return c
 		}
-		thenW, elseW := f.m.plan.armWidths(n)
+		thenW, elseW := f.m.plan.info.ArmWidths(n)
 		arm, w := n.Else, elseW
 		if c.Val.IsTrue() {
 			arm, w = n.Then, thenW
@@ -695,12 +695,11 @@ func (f *firing) eval(e ast.Expr) V {
 		return f.evalMemRead(n)
 	case *ast.Slice:
 		x := f.eval(n.X)
-		hi := int(f.eval(n.Hi).Uint())
-		lo := int(f.eval(n.Lo).Uint())
 		if f.stalled {
 			return x
 		}
-		return Scalar(x.Val.Slice(hi, lo))
+		info := f.m.plan.info
+		return Scalar(x.Val.Slice(info.IntValue(n.Hi), info.IntValue(n.Lo)))
 	case *ast.FieldAccess:
 		x := f.eval(n.X)
 		if f.stalled {
@@ -768,7 +767,7 @@ func (f *firing) evalBinary(n *ast.Binary) V {
 	}
 	lv, rv := l.Val, r.Val
 	if lv.Width() != rv.Width() {
-		switch adaptL, adaptR := f.m.plan.adaptSides(n); {
+		switch adaptL, adaptR := f.m.plan.info.AdaptSides(n); {
 		case adaptL:
 			lv = val.New(lv.Uint(), rv.Width())
 		case adaptR:
@@ -826,18 +825,16 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 	switch n.Name {
 	case "ext":
 		x := f.eval(n.Args[0])
-		w := int(f.eval(n.Args[1]).Uint())
 		if f.stalled {
 			return x
 		}
-		return Scalar(x.Val.ZeroExt(w))
+		return Scalar(x.Val.ZeroExt(f.m.plan.info.IntValue(n.Args[1])))
 	case "sext":
 		x := f.eval(n.Args[0])
-		w := int(f.eval(n.Args[1]).Uint())
 		if f.stalled {
 			return x
 		}
-		return Scalar(x.Val.SignExt(w))
+		return Scalar(x.Val.SignExt(f.m.plan.info.IntValue(n.Args[1])))
 	case "cat":
 		parts := make([]val.Value, len(n.Args))
 		for i, a := range n.Args {

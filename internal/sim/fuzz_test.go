@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"xpdl/internal/check"
+	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
 )
 
@@ -13,14 +15,16 @@ import (
 // (uint<5>, uint<13>, uint<32>, uint<64>): arithmetic, bitwise and
 // logical operators, shifts, unsigned and signed comparisons, signed
 // builtins, slices of inputs and of subexpressions, ext/sext,
-// concatenation, mulfull, ternaries, and unsized literal trees that
-// adapt to their sized partner's width. The expression sits in a
-// one-stage pipe that writes it to a memory; four instructions run it
-// on input vectors derived from the fuzz arguments, and every engine in
-// Engines() must leave the same memory contents, cycle count and
-// firing count. The fixed-workload differential suite never reaches
-// odd widths or unsized-literal adaptation, and the vm's compile-time
-// folding and immediate forms are exercised nowhere else.
+// concatenation, mulfull, ternaries, and unsized literal trees (shifted
+// by unsized or sized amounts) that adapt to their sized partner's
+// width. The expression sits in a one-stage pipe that writes it to a
+// memory; four instructions run it on input vectors derived from the
+// fuzz arguments. Every engine in Engines() must store what refEval,
+// the val-level reference, computes from the checker's widths, and all
+// must agree on cycle and firing counts. The fixed-workload
+// differential suite never reaches odd widths or unsized-literal
+// adaptation, and the vm's compile-time folding and immediate forms are
+// exercised nowhere else.
 func FuzzEngineExpr(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 0, 3}, uint64(5), uint64(7))
 	f.Add([]byte{1, 5, 4, 2, 8, 0, 2, 1, 9, 3}, uint64(0xffffffff), uint64(1))
@@ -28,6 +32,9 @@ func FuzzEngineExpr(f *testing.F) {
 	f.Add([]byte{3, 9, 11, 0, 13, 4, 12, 1, 7, 6, 0, 2, 2}, uint64(42), uint64(0))
 	f.Add([]byte{2, 10, 12, 8, 6, 1, 2, 4, 0, 7, 0x7f, 9, 3, 3}, uint64(0x1234_5678_9abc_def0), uint64(3))
 	f.Add([]byte{1, 6, 5, 3, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint64(1<<63-1), uint64(0xfffffffffffffffe))
+	// (5'h14 > (3 << a)) with a = 4: the shift is unsized, so it adapts
+	// to 5 bits (48 -> 16) and the compare holds.
+	f.Add([]byte{0, 2, 3, 4, 0, 1, 20, 0, 0, 4, 0, 0, 3, 3, 0}, uint64(4), uint64(7))
 	// Pseudo-random seeds, so a plain go test already runs a spread of
 	// deep expressions through every engine.
 	s := uint64(1)
@@ -54,6 +61,14 @@ func FuzzEngineExpr(f *testing.F) {
 		var want outcome
 		for i, engine := range Engines() {
 			m := build(t, src, Config{Engine: engine})
+			if i == 0 {
+				info := m.plan.info
+				rhs := info.Prog.Pipes[0].Body[0].(*ast.Assign).RHS
+				for k, in := range inputs {
+					env := map[string]val.Value{"a": in[0], "b": in[1], "c": in[2], "d": in[3]}
+					want.out[k] = refEval(t, info, rhs, env).Uint()
+				}
+			}
 			for _, in := range inputs {
 				if err := m.Start("p", in...); err != nil {
 					t.Fatalf("%s: start: %v\n%s", engine, err, src)
@@ -66,15 +81,93 @@ func FuzzEngineExpr(f *testing.F) {
 			}
 			got.cycles, got.firings = uint64(m.Cycle()), m.Firings()
 			if i == 0 {
-				want = got
-				continue
+				want.cycles, want.firings = got.cycles, got.firings
 			}
 			if got != want {
-				t.Fatalf("%s disagrees with %s: %+v vs %+v (x=%#x y=%#x)\n%s",
-					engine, Engines()[0], got, want, x, y, src)
+				t.Fatalf("%s: got %+v, want %+v (out from the reference, counts from %s; x=%#x y=%#x)\n%s",
+					engine, got, want, Engines()[0], x, y, src)
 			}
 		}
 	})
+}
+
+// refEval is FuzzEngineExpr's val-level reference: a plain recursive
+// evaluator over internal/val that takes every width from the checker's
+// table. An unsized operand is taken at its sized partner's checked
+// width, and an unsized arm at its ternary's, with no run-time width
+// test; a shift's operands never adapt. Every result must come out as
+// wide as the checker typed it, 64 bits when unsized.
+func refEval(t *testing.T, info *check.Info, e ast.Expr, env map[string]val.Value) val.Value {
+	ev := func(x ast.Expr) val.Value { return refEval(t, info, x, env) }
+	// at takes v, the value of x, at the checked width of its sized
+	// context ctx when x is unsized.
+	at := func(x ast.Expr, v val.Value, ctx ast.Expr) val.Value {
+		if info.Unsized(x) && !info.Unsized(ctx) {
+			return val.New(v.Uint(), info.TypeOf(ctx).BitWidth())
+		}
+		return v
+	}
+	var v val.Value
+	switch n := e.(type) {
+	case *ast.IntLit:
+		v = val.New(n.Value, 64)
+		if n.Width > 0 {
+			v = val.New(n.Value, n.Width)
+		}
+	case *ast.BoolLit:
+		v = val.Bool(n.Value)
+	case *ast.Ident:
+		v = env[n.Name]
+	case *ast.Unary:
+		switch x := ev(n.X); n.Op {
+		case ast.OpNot:
+			v = val.Bool(!x.IsTrue())
+		case ast.OpBNot:
+			v = x.Not()
+		default:
+			v = x.Neg()
+		}
+	case *ast.Binary:
+		l, r := ev(n.L), ev(n.R)
+		if n.Op != ast.OpShl && n.Op != ast.OpShr {
+			l, r = at(n.L, l, n.R), at(n.R, r, n.L)
+		}
+		v = binOp(n.Op, l, r)
+	case *ast.Ternary:
+		arm := n.Else
+		if ev(n.Cond).IsTrue() {
+			arm = n.Then
+		}
+		v = at(arm, ev(arm), n)
+	case *ast.Slice:
+		v = ev(n.X).Slice(info.IntValue(n.Hi), info.IntValue(n.Lo))
+	case *ast.CallExpr:
+		switch n.Name {
+		case "ext":
+			v = ev(n.Args[0]).ZeroExt(info.IntValue(n.Args[1]))
+		case "sext":
+			v = ev(n.Args[0]).SignExt(info.IntValue(n.Args[1]))
+		case "cat":
+			parts := make([]val.Value, len(n.Args))
+			for i, a := range n.Args {
+				parts[i] = ev(a)
+			}
+			v = val.Cat(parts...)
+		default:
+			v = refBuiltins[n.Name](ev(n.Args[0]), ev(n.Args[1]))
+		}
+	default:
+		t.Fatalf("reference: unhandled expression %T", e)
+	}
+	typ := info.TypeOf(e)
+	w := typ.BitWidth()
+	if info.Unsized(e) {
+		w = 64
+	}
+	if typ.Kind == ast.TInvalid || v.Width() != w {
+		t.Fatalf("reference: %s is %d bits, checked type %s", ast.ExprString(e), v.Width(), typ)
+	}
+	return v
 }
 
 // TestUnsizedTernaryWidth: a ternary whose arms are both unsized
@@ -98,6 +191,11 @@ func TestUnsizedTernaryWidth(t *testing.T) {
 		// ternary adapts, so no immediate form may keep its width.
 		{"5'd3 + (a == 5'd0 ? 40 : 33)", 31, 4},
 		{"(a == 5'd0 ? 40 : 33) + 5'd3", 31, 4},
+		// A shift has its left operand's type: 3 << a is unsized and
+		// adapts to 5 bits (48 -> 16). Left at 64 bits, the compare
+		// picks 0 and the quotient is 6.
+		{"((3 << a) < 5'd20 ? 64'd1 : 64'd0)", 4, 1},
+		{"(3 << a) / 5'd7", 4, 2},
 	}
 	for _, tc := range cases {
 		src := fmt.Sprintf(engineExprPipe, tc.expr)
@@ -147,6 +245,13 @@ func TestMixedTernaryWidth(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refBuiltins are the two-operand builtins refEval applies, operands
+// as they come.
+var refBuiltins = map[string]func(val.Value, val.Value) val.Value{
+	"lts": val.Value.LtS, "les": val.Value.LeS, "gts": val.Value.GtS, "ges": val.Value.GeS,
+	"shra": val.Value.ShrS, "divs": val.Value.DivS, "rems": val.Value.RemS, "mulfull": val.Value.MulFull,
 }
 
 // engineExprPipe is the fuzzed design: one stage computes the
@@ -306,14 +411,15 @@ func (g *exprGen) uint(w, depth int) string {
 }
 
 // unsized returns an unsized literal tree: literals combined by unary
-// and binary operators and selected by ternaries, evaluated at 64 bits
-// until a sized partner adapts the result.
+// and binary operators, shifted by any amount and selected by
+// ternaries, evaluated at 64 bits until a sized partner adapts the
+// result.
 func (g *exprGen) unsized(depth int) string {
 	b := g.next()
 	if g.leafOnly(depth) {
 		b %= 2
 	}
-	switch b % 5 {
+	switch b % 6 {
 	case 0:
 		return fmt.Sprintf("%d", g.next())
 	case 1:
@@ -324,6 +430,9 @@ func (g *exprGen) unsized(depth int) string {
 		return "(" + g.unsized(depth+1) + " " + op + " " + g.unsized(depth+1) + ")"
 	case 3: // both arms unsized: the ternary is unsized too
 		return "(" + g.cond(depth+1) + " ? " + g.unsized(depth+1) + " : " + g.unsized(depth+1) + ")"
+	case 4: // a shift has its left operand's type, so it stays unsized
+		op := []string{"<<", ">>"}[g.next()%2]
+		return "(" + g.unsized(depth+1) + " " + op + " " + g.uint(g.width(), depth+1) + ")"
 	default:
 		return "(" + []string{"~", "-"}[g.next()%2] + g.unsized(depth+1) + ")"
 	}

@@ -542,8 +542,6 @@ func (p *Plan) resolveExpr(pp *pipePlan, e ast.Expr) {
 		p.resolveExpr(pp, n.Index)
 	case *ast.Slice:
 		p.resolveExpr(pp, n.X)
-		p.resolveExpr(pp, n.Hi)
-		p.resolveExpr(pp, n.Lo)
 	case *ast.FieldAccess:
 		p.fieldIdx[n] = staticFieldIndex(pp, n)
 		p.resolveExpr(pp, n.X)
@@ -573,52 +571,4 @@ func staticFieldIndex(pp *pipePlan, n *ast.FieldAccess) fieldRef {
 		}
 	}
 	return fieldRef{idx: -1}
-}
-
-// isUnsized reports whether an expression is an unsized literal (or a
-// composition of them), whose runtime width adapts to its context. It
-// follows the checker's typing: a ternary is unsized when both arms are.
-func (p *Plan) isUnsized(e ast.Expr) bool {
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return n.Width == 0
-	case *ast.Ident:
-		c, ok := p.info.Consts[n.Name]
-		return ok && !c.IsBool && c.Width == 0
-	case *ast.Unary:
-		return p.isUnsized(n.X)
-	case *ast.Binary:
-		return p.isUnsized(n.L) && p.isUnsized(n.R)
-	case *ast.Ternary:
-		return p.isUnsized(n.Then) && p.isUnsized(n.Else)
-	}
-	return false
-}
-
-// armWidths is the unsized-literal width rule of a ternary, shared by
-// every engine. A ternary with one unsized arm and one sized arm has the
-// sized arm's type (check.Info.TernaryWidth), so its unsized arm, when
-// taken, adapts to that width. It reports the width each arm adapts to,
-// 0 for none.
-func (p *Plan) armWidths(n *ast.Ternary) (then, els int) {
-	w := p.info.TernaryWidth[n]
-	if w == 0 {
-		return 0, 0
-	}
-	if p.isUnsized(n.Then) {
-		return w, 0
-	}
-	return 0, w
-}
-
-// adaptSides is the unsized-literal width rule of a binary operator,
-// shared by every engine: when the operand widths differ, an unsized
-// left operand takes the right one's width (adaptL), else an unsized
-// right operand takes the left one's (adaptR). Shifts never adapt.
-func (p *Plan) adaptSides(n *ast.Binary) (adaptL, adaptR bool) {
-	if n.Op == ast.OpShl || n.Op == ast.OpShr {
-		return false, false
-	}
-	adaptL = p.isUnsized(n.L)
-	return adaptL, !adaptL && p.isUnsized(n.R)
 }

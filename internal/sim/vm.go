@@ -40,7 +40,7 @@ type instr struct {
 // immAdapt is bit 8 of an immediate-form ALU instruction's c operand,
 // whose low 7 bits are the immediate's width: "adapt the immediate to
 // the register operand's width when they differ" (the compile-time
-// decision of Plan.adaptSides).
+// decision of check.Info.AdaptSides).
 const immAdapt = 1 << 8
 
 // opBinA imm flags: the low byte is the reg-reg opcode to apply.
@@ -136,11 +136,8 @@ const (
 
 	// Structural.
 	opSliceI   // regs[a] = regs[b].Slice(c>>7, c&0x7f)
-	opSliceD   // regs[a] = regs[b].Slice(regs[c], regs[imm]) — dynamic bounds
 	opZeroExtI // regs[a] = regs[b].ZeroExt(c)
 	opSignExtI // regs[a] = regs[b].SignExt(c)
-	opZeroExtD // regs[a] = regs[b].ZeroExt(regs[c]) — dynamic width
-	opSignExtD // regs[a] = regs[b].SignExt(regs[c])
 	opField    // regs[a] = regs[b].field #c of layout imm>>32 (name strs[uint32(imm)]; c<0 = name scan)
 	opCatPush  // push regs[b].Val onto the cat/extern arena
 	opCatDo    // regs[a] = val.Cat of the top c arena entries (popped)

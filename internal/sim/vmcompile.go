@@ -861,7 +861,7 @@ func mirrorImm(op ast.BinOp) (uint8, bool) {
 }
 
 func (sc *segc) binary(n *ast.Binary, want int) int {
-	adaptL, adaptR := sc.c.p.adaptSides(n)
+	adaptL, adaptR := sc.c.p.info.AdaptSides(n)
 
 	immC := func(cv V, ad bool) (int16, bool) {
 		if cv.Rec != nil {
@@ -933,7 +933,7 @@ func (sc *segc) binRR(op ast.BinOp, lr, rr int, adaptL, adaptR bool, want int) i
 }
 
 func (sc *segc) ternary(n *ast.Ternary, want int) int {
-	thenW, elseW := sc.c.p.armWidths(n)
+	thenW, elseW := sc.c.p.info.ArmWidths(n)
 	if cv, ok := sc.fold(n.Cond); ok {
 		// Constant condition: only one arm can ever evaluate.
 		if cv.Val.IsTrue() {
@@ -963,7 +963,7 @@ func (sc *segc) ternary(n *ast.Ternary, want int) int {
 }
 
 // arm evaluates a ternary arm, resized to w bits when w > 0
-// (Plan.armWidths).
+// (check.Info.ArmWidths).
 func (sc *segc) arm(e ast.Expr, w, want int) int {
 	if w == 0 {
 		return sc.expr(e, want)
@@ -977,32 +977,11 @@ func (sc *segc) arm(e ast.Expr, w, want int) int {
 
 func (sc *segc) slice(n *ast.Slice, want int) int {
 	xr := sc.expr(n.X, -1)
-	hv, hok := sc.fold(n.Hi)
-	lv, lok := sc.fold(n.Lo)
-	if hok && lok && hv.Rec == nil && lv.Rec == nil &&
-		hv.Val.Uint() <= 255 && lv.Val.Uint() <= 127 {
-		dst := sc.dstReg(want)
-		sc.wrote(dst)
-		c := int16(hv.Val.Uint())<<7 | int16(lv.Val.Uint())
-		sc.emit(instr{op: opSliceI, a: int32(dst), b: int16(xr), c: c})
-		return dst
-	}
-	// Dynamic (or out-of-packing-range constant) bounds: evaluate in
-	// closure order x, hi, lo; runtime panics are preserved.
-	var hr, lr int
-	if hok {
-		hr = sc.emitConst(hv, -1)
-	} else {
-		hr = sc.expr(n.Hi, -1)
-	}
-	if lok {
-		lr = sc.emitConst(lv, -1)
-	} else {
-		lr = sc.expr(n.Lo, -1)
-	}
 	dst := sc.dstReg(want)
 	sc.wrote(dst)
-	sc.emit(instr{op: opSliceD, a: int32(dst), b: int16(xr), c: int16(hr), imm: uint64(lr)})
+	info := sc.c.p.info
+	c := int16(info.IntValue(n.Hi))<<7 | int16(info.IntValue(n.Lo))
+	sc.emit(instr{op: opSliceI, a: int32(dst), b: int16(xr), c: c})
 	return dst
 }
 
@@ -1010,25 +989,13 @@ func (sc *segc) callExpr(n *ast.CallExpr, want int) int {
 	switch n.Name {
 	case "ext", "sext":
 		xr := sc.expr(n.Args[0], -1)
-		signed := n.Name == "sext"
-		if wv, ok := sc.fold(n.Args[1]); ok && wv.Rec == nil && wv.Val.Uint() <= 64 {
-			op := uint8(opZeroExtI)
-			if signed {
-				op = opSignExtI
-			}
-			dst := sc.dstReg(want)
-			sc.wrote(dst)
-			sc.emit(instr{op: op, a: int32(dst), b: int16(xr), c: int16(wv.Val.Uint())})
-			return dst
-		}
-		wr := sc.expr(n.Args[1], -1)
-		op := uint8(opZeroExtD)
-		if signed {
-			op = opSignExtD
+		op := uint8(opZeroExtI)
+		if n.Name == "sext" {
+			op = opSignExtI
 		}
 		dst := sc.dstReg(want)
 		sc.wrote(dst)
-		sc.emit(instr{op: op, a: int32(dst), b: int16(xr), c: int16(wr)})
+		sc.emit(instr{op: op, a: int32(dst), b: int16(xr), c: int16(sc.c.p.info.IntValue(n.Args[1]))})
 		return dst
 	case "cat":
 		for _, a := range n.Args {
@@ -1110,19 +1077,9 @@ func (sc *segc) callExpr(n *ast.CallExpr, want int) int {
 // Constant folding
 
 // fold evaluates a constant subtree at compile time, mirroring the
-// runtime semantics exactly. Any panic during folding (an out-of-range
-// slice, an invalid width) declines the fold so the panic happens at run
-// time instead, matching the closure executor.
-func (sc *segc) fold(e ast.Expr) (v V, ok bool) {
-	defer func() {
-		if recover() != nil {
-			v, ok = V{}, false
-		}
-	}()
-	return sc.fold1(e)
-}
-
-func (sc *segc) fold1(e ast.Expr) (V, bool) {
+// runtime semantics exactly. The checker has validated every slice
+// bound and extension width it reads, so folding cannot fail part way.
+func (sc *segc) fold(e ast.Expr) (V, bool) {
 	switch n := e.(type) {
 	case *ast.IntLit:
 		w := n.Width
@@ -1145,7 +1102,7 @@ func (sc *segc) fold1(e ast.Expr) (V, bool) {
 		con, ok := sc.c.p.consts[n.Name]
 		return con, ok
 	case *ast.Unary:
-		x, ok := sc.fold1(n.X)
+		x, ok := sc.fold(n.X)
 		if !ok {
 			return V{}, false
 		}
@@ -1158,15 +1115,15 @@ func (sc *segc) fold1(e ast.Expr) (V, bool) {
 			return Scalar(x.Val.Neg()), true
 		}
 	case *ast.Binary:
-		l, ok := sc.fold1(n.L)
+		l, ok := sc.fold(n.L)
 		if !ok {
 			return V{}, false
 		}
-		r, ok := sc.fold1(n.R)
+		r, ok := sc.fold(n.R)
 		if !ok {
 			return V{}, false
 		}
-		adaptL, adaptR := sc.c.p.adaptSides(n)
+		adaptL, adaptR := sc.c.p.info.AdaptSides(n)
 		lv, rv := l.Val, r.Val
 		if lv.Width() != rv.Width() {
 			if adaptL {
@@ -1177,50 +1134,40 @@ func (sc *segc) fold1(e ast.Expr) (V, bool) {
 		}
 		return Scalar(binApply(rrFor(n.Op), lv, rv)), true
 	case *ast.Ternary:
-		c, ok := sc.fold1(n.Cond)
+		c, ok := sc.fold(n.Cond)
 		if !ok {
 			return V{}, false
 		}
-		thenW, elseW := sc.c.p.armWidths(n)
+		thenW, elseW := sc.c.p.info.ArmWidths(n)
 		arm, w := n.Else, elseW
 		if c.Val.IsTrue() {
 			arm, w = n.Then, thenW
 		}
-		v, ok := sc.fold1(arm)
+		v, ok := sc.fold(arm)
 		if ok && w > 0 {
 			v = Scalar(v.Val.ZeroExt(w))
 		}
 		return v, ok
 	case *ast.Slice:
-		x, ok := sc.fold1(n.X)
+		x, ok := sc.fold(n.X)
 		if !ok {
 			return V{}, false
 		}
-		hi, ok := sc.fold1(n.Hi)
-		if !ok {
-			return V{}, false
-		}
-		lo, ok := sc.fold1(n.Lo)
-		if !ok {
-			return V{}, false
-		}
-		return Scalar(x.Val.Slice(int(hi.Uint()), int(lo.Uint()))), true
+		info := sc.c.p.info
+		return Scalar(x.Val.Slice(info.IntValue(n.Hi), info.IntValue(n.Lo))), true
 	case *ast.CallExpr:
 		if n.Name != "ext" && n.Name != "sext" {
 			return V{}, false
 		}
-		x, ok := sc.fold1(n.Args[0])
+		x, ok := sc.fold(n.Args[0])
 		if !ok {
 			return V{}, false
 		}
-		w, ok := sc.fold1(n.Args[1])
-		if !ok || w.Rec != nil {
-			return V{}, false
-		}
+		w := sc.c.p.info.IntValue(n.Args[1])
 		if n.Name == "sext" {
-			return Scalar(x.Val.SignExt(int(w.Val.Uint()))), true
+			return Scalar(x.Val.SignExt(w)), true
 		}
-		return Scalar(x.Val.ZeroExt(int(w.Val.Uint()))), true
+		return Scalar(x.Val.ZeroExt(w)), true
 	}
 	return V{}, false
 }

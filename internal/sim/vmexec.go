@@ -260,20 +260,10 @@ func (f *firing) runSeg(p *program, seg segment, base int) bool {
 
 		case opSliceI:
 			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Slice(int(i.c)>>7, int(i.c)&0x7f)}
-		case opSliceD:
-			h := int(regs[base+int(i.c)].Uint())
-			l := int(regs[base+int(i.imm)].Uint())
-			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.Slice(h, l)}
 		case opZeroExtI:
 			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.ZeroExt(int(i.c))}
 		case opSignExtI:
 			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.SignExt(int(i.c))}
-		case opZeroExtD:
-			w := int(regs[base+int(i.c)].Uint())
-			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.ZeroExt(w)}
-		case opSignExtD:
-			w := int(regs[base+int(i.c)].Uint())
-			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.SignExt(w)}
 		case opField:
 			x := regs[base+int(i.b)]
 			if x.Rec != nil && m.fieldLayout(p, x.Rec, i.imm>>32) {

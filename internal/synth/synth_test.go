@@ -1,11 +1,15 @@
 package synth
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"xpdl/internal/check"
+	"xpdl/internal/core"
 	"xpdl/internal/designs"
 	"xpdl/internal/ir"
+	"xpdl/internal/pdl/parser"
 )
 
 func lower(t *testing.T, v designs.Variant) *ir.Design {
@@ -193,5 +197,69 @@ func TestReportRenders(t *testing.T) {
 	r := Report(lower(t, designs.All), ASIC45())
 	if !strings.Contains(r, "fmax") || !strings.Contains(r, "µm²") {
 		t.Errorf("report: %s", r)
+	}
+}
+
+// TestStagedWritesPerPath: a stage node stages one write per memory, so
+// a stage one firing of which writes two words of a locked memory falls
+// out of the synthesizable subset; writes on the two arms of an if do
+// not.
+func TestStagedWritesPerPath(t *testing.T) {
+	const src = `
+memory out: uint<32>[4] with basic, comb_read;
+pipe cpu(pc: uint<32>)[out] {
+    acquire(out[2'd0], W);
+    acquire(out[2'd1], W);
+    %s
+    release(out[2'd0]);
+    release(out[2'd1]);
+}
+`
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{"out[2'd0] <- pc; out[2'd1] <- pc;", false},
+		{"out[2'd0] <- pc; if (pc[0:0]) { out[2'd1] <- pc; }", false},
+		{"if (pc[0:0]) { out[2'd0] <- pc; } else { out[2'd1] <- pc; }", true},
+	} {
+		prog, err := parser.Parse(fmt.Sprintf(src, tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := check.Check(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, plans := VerilogPlans(info, core.TranslateProgram(info))
+		if _, ok := plans["cpu"]; ok != tc.ok {
+			t.Errorf("%s: synthesizable = %v, want %v\n%s", tc.body, ok, tc.ok, text)
+		}
+	}
+}
+
+// TestResizedArmEmittedOnce: the unsized arm of a sized ternary is
+// emitted once, then resized; emitting it again for the resize would
+// declare and assign a second, unused sign-extension scratch.
+func TestResizedArmEmittedOnce(t *testing.T) {
+	prog, err := parser.Parse(`
+memory out: uint<32>[4] with basic, comb_read;
+pipe cpu(pc: uint<32>)[out] {
+    acquire(out[2'd0], W);
+    r = (pc[0:0] ? (3 << sext(pc[3:0], 5)) : pc[4:0]);
+    out[2'd0] <- ext(r, 32);
+    release(out[2'd0]);
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := check.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := Verilog(info, core.TranslateProgram(info))
+	if n := strings.Count(text, "reg [3:0] b0_sx"); n != 1 {
+		t.Errorf("%d sign-extension scratches declared, want 1\n%s", n, text)
 	}
 }

@@ -16,25 +16,23 @@ import (
 // left-width rule truncates or zero-extends e to exactly w bits.
 
 // resizeExpr emits e coerced to exactly w bits.
-func (g *rtlgen) resizeExpr(e ast.Expr, w int) string {
-	return fmt.Sprintf("(%s | (%s))", zeroLit(w), g.expr(e))
-}
+func (g *rtlgen) resizeExpr(e ast.Expr, w int) string { return resized(g.expr(e), w) }
+
+// resized coerces emitted expression text to exactly w bits.
+func resized(text string, w int) string { return fmt.Sprintf("(%s | (%s))", zeroLit(w), text) }
 
 func (g *rtlgen) expr(e ast.Expr) string {
 	p := g.cur.Prefix
 	switch n := e.(type) {
 	case *ast.Ident:
-		if c, ok := g.info.Consts[n.Name]; ok {
-			if c.IsBool {
-				if c.Value != 0 {
-					return "1'b1"
-				}
-				return "1'b0"
+		if tv := g.info.TypeAndValue(n); tv.Const {
+			switch {
+			case tv.Type.Kind == ast.TBool:
+				return fmt.Sprintf("1'b%d", tv.Value)
+			case tv.Type.Width == 0:
+				return fmt.Sprintf("%d", tv.Value)
 			}
-			if c.Width == 0 {
-				return fmt.Sprintf("%d", c.Value)
-			}
-			return fmt.Sprintf("%d'd%d", c.Width, c.Value)
+			return fmt.Sprintf("%d'd%d", tv.Type.Width, tv.Value)
 		}
 		if _, isVol := g.volW[n.Name]; isVol {
 			return n.Name + "_cur"
@@ -70,14 +68,13 @@ func (g *rtlgen) expr(e ast.Expr) string {
 		g.failf("unsupported unary operator")
 	case *ast.Ternary:
 		cond, then, els := g.expr(n.Cond), g.expr(n.Then), g.expr(n.Else)
-		// A ternary typed by its one sized arm resizes the unsized arm
-		// to that arm's width, as the simulator does when it takes it.
-		if w := g.info.TernaryWidth[n]; w > 0 {
-			if g.widthOf(n.Then) <= 0 {
-				then = g.resizeExpr(n.Then, w)
-			} else {
-				els = g.resizeExpr(n.Else, w)
-			}
+		// An unsized arm is resized to the ternary's checked width, as
+		// the simulator does when it takes it.
+		switch thenW, elseW := g.info.ArmWidths(n); {
+		case thenW > 0:
+			then = resized(then, thenW)
+		case elseW > 0:
+			els = resized(els, elseW)
 		}
 		return fmt.Sprintf("((%s) ? (%s) : (%s))", cond, then, els)
 	case *ast.CallExpr:
@@ -106,16 +103,12 @@ func (g *rtlgen) expr(e ast.Expr) string {
 func (g *rtlgen) exprCall(n *ast.CallExpr) string {
 	switch n.Name {
 	case "ext":
-		w := g.constInt(n.Args[1])
-		return g.resizeExpr(n.Args[0], w)
+		return g.resizeExpr(n.Args[0], g.info.IntValue(n.Args[1]))
 	case "sext":
 		return g.exprSext(n)
 	case "cat":
 		parts := make([]string, len(n.Args))
 		for i, a := range n.Args {
-			if g.widthOf(a) <= 0 {
-				g.failf("cat of unsized value")
-			}
 			parts[i] = g.expr(a)
 		}
 		return "{" + join(parts, ", ") + "}"
@@ -153,8 +146,8 @@ func (g *rtlgen) exprCall(n *ast.CallExpr) string {
 // exprSext widens with sign replication. Narrowing (or same width) is
 // just a resize under the left-width rule.
 func (g *rtlgen) exprSext(n *ast.CallExpr) string {
-	w := g.constInt(n.Args[1])
-	from := g.widthOf(n.Args[0])
+	w := g.info.IntValue(n.Args[1])
+	from := g.info.TypeOf(n.Args[0]).BitWidth()
 	if from <= 0 {
 		g.failf("sext of unsized value")
 	}
@@ -227,123 +220,21 @@ func (g *rtlgen) forwardHolders() []string {
 	return out
 }
 
-// widthOf computes an expression's value width; 0 means unsized (an
-// integer literal or constant whose width adapts to context).
-func (g *rtlgen) widthOf(e ast.Expr) int {
-	switch n := e.(type) {
-	case *ast.Ident:
-		if c, ok := g.info.Consts[n.Name]; ok {
-			if c.IsBool {
-				return 1
-			}
-			return c.Width
-		}
-		if w, isVol := g.volW[n.Name]; isVol {
-			return w
-		}
-		if t, ok := g.pi.Vars[n.Name]; ok {
-			return t.BitWidth()
-		}
-		g.failf("unresolved identifier %s", n.Name)
-	case *ast.IntLit:
-		return n.Width
-	case *ast.BoolLit:
-		return 1
-	case *ast.Binary:
-		switch n.Op {
-		case ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe,
-			ast.OpLAnd, ast.OpLOr:
-			return 1
-		case ast.OpShl, ast.OpShr:
-			return g.widthOf(n.L)
-		}
-		if w := g.widthOf(n.L); w > 0 {
-			return w
-		}
-		return g.widthOf(n.R)
-	case *ast.Unary:
-		if n.Op == ast.OpNot {
-			return 1
-		}
-		return g.widthOf(n.X)
-	case *ast.Ternary:
-		if w := g.widthOf(n.Then); w > 0 {
-			return w
-		}
-		return g.widthOf(n.Else)
-	case *ast.CallExpr:
-		switch n.Name {
-		case "ext", "sext":
-			return g.constInt(n.Args[1])
-		case "cat":
-			total := 0
-			for _, a := range n.Args {
-				w := g.widthOf(a)
-				if w <= 0 {
-					g.failf("cat of unsized value")
-				}
-				total += w
-			}
-			return total
-		case "lts", "les", "gts", "ges":
-			return 1
-		case "shra", "divs", "rems":
-			return g.widthOf(n.Args[0])
-		case "mulfull":
-			g.failf("mulfull outside the synthesizable subset")
-		}
-		ext := g.externOf(n.Name)
-		if ext == nil {
-			g.failf("call to unknown function %s", n.Name)
-		}
-		return ext.Result.BitWidth()
-	case *ast.MemRead:
-		if w, isVol := g.volW[n.Mem]; isVol || n.Index == nil {
-			return w
-		}
-		md := g.memOf[n.Mem]
-		if md == nil {
-			g.failf("read of unknown memory %s", n.Mem)
-		}
-		return md.Elem.Width
-	case *ast.Slice:
-		return g.constInt(n.Hi) - g.constInt(n.Lo) + 1
-	case *ast.FieldAccess:
-		id, ok := n.X.(*ast.Ident)
-		if !ok {
-			g.failf("field access on non-variable expression")
-		}
-		t := g.pi.Vars[id.Name]
-		for _, f := range t.Fields {
-			if f.Name == n.Field {
-				return f.Type.BitWidth()
-			}
-		}
-		g.failf("record %s has no field %s", id.Name, n.Field)
-	case *ast.EArgRef:
-		return g.slotW[fmt.Sprintf("earg%d", n.Index)]
-	case *ast.GefRef, *ast.LefRef:
-		return 1
-	}
-	g.failf("unsupported expression %T", e)
-	return 0
-}
-
 func (g *rtlgen) exprSlice(n *ast.Slice) string {
-	hi, lo := g.constInt(n.Hi), g.constInt(n.Lo)
+	hi, lo := g.info.IntValue(n.Hi), g.info.IntValue(n.Lo)
 	// A part-select needs a plain signal name on the left; materialize
 	// anything else into a scratch first.
 	base := ""
 	switch x := n.X.(type) {
 	case *ast.Ident:
-		if _, isConst := g.info.Consts[x.Name]; !isConst {
+		if !g.info.TypeAndValue(x).Const {
 			base = g.expr(x)
 		}
 	case *ast.FieldAccess, *ast.EArgRef:
 		base = g.expr(n.X)
 	}
 	if base == "" {
-		w := g.widthOf(n.X)
+		w := g.info.TypeOf(n.X).BitWidth()
 		if w <= 0 {
 			g.failf("slice of unsized value")
 		}
@@ -355,50 +246,6 @@ func (g *rtlgen) exprSlice(n *ast.Slice) string {
 		return fmt.Sprintf("%s[%d]", base, hi)
 	}
 	return fmt.Sprintf("%s[%d:%d]", base, hi, lo)
-}
-
-// constInt folds a checker-validated constant expression.
-func (g *rtlgen) constInt(e ast.Expr) int {
-	v, ok := g.constEval(e)
-	if !ok {
-		g.failf("expected a constant expression, got %T", e)
-	}
-	return int(v)
-}
-
-func (g *rtlgen) constEval(e ast.Expr) (uint64, bool) {
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return n.Value, true
-	case *ast.BoolLit:
-		if n.Value {
-			return 1, true
-		}
-		return 0, true
-	case *ast.Ident:
-		if c, ok := g.info.Consts[n.Name]; ok {
-			return c.Value, true
-		}
-	case *ast.Binary:
-		l, lok := g.constEval(n.L)
-		r, rok := g.constEval(n.R)
-		if !lok || !rok {
-			return 0, false
-		}
-		switch n.Op {
-		case ast.OpAdd:
-			return l + r, true
-		case ast.OpSub:
-			return l - r, true
-		case ast.OpMul:
-			return l * r, true
-		case ast.OpShl:
-			return l << (r & 63), true
-		case ast.OpShr:
-			return l >> (r & 63), true
-		}
-	}
-	return 0, false
 }
 
 func join(parts []string, sep string) string {

@@ -19,8 +19,9 @@ func DesignHash(src string) string {
 // that is identical for every run of a design). Entries are
 // single-flight: a hundred concurrent jobs submitting the same design
 // trigger exactly one compilation, and the rest block on it. The
-// compiled Design is immutable and shared — machine construction
-// downstream already shares one vm.Program per design the same way.
+// compiled Design is immutable and shared, and so is the machine plan it
+// builds once (xpdl.Design.Plan), bytecode program included, for every
+// machine of the design.
 //
 // Failed compilations are cached too (the result is just as much a pure
 // function of the source), so a sweep of a broken design pays the
