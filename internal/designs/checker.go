@@ -164,7 +164,7 @@ func (c *Checker) Check(m *sim.Machine, o *OIAT) *Mismatch {
 			// Fatal halts the core; the golden model has trapped toward
 			// mtvec. Stop the replay here: the fault record and the
 			// untouched architectural state are what must agree.
-			if last := idx + cpuRetirements(rs[i+1:]); idx != last {
+			if last := m.RetiredCount("cpu") - 1; idx != last {
 				return traceMismatch(idx, r.Cycle, "retirement after a fatal exception (%d of %d)", idx, last)
 			}
 			if !drained {
@@ -202,17 +202,6 @@ func (c *Checker) Check(m *sim.Machine, o *OIAT) *Mismatch {
 			Detail: fmt.Sprintf("pipeline drained after %d retirements but the golden model has not halted (pc=%#x)", n, g.PC)}
 	}
 	return st.archDiff(m, o.Raised&^claimed, false)
-}
-
-// cpuRetirements counts the cpu pipeline's retirements in rs.
-func cpuRetirements(rs []sim.Retirement) int {
-	n := 0
-	for i := range rs {
-		if rs[i].Pipe == "cpu" {
-			n++
-		}
-	}
-	return n
 }
 
 func traceMismatch(index, cycle int, format string, args ...any) *Mismatch {

@@ -111,10 +111,22 @@ func (p *Processor) RaiseInterrupt(bits uint32) {
 	p.SetCSR("mip", p.CSR("mip")|bits)
 }
 
-// Retired returns the cpu pipeline's retirement trace.
+// Retired returns the cpu pipeline's stored retirement trace. When
+// every stored retirement is the cpu pipeline's, as on every variant,
+// it is the machine's own trace, capped so an append copies it: it is
+// read-only, and valid until the next Reset or Restore. Otherwise it is
+// one filtered copy. Like sim.Machine.Retired, it stops at
+// Config.MaxTrace.
 func (p *Processor) Retired() []sim.Retirement {
-	var out []sim.Retirement
-	for _, r := range p.M.Retired() {
+	rs, n := p.M.Retired(), p.RetiredCount()
+	switch {
+	case n == 0:
+		return nil
+	case n == len(rs):
+		return rs[:n:n]
+	}
+	out := make([]sim.Retirement, 0, n)
+	for _, r := range rs {
 		if r.Pipe == "cpu" {
 			out = append(out, r)
 		}
@@ -122,9 +134,9 @@ func (p *Processor) Retired() []sim.Retirement {
 	return out
 }
 
-// RetiredCount counts the cpu pipeline's recorded retirements in
-// place: len(Retired()) without the copy.
-func (p *Processor) RetiredCount() int { return cpuRetirements(p.M.Retired()) }
+// RetiredCount reports the cpu pipeline's stored retirements,
+// len(Retired()), from the machine's per-pipe count.
+func (p *Processor) RetiredCount() int { return p.M.RetiredCount("cpu") }
 
 // CPI reports cycles per retired instruction for the run so far.
 func (p *Processor) CPI() float64 {

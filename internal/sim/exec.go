@@ -283,7 +283,7 @@ func (m *Machine) fire(node *stageNode) bool {
 	}
 	node.cur = nil
 	if dest == nil {
-		m.retire(in, node)
+		m.retire(in)
 		return true
 	}
 	if dest.cur != nil {

@@ -324,6 +324,7 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 		volVals:   append([]val.Value(nil), p.volZero...),
 		pipeList:  make([]*pipeState, len(p.pipes)),
 		gefs:      make([]bool, len(p.pipes)),
+		retiredBy: make([]int, len(p.pipes)),
 	}
 	for _, b := range p.mems {
 		md := b.decl

@@ -11,8 +11,9 @@ package sim
 // occupancy, entry queues, speculation tables, gefs and counters are
 // cleared; every lock and plain memory is zeroed; volatiles go back to
 // their typed zeroes; device hooks and the trace writer are removed;
-// the retirement trace is truncated. Slices returned by Retired before
-// the Reset must not be used after it.
+// the retirement trace and its per-pipe counts are emptied, keeping
+// their storage. Slices returned by Retired before the Reset must not be
+// used after it.
 //
 // Reset never goes through Save/Restore, which would encode and decode
 // the whole instruction memory: it costs a few clears.
@@ -45,9 +46,7 @@ func (m *Machine) Reset() {
 	m.deviceWakes = m.deviceWakes[:0]
 	m.traceW = nil
 
-	clear(m.retired)
-	m.retired = m.retired[:0]
-	m.retArgs = m.retArgs[:0]
+	m.clearTrace()
 
 	m.cycle = 0
 	m.nextIID = 1

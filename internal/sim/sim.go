@@ -178,9 +178,12 @@ type Config struct {
 	EntryCap int
 	// MaxTrace caps the stored retirement trace: once it holds MaxTrace
 	// entries, later retirements are not recorded (TraceFull reports
-	// it). 0 or less selects the default, 1<<20. Retired, and whatever
-	// is computed from it (designs.Processor's RetiredCount and CPI),
-	// sees only the capped trace.
+	// it). 0 or less selects the default, 1<<20. The trace grows by
+	// doubling and never past MaxTrace, and Restore refuses a snapshot
+	// whose trace is longer. Retired returns the machine's own trace,
+	// read-only and valid until the next Reset or Restore; it, and
+	// whatever is computed from it (RetiredCount, and designs.Processor's
+	// RetiredCount and CPI), sees only the capped trace.
 	MaxTrace int
 	// Engine selects the executor: "closure" (the compile-once stage
 	// executor, the default), "interp" (the per-cycle AST interpreter,
@@ -283,14 +286,12 @@ type Machine struct {
 	// cycle loop allocates nothing: the single firing record (which
 	// holds the per-firing slot scratch and the effect, spawn and extern
 	// arenas), in-language function frames (closure engine), the
-	// bytecode register file (vm engine), the instruction free list, and
-	// the retirement-args arena.
+	// bytecode register file (vm engine) and the instruction free list.
 	fr         firing
 	frameArena []V
 	frameTop   int
 	regs       []V
 	instPool   []*inst
-	retArgs    []val.Value
 	snapBuf    []*inst
 	descBuf    []*inst
 
@@ -299,10 +300,16 @@ type Machine struct {
 	// recognized by one pointer compare (see fieldLayout; vm engine).
 	layoutNames []*string
 
+	// The retirement trace (trace.go): the stored retirements, the
+	// arena their Args live in, and the stored count per pipe, indexed
+	// by pipeState.idx.
+	retired   []Retirement
+	retArgs   argArena
+	retiredBy []int
+
 	cycle     int
 	nextIID   uint64
 	alive     map[uint64]*inst
-	retired   []Retirement
 	firings   uint64 // total successful stage firings, for utilization stats
 	idleFor   int    // consecutive cycles with no firing and no movement
 	pulledAny bool   // an entry-queue pull happened last Step (state moved)
@@ -728,13 +735,6 @@ func (m *Machine) Firings() uint64 { return m.firings }
 
 // Plan reports the shared plan the machine was built from.
 func (m *Machine) Plan() *Plan { return m.plan }
-
-// Retired returns the retirement trace.
-func (m *Machine) Retired() []Retirement { return m.retired }
-
-// TraceFull reports whether the retirement trace has reached
-// Config.MaxTrace, after which later retirements are not recorded.
-func (m *Machine) TraceFull() bool { return len(m.retired) >= maxTraceDefault(m.cfg.MaxTrace) }
 
 // InFlight reports live instructions (in stages or entry queues).
 func (m *Machine) InFlight() int { return len(m.alive) }
@@ -1166,33 +1166,4 @@ func (m *Machine) removeInst(in *inst) {
 	}
 	delete(m.alive, in.iid)
 	m.poolPut(in)
-}
-
-func (m *Machine) retire(in *inst, node *stageNode) {
-	if len(m.retired) < maxTraceDefault(m.cfg.MaxTrace) {
-		// Copy args into the retirement arena: the instruction record is
-		// pooled, so the trace cannot alias its slices. EArgs transfer
-		// ownership (they are copy-on-write and never mutated again).
-		off := len(m.retArgs)
-		m.retArgs = append(m.retArgs, in.args...)
-		args := m.retArgs[off:len(m.retArgs):len(m.retArgs)]
-		m.retired = append(m.retired, Retirement{
-			Pipe:        in.pipe.name,
-			IID:         in.iid,
-			Args:        args,
-			Exceptional: in.lef,
-			EArgs:       in.eargs,
-			Cycle:       m.cycle,
-		})
-	}
-	delete(m.alive, in.iid)
-	m.poolPut(in)
-	_ = node
-}
-
-func maxTraceDefault(n int) int {
-	if n <= 0 {
-		return 1 << 20
-	}
-	return n
 }

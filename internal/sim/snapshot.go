@@ -369,21 +369,33 @@ func (m *Machine) Restore(rd io.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	m.retired = m.retired[:0]
-	m.retArgs = m.retArgs[:0]
+	if limit := maxTraceDefault(m.cfg.MaxTrace); nret > limit {
+		return fmt.Errorf("sim: snapshot trace holds %d retirements, this machine stores at most %d", nret, limit)
+	}
+	m.clearTrace()
+	if cap(m.retired) < nret {
+		m.sizeTrace(nret)
+	}
 	for i := 0; i < nret; i++ {
 		var rt Retirement
-		rt.Pipe = r.String()
+		name := r.String()
 		rt.IID = r.U64()
 		na := r.Int()
 		if err := r.Err(); err != nil {
 			return err
 		}
-		off := len(m.retArgs)
-		for j := 0; j < na; j++ {
-			m.retArgs = append(m.retArgs, r.Val())
+		ps := m.pipe(name)
+		if ps == nil {
+			return fmt.Errorf("sim: snapshot retirement names unknown pipe %q", name)
 		}
-		rt.Args = m.retArgs[off:len(m.retArgs):len(m.retArgs)]
+		if na != len(ps.decl.Params) {
+			return fmt.Errorf("sim: snapshot retirement has %d args, pipe %s takes %d", na, ps.name, len(ps.decl.Params))
+		}
+		rt.Pipe = ps.name
+		rt.Args = m.retArgs.carve(na)
+		for j := range rt.Args {
+			rt.Args[j] = r.Val()
+		}
 		rt.Exceptional = r.Bool()
 		if r.Bool() {
 			ne := r.Int()
@@ -397,6 +409,7 @@ func (m *Machine) Restore(rd io.Reader) error {
 		}
 		rt.Cycle = r.Int()
 		m.retired = append(m.retired, rt)
+		m.retiredBy[ps.idx]++
 	}
 
 	for _, b := range m.plan.mems {

@@ -154,7 +154,7 @@ func (s *Server) runSim(ctx context.Context, j *job) outcome {
 			rep.Checksum = fmt.Sprintf("%#x", p.DMemWord(0))
 			rep.StateCRC = stateCRC(p)
 			o := designs.OIAT{Variant: v, Text: prog.Text, Data: prog.Data}
-			if mm := new(designs.Checker).Check(m, &o); mm != nil {
+			if mm := s.oiat.Check(m, &o); mm != nil {
 				return mm
 			}
 			return nil

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"xpdl/internal/designs"
 	"xpdl/internal/faultfs"
 )
 
@@ -160,6 +161,9 @@ type Server struct {
 	cache   *Cache
 	metrics *Metrics
 	mux     *http.ServeMux
+	// oiat checks every simulate and chaos job against the golden model;
+	// it pools its golden states across jobs.
+	oiat designs.Checker
 
 	mu      sync.Mutex
 	cond    *sync.Cond
