@@ -3,6 +3,7 @@ package designs
 import (
 	"testing"
 
+	"xpdl/internal/sim"
 	"xpdl/internal/workloads"
 )
 
@@ -12,7 +13,17 @@ import (
 // retirement trace and check the run against the golden model. The
 // Checker is shared across iterations, as a long-lived caller keeps
 // one. B/op is dominated by the machine build and the retirement trace.
+// One sub-benchmark per production engine (closure, the default, and
+// vm) makes the engines' A/B one command:
+//
+//	go test -run '^$' -bench KernelRun -benchmem ./internal/designs
 func BenchmarkKernelRun(b *testing.B) {
+	for _, engine := range []string{"closure", "vm"} {
+		b.Run(engine, func(b *testing.B) { runKernel(b, engine) })
+	}
+}
+
+func runKernel(b *testing.B, engine string) {
 	w, err := workloads.ByName("crc")
 	if err != nil {
 		b.Fatal(err)
@@ -25,7 +36,7 @@ func BenchmarkKernelRun(b *testing.B) {
 	var c Checker
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p, err := Build(All)
+		p, err := BuildCfg(All, sim.Config{Engine: engine})
 		if err != nil {
 			b.Fatal(err)
 		}

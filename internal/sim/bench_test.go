@@ -55,7 +55,7 @@ func mixExtern() ExternFunc {
 
 // buildThroughput constructs one warmed steady-state machine on the
 // saturated kernel.
-func buildThroughput(b *testing.B, engine string) *Machine {
+func buildThroughput(b testing.TB, engine string) *Machine {
 	b.Helper()
 	m := build(b, throughputSrc, Config{
 		Engine:   engine,
@@ -103,7 +103,7 @@ const pacedPeriod = 256
 // one instruction every pacedPeriod cycles, forever. Between bursts the
 // machine is fully drained, so the vm engine may fast-forward while
 // the closure and interp engines tick every cycle.
-func buildPaced(b *testing.B, engine string) *Machine {
+func buildPaced(b testing.TB, engine string) *Machine {
 	b.Helper()
 	m := build(b, pacedSrc, Config{Engine: engine, MaxTrace: 1})
 	started := 0
@@ -152,12 +152,12 @@ func runPaced(b *testing.B, engine string) {
 // Stage evaluation, not scheduling or lock machinery, dominates: a vm
 // CPU profile of every variant running every kernel, one fresh machine
 // per run, puts the bytecode dispatch loop ((*firing).runSeg) at ~37%
-// of the time flat, its record-layout test for field access at ~3%,
-// the per-firing write-back of the stage's written slots in
-// Machine.fire at ~3%, effect application at ~8%, the renaming lock at ~8%, and the
-// retirement trace regrowing from empty on each fresh machine
-// (Machine.retire) at ~8%. Run with -benchmem: compiled and vm cycle
-// loops must stay at ~0 allocs/op in both shapes.
+// of the time flat, the record-field access every engine shares
+// (Machine.field) at ~4%, the slot-write journal (setLocal) at ~3%,
+// effect application at ~7%, the renaming lock at ~8%, and recording
+// retirements (Machine.retire, mostly the trace doubling on each fresh
+// machine) at ~7%. TestCycleLoopAllocs holds every engine's cycle loop
+// at 0 allocations in both shapes.
 func BenchmarkSimThroughput(b *testing.B) {
 	b.Run("compiled", func(b *testing.B) { runPaced(b, "closure") })
 	b.Run("interp", func(b *testing.B) { runPaced(b, "interp") })
@@ -165,4 +165,46 @@ func BenchmarkSimThroughput(b *testing.B) {
 	b.Run("compiled-hot", func(b *testing.B) { runHot(b, "closure") })
 	b.Run("interp-hot", func(b *testing.B) { runHot(b, "interp") })
 	b.Run("vm-hot", func(b *testing.B) { runHot(b, "vm") })
+}
+
+// TestCycleLoopAllocs pins the steady-state cycle loop at zero heap
+// allocations per cycle on every engine, in both throughput shapes: the
+// saturated kernel (stepped) and the device-paced design (advanced, so
+// the vm engine's fast-forward is covered too). Every firing reuses the
+// machine's arenas — its slot journal, pending writes, effect, spawn
+// and extern arenas, function frames and registers — so a warmed
+// machine allocates nothing however many cycles it runs.
+func TestCycleLoopAllocs(t *testing.T) {
+	for _, engine := range Engines() {
+		t.Run(engine+"-hot", func(t *testing.T) {
+			m := buildThroughput(t, engine)
+			allocs := testing.AllocsPerRun(20, func() {
+				for i := 0; i < 64; i++ {
+					if err := m.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v allocations per 64 saturated cycles, want 0", allocs)
+			}
+		})
+		t.Run(engine+"-paced", func(t *testing.T) {
+			m := buildPaced(t, engine)
+			if err := m.Advance(4 * pacedPeriod); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := m.Advance(4 * pacedPeriod); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v allocations per %d paced cycles, want 0", allocs, 4*pacedPeriod)
+			}
+			if m.Firings() == 0 {
+				t.Fatal("pipeline made no progress")
+			}
+		})
+	}
 }

@@ -627,28 +627,18 @@ func (c *compiler) expr(e ast.Expr) cExpr {
 	case *ast.FieldAccess:
 		x := c.expr(n.X)
 		field := n.Field
-		// Func bodies are never visited by the resolver, so the index may
-		// be absent; treat missing as unknown (-1, name-scan fallback).
-		idx := -1
-		if f, ok := c.m.plan.fieldIdx[n]; ok {
-			idx = f.idx
+		// Func bodies are never visited by the resolver, so the access
+		// may be unresolved; field then searches by name.
+		fr, ok := c.m.plan.fieldIdx[n]
+		if !ok {
+			fr = unknownField
 		}
 		return func(f *firing) V {
 			xv := x(f)
 			if f.stalled {
 				return xv
 			}
-			if xv.Rec == nil {
-				panic(fmt.Sprintf("sim: field access .%s on scalar", field))
-			}
-			if idx >= 0 && idx < len(xv.Rec.Names) && xv.Rec.Names[idx] == field {
-				return Scalar(xv.Rec.Vals[idx])
-			}
-			fv, ok := xv.Rec.Field(field)
-			if !ok {
-				panic(fmt.Sprintf("sim: record has no field %q", field))
-			}
-			return Scalar(fv)
+			return Scalar(f.m.field(xv, fr, field))
 		}
 	}
 	return func(f *firing) V { panic(fmt.Sprintf("sim: unhandled expression %T", e)) }
@@ -686,9 +676,6 @@ func (c *compiler) ident(n *ast.Ident) cExpr {
 	slot := b.slot
 	zero := c.ps.zeroes[slot]
 	return func(f *firing) V {
-		if f.locEp[slot] == f.epoch {
-			return f.loc[slot]
-		}
 		if sv := f.in.vars[slot]; sv.ok {
 			return sv.v
 		}

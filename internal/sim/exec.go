@@ -9,11 +9,13 @@ import (
 )
 
 // firing is the atomic attempt to execute one stage for one instruction.
-// Lock operations run inside lock transactions; everything else is
-// buffered until the attempt succeeds. The machine owns a single firing
-// record (Machine.fr) that is reset per attempt, so the hot path never
-// allocates one. Every engine's stage body reads its inputs and reports
-// its outcome here, and fills the record's slot scratch and arenas.
+// Lock operations run inside lock transactions; combinational (=) slot
+// writes land in the instruction's slots at once, journaled so a stall
+// can undo them; everything else is buffered until the attempt
+// succeeds. The machine owns a single firing record (Machine.fr) that
+// is reset per attempt, so the hot path never allocates one. Every
+// engine's stage body reads its inputs and reports its outcome here,
+// and fills the record's journal and arenas.
 type firing struct {
 	m    *Machine
 	node *stageNode
@@ -24,8 +26,6 @@ type firing struct {
 	// tookExc latches the lef value that selected a fork stage's arm
 	// (the arm itself may overwrite lef afterwards).
 	tookExc bool
-	// wroteAny reports a slot write this firing.
-	wroteAny bool
 
 	lef   bool
 	eargs []val.Value
@@ -33,12 +33,12 @@ type firing struct {
 	// storeEArg).
 	eargsOwned bool
 
-	// Slot scratch of combinational (=) and latched (<-) writes. A slot
-	// is live when its stamp equals epoch; fire bumps epoch per firing,
-	// so the scratch never needs clearing.
-	loc, pend     []V
-	locEp, pendEp []uint32
-	epoch         uint32
+	// Slot writes, both empty outside a firing. undo journals each
+	// combinational (=) write's slot and the value it replaced, in
+	// write order; pend holds the latched (<-) writes, which land only
+	// when the firing commits.
+	undo []slotWrite
+	pend []slotWrite
 
 	// Per-firing arenas, emptied by begin: deferred effects, spawn
 	// arguments, per-pipe spawn counts (and the pipes with a non-zero
@@ -49,7 +49,7 @@ type firing struct {
 	spawnDirty []int
 	extArgs    []val.Value
 
-	funcEnv []map[string]V // interpreter-only: scoped in-language function envs
+	funcEnv []map[string]V // interpreter-only: in-language function envs, innermost last
 
 	// Function-call state: the closure engine's slot-indexed frame, and
 	// the return latch of the closure and bytecode engines.
@@ -90,6 +90,14 @@ type effect struct {
 	flag         bool
 }
 
+// slotWrite is one journaled slot value: the previous value of a
+// combinational write (firing.undo) or a latched write's new value
+// (firing.pend).
+type slotWrite struct {
+	slot int
+	sv   slotVal
+}
+
 // eff buffers one machine-level effect in the firing's reusable arena,
 // so buffering allocates nothing and every engine's effects apply
 // through one applyEffects.
@@ -99,8 +107,7 @@ func (f *firing) eff(e effect) { f.effects = append(f.effects, e) }
 func (f *firing) begin(node *stageNode) {
 	in := node.cur
 	f.node, f.in = node, in
-	f.epoch++
-	f.stalled, f.died, f.tookExc, f.wroteAny = false, false, false, false
+	f.stalled, f.died, f.tookExc = false, false, false
 	f.lef, f.eargs, f.eargsOwned = in.lef, in.eargs, false
 	f.frame, f.fret, f.freturned = nil, V{}, false
 	f.funcEnv = f.funcEnv[:0]
@@ -192,8 +199,8 @@ func (m *Machine) applyEffects(in *inst, died bool) {
 // fire attempts to execute node's instruction for this cycle. It reports
 // whether the pipeline made progress (the stage fired or the instruction
 // died). This is the one firing protocol of every engine; the engines
-// differ only in the stage body they run and in what their stage nodes
-// supply (the write-back slot list and whether to transact).
+// differ only in the stage body they run and in whether their stage
+// nodes transact.
 func (m *Machine) fire(node *stageNode) bool {
 	in := node.cur
 	if in.waiting != nil {
@@ -230,6 +237,7 @@ func (m *Machine) fire(node *stageNode) bool {
 		f.execStageC()
 	}
 	if f.stalled {
+		f.undoWrites()
 		if node.txn {
 			for _, l := range m.memList {
 				l.Rollback()
@@ -243,18 +251,14 @@ func (m *Machine) fire(node *stageNode) bool {
 		}
 	}
 
-	// Apply buffered state: combinational then latched variable writes,
-	// exception flags, then machine-level effects in program order.
-	if f.wroteAny {
-		for _, slot := range node.writes {
-			if f.locEp[slot] == f.epoch {
-				in.vars[slot] = slotVal{v: f.loc[slot], ok: true}
-			}
-			if f.pendEp[slot] == f.epoch {
-				in.vars[slot] = slotVal{v: f.pend[slot], ok: true}
-			}
-		}
+	// Apply buffered state: latched variable writes (after the
+	// combinational ones, which are in place already), exception flags,
+	// then machine-level effects in program order.
+	f.undo = f.undo[:0]
+	for _, w := range f.pend {
+		in.vars[w.slot] = w.sv
 	}
+	f.pend = f.pend[:0]
 	in.lef = f.lef
 	in.eargs = f.eargs
 	m.applyEffects(in, f.died)
@@ -310,26 +314,57 @@ func (f *firing) execStage() {
 
 func (f *firing) stall() { f.stalled = true }
 
-// setLocal records a combinational (=) write, visible immediately.
+// setLocal makes a combinational (=) write, visible immediately: it
+// writes the instruction's slot in place and journals the value it
+// replaced.
 func (f *firing) setLocal(slot int, v V) {
-	f.loc[slot] = v
-	f.locEp[slot] = f.epoch
-	f.wroteAny = true
+	vars := f.in.vars
+	w := nextWrite(&f.undo)
+	w.slot, w.sv = slot, vars[slot]
+	vars[slot] = slotVal{v: v, ok: true}
 }
 
-// setPend records a latched (<-) write, visible from the next stage.
+// setPend records a latched (<-) write, visible from the next stage: it
+// lands after the firing commits, over any combinational write to the
+// same slot.
 func (f *firing) setPend(slot int, v V) {
-	f.pend[slot] = v
-	f.pendEp[slot] = f.epoch
-	f.wroteAny = true
+	w := nextWrite(&f.pend)
+	w.slot, w.sv = slot, slotVal{v: v, ok: true}
 }
 
-// getLocal reads back a combinational write from this firing.
-func (f *firing) getLocal(slot int) (V, bool) {
-	if f.locEp[slot] == f.epoch {
-		return f.loc[slot], true
+// nextWrite extends a slot-write list by one entry and returns it for
+// the caller to fill in place: appending a whole slotWrite would copy
+// it through a stack temporary on every write.
+func nextWrite(ws *[]slotWrite) *slotWrite {
+	n := len(*ws)
+	if n == cap(*ws) {
+		*ws = append(*ws, slotWrite{})
+	} else {
+		*ws = (*ws)[:n+1]
 	}
-	return V{}, false
+	return &(*ws)[n]
+}
+
+// load reads a slot of the firing instruction. A variable defined only
+// on an untaken conditional path reads as a zero of its checked type
+// (hardware: an undriven mux input).
+func (f *firing) load(slot int) V {
+	if sv := f.in.vars[slot]; sv.ok {
+		return sv.v
+	}
+	return f.in.pipe.zeroes[slot]
+}
+
+// undoWrites restores the slots this firing's combinational writes
+// replaced, newest first, and drops its latched writes: the instruction
+// is back at its state before the firing.
+func (f *firing) undoWrites() {
+	for i := len(f.undo) - 1; i >= 0; i-- {
+		w := &f.undo[i]
+		f.in.vars[w.slot] = w.sv
+	}
+	f.undo = f.undo[:0]
+	f.pend = f.pend[:0]
 }
 
 // ---------------------------------------------------------------------------
@@ -705,18 +740,11 @@ func (f *firing) eval(e ast.Expr) V {
 		if f.stalled {
 			return x
 		}
-		if x.Rec == nil {
-			panic(fmt.Sprintf("sim: field access .%s on scalar", n.Field))
-		}
-		if fr, ok := f.m.plan.fieldIdx[n]; ok && fr.idx >= 0 &&
-			fr.idx < len(x.Rec.Names) && x.Rec.Names[fr.idx] == n.Field {
-			return Scalar(x.Rec.Vals[fr.idx])
-		}
-		fv, ok := x.Rec.Field(n.Field)
+		fr, ok := f.m.plan.fieldIdx[n]
 		if !ok {
-			panic(fmt.Sprintf("sim: record has no field %q", n.Field))
+			fr = unknownField
 		}
-		return Scalar(fv)
+		return Scalar(f.m.field(x, fr, n.Field))
 	}
 	panic(fmt.Sprintf("sim: unhandled expression %T", e))
 }
@@ -745,15 +773,7 @@ func (f *firing) lookup(n *ast.Ident) V {
 	case 2:
 		return Scalar(f.m.volVals[b.vol.idx])
 	}
-	if v, ok := f.getLocal(b.slot); ok {
-		return v
-	}
-	if sv := f.in.vars[b.slot]; sv.ok {
-		return sv.v
-	}
-	// A variable defined only on an untaken conditional path reads as a
-	// zero of its checked type (hardware: an undriven mux input).
-	return f.in.pipe.zeroes[b.slot]
+	return f.load(b.slot)
 }
 
 func (f *firing) evalBinary(n *ast.Binary) V {
@@ -836,14 +856,18 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 		}
 		return Scalar(x.Val.SignExt(f.m.plan.info.IntValue(n.Args[1])))
 	case "cat":
-		parts := make([]val.Value, len(n.Args))
-		for i, a := range n.Args {
-			parts[i] = f.eval(a).Val
+		base := len(f.extArgs)
+		for _, a := range n.Args {
+			v := f.eval(a).Val
 			if f.stalled {
-				return Scalar(parts[i])
+				f.extArgs = f.extArgs[:base]
+				return Scalar(v)
 			}
+			f.extArgs = append(f.extArgs, v)
 		}
-		return Scalar(val.Cat(parts...))
+		r := val.Cat(f.extArgs[base:]...)
+		f.extArgs = f.extArgs[:base]
+		return Scalar(r)
 	case "lts", "les", "gts", "ges":
 		a := f.eval(n.Args[0])
 		b := f.eval(n.Args[1])
@@ -897,74 +921,93 @@ func (f *firing) evalCall(n *ast.CallExpr) V {
 			f.stall()
 			return Scalar(val.New(0, 1))
 		}
+		// Arguments are sized onto the extern arena (see callExpr).
 		ext, decl := f.m.externs[xi], f.m.plan.info.Prog.Externs[xi]
-		args := make([]val.Value, len(n.Args))
+		base := len(f.extArgs)
 		for i, a := range n.Args {
-			args[i] = f.evalScalar(a, decl.Params[i].Type.BitWidth())
+			v := f.evalScalar(a, decl.Params[i].Type.BitWidth())
 			if f.stalled {
-				return Scalar(args[i])
+				f.extArgs = f.extArgs[:base]
+				return Scalar(v)
 			}
+			f.extArgs = append(f.extArgs, v)
 		}
-		return ext(args)
+		end := len(f.extArgs)
+		r := ext(f.extArgs[base:end:end])
+		f.extArgs = f.extArgs[:base]
+		return r
 	}
 
-	// In-language function.
+	// In-language function: the arguments, evaluated in the caller's
+	// environment, wait on the extern arena until the callee's opens.
 	fn := f.m.plan.funcs[n.Name]
 	if fn == nil {
 		panic(fmt.Sprintf("sim: call to unknown function %q", n.Name))
 	}
-	args := make([]V, len(n.Args))
+	base := len(f.extArgs)
 	for i, a := range n.Args {
 		v := f.eval(a)
 		if f.stalled {
+			f.extArgs = f.extArgs[:base]
 			return v
 		}
-		args[i] = Scalar(val.New(v.Uint(), fn.Params[i].Type.BitWidth()))
+		f.extArgs = append(f.extArgs, val.New(v.Uint(), fn.Params[i].Type.BitWidth()))
 	}
-	return f.callFunc(fn, args)
-}
-
-// callFunc interprets an in-language combinational function.
-func (f *firing) callFunc(fn *ast.FuncDecl, args []V) V {
-	env := make(map[string]V, len(fn.Params)+4)
+	env := f.pushEnv()
 	for i, p := range fn.Params {
-		env[p.Name] = args[i]
+		env[p.Name] = Scalar(f.extArgs[base+i])
 	}
-	f.funcEnv = append(f.funcEnv, env)
-	defer func() { f.funcEnv = f.funcEnv[:len(f.funcEnv)-1] }()
-
-	var ret V
-	returned := false
-	var walk func(stmts []ast.Stmt)
-	walk = func(stmts []ast.Stmt) {
-		for _, s := range stmts {
-			if returned {
-				return
-			}
-			switch n := s.(type) {
-			case *ast.Assign:
-				env[n.Name] = f.eval(n.RHS)
-			case *ast.If:
-				if f.eval(n.Cond).Val.IsTrue() {
-					walk(n.Then)
-				} else if n.Else != nil {
-					walk(n.Else)
-				}
-			case *ast.Return:
-				ret = Scalar(val.New(f.eval(n.Value).Uint(), fn.Result.BitWidth()))
-				returned = true
-			case *ast.Skip:
-			default:
-				panic(fmt.Sprintf("sim: statement %T in function %s", s, fn.Name))
-			}
-		}
-	}
-	walk(fn.Body)
+	f.extArgs = f.extArgs[:base]
+	ret, returned := f.funcStmts(fn, env, fn.Body)
+	f.funcEnv = f.funcEnv[:len(f.funcEnv)-1]
 	if !returned {
 		// Conditional fallthrough: the declared result's zero value.
 		ret = Scalar(val.New(0, fn.Result.BitWidth()))
 	}
 	return ret
+}
+
+// pushEnv opens an empty environment for an in-language function call.
+// Environments are reused: begin empties the stack, not the maps.
+func (f *firing) pushEnv() map[string]V {
+	n := len(f.funcEnv)
+	if n < cap(f.funcEnv) {
+		f.funcEnv = f.funcEnv[:n+1]
+		if env := f.funcEnv[n]; env != nil {
+			clear(env)
+			return env
+		}
+	} else {
+		f.funcEnv = append(f.funcEnv, nil)
+	}
+	env := make(map[string]V)
+	f.funcEnv[n] = env
+	return env
+}
+
+// funcStmts interprets a statement list of in-language function fn in
+// environment env, reporting the value of the return that ended it.
+func (f *firing) funcStmts(fn *ast.FuncDecl, env map[string]V, stmts []ast.Stmt) (V, bool) {
+	for _, s := range stmts {
+		switch n := s.(type) {
+		case *ast.Assign:
+			env[n.Name] = f.eval(n.RHS)
+		case *ast.If:
+			body := n.Else
+			if f.eval(n.Cond).Val.IsTrue() {
+				body = n.Then
+			}
+			if ret, returned := f.funcStmts(fn, env, body); returned {
+				return ret, true
+			}
+		case *ast.Return:
+			return Scalar(val.New(f.eval(n.Value).Uint(), fn.Result.BitWidth())), true
+		case *ast.Skip:
+		default:
+			panic(fmt.Sprintf("sim: statement %T in function %s", s, fn.Name))
+		}
+	}
+	return V{}, false
 }
 
 func (f *firing) evalMemRead(n *ast.MemRead) V {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,10 +35,9 @@ type Plan struct {
 	// indexes Machine.externs.
 	externIdx map[string]int
 
-	pipes    []*pipePlan // declaration order; indexed by pipePlan.idx
-	pipeIdx  map[string]int
-	nstages  int // stage nodes over all pipes (global stage ids)
-	maxSlots int // widest pipe slot layout (firing scratch size)
+	pipes   []*pipePlan // declaration order; indexed by pipePlan.idx
+	pipeIdx map[string]int
+	nstages int // stage nodes over all pipes (global stage ids)
 
 	mems      []*memBinding // declaration order
 	memByName map[string]*memBinding
@@ -55,6 +55,10 @@ type Plan struct {
 	assignSlot map[ast.Stmt]int         // Assign/SpecCall target slots
 	assignVol  map[ast.Stmt]*volatileReg
 	fieldIdx   map[*ast.FieldAccess]fieldRef
+	// layouts are the record layouts (sorted field names) of the record
+	// variables whose field accesses fieldIdx resolved; fieldRef.lay
+	// indexes it.
+	layouts [][]string
 	// callResult maps each cross-pipe call that names a result variable
 	// to that name's index in resultVars: the Str of its spawn effect,
 	// for every engine.
@@ -86,9 +90,6 @@ type pipePlan struct {
 	// paramW and paramSlot are each declared parameter's bit width and
 	// slot, for the enqueue of every spawned instruction.
 	paramW, paramSlot []int
-	// allSlots lists every slot once: the write-back of the executors
-	// that do not track which slots a stage writes walks it.
-	allSlots []int32
 }
 
 // nodePlan is one stage node's shape.
@@ -262,7 +263,7 @@ func (pp *pipePlan) instantiate() *pipeState {
 	nodes := make([]stageNode, len(pp.graph))
 	ps.nodes = make([]*stageNode, len(pp.graph))
 	for i, np := range pp.graph {
-		nodes[i] = stageNode{nodePlan: np, pipe: ps, writes: pp.allSlots, txn: true}
+		nodes[i] = stageNode{nodePlan: np, pipe: ps, txn: true}
 		ps.nodes[i] = &nodes[i]
 	}
 	at := func(pos int) *stageNode {
@@ -292,9 +293,9 @@ func (pp *pipePlan) instantiate() *pipeState {
 }
 
 // New builds a machine from the plan. Only mutable state is allocated
-// here — the stage graph's occupancy, locks and memories, arenas, and
-// the volatile and gef arrays — plus, for the closure engine, the
-// stage closures compiled against the plan's tables.
+// here — the stage graph's occupancy, locks and memories, the volatile
+// and gef arrays, and the record-layout memo — plus, for the closure
+// engine, the stage closures compiled against the plan's tables.
 func (p *Plan) New(cfg Config) (*Machine, error) {
 	if cfg.RenamingExtra <= 0 {
 		cfg.RenamingExtra = 16
@@ -325,6 +326,8 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 		pipeList:  make([]*pipeState, len(p.pipes)),
 		gefs:      make([]bool, len(p.pipes)),
 		retiredBy: make([]int, len(p.pipes)),
+		// One memo entry per record layout (see field).
+		layoutNames: make([]*string, len(p.layouts)),
 	}
 	for _, b := range p.mems {
 		md := b.decl
@@ -342,9 +345,6 @@ func (p *Plan) New(cfg Config) (*Machine, error) {
 	for i, pp := range p.pipes {
 		m.pipeList[i] = pp.instantiate()
 	}
-	n := p.maxSlots
-	m.fr.loc, m.fr.locEp = make([]V, n), make([]uint32, n)
-	m.fr.pend, m.fr.pendEp = make([]V, n), make([]uint32, n)
 	m.fr.spawnCnt = make([]int, len(p.pipes))
 	m.faults = cfg.Faults
 	m.watchdog = cfg.WatchdogCycles
@@ -380,11 +380,9 @@ func (p *Plan) buildSlots(pp *pipePlan) {
 	pp.slotOf = make(map[string]int, len(names))
 	pp.zeroes = make([]V, len(names))
 	pp.recFields = make(map[string][]string)
-	pp.allSlots = make([]int32, len(names))
 	for i, name := range names {
 		t := pi.Vars[name]
 		pp.slotOf[name] = i
-		pp.allSlots[i] = int32(i)
 		pp.zeroes[i] = zeroOfType(t)
 		if t.Kind == ast.TRecord {
 			fields := make([]string, 0, len(t.Fields))
@@ -394,9 +392,6 @@ func (p *Plan) buildSlots(pp *pipePlan) {
 			sort.Strings(fields)
 			pp.recFields[name] = fields
 		}
-	}
-	if len(names) > p.maxSlots {
-		p.maxSlots = len(names)
 	}
 	for _, prm := range pp.decl.Params {
 		pp.paramW = append(pp.paramW, prm.Type.BitWidth())
@@ -544,32 +539,74 @@ func (p *Plan) resolveExpr(pp *pipePlan, e ast.Expr) {
 	case *ast.Slice:
 		p.resolveExpr(pp, n.X)
 	case *ast.FieldAccess:
-		p.fieldIdx[n] = staticFieldIndex(pp, n)
+		p.fieldIdx[n] = p.staticFieldIndex(pp, n)
 		p.resolveExpr(pp, n.X)
 	}
 }
 
 // fieldRef is a record access resolved at plan time: the field's index
-// in the record type's sorted field names (layout), or -1 and nil when
-// the operand's type is unknown.
+// in its record layout's sorted field names, and the layout's index in
+// Plan.layouts; both are -1 when the operand's type is unknown.
 type fieldRef struct {
-	idx    int
-	layout []string
+	idx, lay int
 }
+
+// unknownField is the fieldRef of an access the plan did not resolve
+// (function bodies are never visited by the resolver).
+var unknownField = fieldRef{idx: -1, lay: -1}
 
 // staticFieldIndex resolves a record access when the operand's checked
 // type is known (an Ident bound to a record variable); otherwise the
-// executors fall back to a name scan at run time.
-func staticFieldIndex(pp *pipePlan, n *ast.FieldAccess) fieldRef {
+// executors fall back to a search by name at run time.
+func (p *Plan) staticFieldIndex(pp *pipePlan, n *ast.FieldAccess) fieldRef {
 	id, ok := n.X.(*ast.Ident)
 	if !ok {
-		return fieldRef{idx: -1}
+		return unknownField
 	}
 	layout := pp.recFields[id.Name]
 	for i, name := range layout {
 		if name == n.Field {
-			return fieldRef{idx: i, layout: layout}
+			return fieldRef{idx: i, lay: p.internLayout(layout)}
 		}
 	}
-	return fieldRef{idx: -1}
+	return unknownField
+}
+
+// internLayout returns layout's index in layouts, adding it once.
+func (p *Plan) internLayout(layout []string) int {
+	for i, l := range p.layouts {
+		if slices.Equal(l, layout) {
+			return i
+		}
+	}
+	p.layouts = append(p.layouts, layout)
+	return len(p.layouts) - 1
+}
+
+// field reads field name of record x at its plan-resolved fr, for every
+// engine. Records are immutable and one names slice serves every record
+// of a layout (SortedRecord), so the first record seen with layout
+// fr.lay is compared name by name and its names slice remembered; after
+// that the test is one pointer compare. A record with another names
+// slice, or an access of unknown layout, is searched by name.
+func (m *Machine) field(x V, fr fieldRef, name string) val.Value {
+	rec := x.Rec
+	if rec == nil {
+		panic(fmt.Sprintf("sim: field access .%s on scalar", name))
+	}
+	if fr.lay >= 0 && fr.idx < len(rec.Names) {
+		seen := m.layoutNames[fr.lay]
+		if seen == &rec.Names[0] {
+			return rec.Vals[fr.idx]
+		}
+		if seen == nil && slices.Equal(rec.Names, m.plan.layouts[fr.lay]) {
+			m.layoutNames[fr.lay] = &rec.Names[0]
+			return rec.Vals[fr.idx]
+		}
+	}
+	fv, ok := rec.Field(name)
+	if !ok {
+		panic(fmt.Sprintf("sim: record has no field %q", name))
+	}
+	return fv
 }

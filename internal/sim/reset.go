@@ -55,12 +55,8 @@ func (m *Machine) Reset() {
 	m.pulledAny = false
 	m.failed = nil
 
-	// Firing scratch is empty at every cycle boundary, and each firing
-	// resets what it uses. The slot stamps restart with the epoch, so a
-	// pooled machine's epoch counts only its current run, as a fresh
-	// machine's does.
-	f := &m.fr
-	clear(f.locEp)
-	clear(f.pendEp)
-	f.epoch = 0
+	// The firing record needs no reset: its slot journal and pending
+	// writes are empty at every cycle boundary (a firing empties them
+	// whether it commits or stalls, and the repro snapshot of a panicked
+	// one undoes them), and each firing resets the arenas it uses.
 }

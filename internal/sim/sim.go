@@ -12,12 +12,13 @@
 // downstream-first; a node holding an instruction attempts to fire:
 //
 //   - Firing is atomic, like a Bluespec rule: every lock operation runs
-//     inside a transaction and every machine-level effect (latched
-//     variable writes, spawns, speculation updates, gef changes, volatile
-//     writes, flushes) is buffered. If any condition fails — a lock is
-//     not ownable, a value is not ready, the next stage register is
-//     occupied, gef stalls the stage — the transaction rolls back and the
-//     instruction stays put, leaving no trace.
+//     inside a transaction, every combinational variable write is
+//     journaled, and every machine-level effect (latched variable
+//     writes, spawns, speculation updates, gef changes, volatile writes,
+//     flushes) is buffered. If any condition fails — a lock is not
+//     ownable, a value is not ready, the next stage register is
+//     occupied, gef stalls the stage — the journal and the transaction
+//     roll back and the instruction stays put, leaving no trace.
 //   - On success the transaction commits, buffered effects apply, and
 //     the instruction advances (or retires).
 //
@@ -284,7 +285,7 @@ type Machine struct {
 
 	// Hot-path arenas, all reused across firings so the steady-state
 	// cycle loop allocates nothing: the single firing record (which
-	// holds the per-firing slot scratch and the effect, spawn and extern
+	// holds the slot-write journal and the effect, spawn and extern
 	// arenas), in-language function frames (closure engine), the
 	// bytecode register file (vm engine) and the instruction free list.
 	fr         firing
@@ -296,8 +297,8 @@ type Machine struct {
 	descBuf    []*inst
 
 	// layoutNames[l] is the first element of the names slice of a record
-	// found to have bytecode layout l, so a record sharing that slice is
-	// recognized by one pointer compare (see fieldLayout; vm engine).
+	// found to have layout Plan.layouts[l], so a record sharing that
+	// slice is recognized by one pointer compare (see field).
 	layoutNames []*string
 
 	// The retirement trace (trace.go): the stored retirements, the
@@ -393,11 +394,9 @@ type stageNode struct {
 	fork *forkInfo  // non-nil on the translated final body stage
 	cur  *inst
 
-	// What the engine supplies to fire besides the stage body: the
-	// slots a firing's write-back visits, and whether the firing runs in
-	// lock transactions.
-	writes []int32
-	txn    bool
+	// txn is what the engine supplies to fire besides the stage body:
+	// whether the firing runs in lock transactions.
+	txn bool
 }
 
 func (n *stageNode) label() string {

@@ -15,10 +15,11 @@
 // the same configuration.
 //
 // Transient execution scratch — instruction/reservation free pools,
-// the effect buffer, spawn arenas, epoch-stamped slot scratch, open
-// lock transactions — is empty at every cycle boundary by construction
-// and is reset, not serialized. Save must therefore be called between
-// Steps (the CLI, RunCtx and the checkpoint tests all do).
+// the effect buffer, spawn arenas, the slot-write journal and pending
+// writes, open lock transactions — is empty at every cycle boundary by
+// construction and is reset, not serialized. Save must therefore be
+// called between Steps (the CLI, RunCtx and the checkpoint tests all
+// do).
 package sim
 
 import (
@@ -302,6 +303,9 @@ func (m *Machine) Restore(rd io.Reader) error {
 			if err := r.Err(); err != nil {
 				return err
 			}
+			if ne > len(ps.res.EArgs) {
+				return fmt.Errorf("sim: snapshot instruction has %d throw arguments, pipe %s declares %d", ne, ps.name, len(ps.res.EArgs))
+			}
 			in.eargs = make([]val.Value, ne)
 			for j := range in.eargs {
 				in.eargs[j] = r.Val()
@@ -401,6 +405,9 @@ func (m *Machine) Restore(rd io.Reader) error {
 			ne := r.Int()
 			if err := r.Err(); err != nil {
 				return err
+			}
+			if ne > len(ps.res.EArgs) {
+				return fmt.Errorf("sim: snapshot retirement has %d throw arguments, pipe %s declares %d", ne, ps.name, len(ps.res.EArgs))
 			}
 			rt.EArgs = make([]val.Value, ne)
 			for j := range rt.EArgs {
@@ -510,6 +517,12 @@ func (m *Machine) checkFingerprint(r *snap.Reader) error {
 	return r.Err()
 }
 
+// maxRecordFields bounds a snapshot record's field count, so a corrupted
+// count is refused before readV allocates for it (as snap bounds byte
+// strings). Records come from extern results, whose shape the plan does
+// not fix, so the bound is a cap far above any real record.
+const maxRecordFields = 1 << 12
+
 // writeV / readV encode a runtime value: tag 0 for a scalar, 1 for a
 // record (field names and values in the record's sorted order).
 func writeV(w *snap.Writer, v V) {
@@ -535,6 +548,9 @@ func readV(r *snap.Reader) (V, error) {
 		if err := r.Err(); err != nil {
 			return V{}, err
 		}
+		if n > maxRecordFields {
+			return V{}, fmt.Errorf("sim: snapshot record has %d fields, limit %d", n, maxRecordFields)
+		}
 		rec := &Rec{Names: make([]string, n), Vals: make([]val.Value, n)}
 		for i := 0; i < n; i++ {
 			rec.Names[i] = r.String()
@@ -555,12 +571,14 @@ func readV(r *snap.Reader) (V, error) {
 }
 
 // reproSnapshot captures a best-effort diagnostic snapshot after a
-// recovered panic: open lock transactions are rolled back (idempotent
-// when none is open) to regain a consistent cycle-boundary view, and
-// any secondary panic is swallowed — a repro snapshot is an aid, never
-// a second crash.
+// recovered panic: the interrupted firing's slot writes are undone and
+// open lock transactions are rolled back (both idempotent when no
+// firing was open) to regain a consistent cycle-boundary view, and any
+// secondary panic is swallowed — a repro snapshot is an aid, never a
+// second crash.
 func (m *Machine) reproSnapshot() (b []byte) {
 	defer func() { _ = recover() }()
+	m.fr.undoWrites()
 	for _, l := range m.memList {
 		l.Rollback()
 	}

@@ -3,7 +3,7 @@
 // further than the closure engine: to a flat slice of fixed-size
 // instructions with a dense opcode set, which the threaded dispatch
 // loop (vmexec.go) runs over the machine's struct-of-arrays state —
-// registers, slot scratch, volatile registers, memories, spawn and
+// registers, instruction slots, volatile registers, memories, spawn and
 // extern arenas, all contiguous slices indexed by ids fixed at compile
 // time. One program is a pure function of a design's plan, so any
 // number of machines — chaos-seed runs, bveq points, cosim replicas —
@@ -65,7 +65,7 @@ const (
 	opConst     // regs[a] = scalar(imm, width c)
 	opConstV    // regs[a] = pool[imm] (record constants)
 	opMove      // regs[a] = regs[b]
-	opLoadSlot  // regs[a] = slot b (stage-local write, else latched var, else typed zero)
+	opLoadSlot  // regs[a] = slot b of the firing instruction (its typed zero when unassigned)
 	opStoreLoc  // stage-local write of slot a from regs[b]
 	opStorePend // latched (next-stage) write of slot a from regs[b]
 	opLoadVol   // regs[a] = volatile register b
@@ -138,7 +138,7 @@ const (
 	opSliceI   // regs[a] = regs[b].Slice(c>>7, c&0x7f)
 	opZeroExtI // regs[a] = regs[b].ZeroExt(c)
 	opSignExtI // regs[a] = regs[b].SignExt(c)
-	opField    // regs[a] = regs[b].field #c of layout imm>>32 (name strs[uint32(imm)]; c<0 = name scan)
+	opField    // regs[a] = regs[b].field #c of Plan.layouts[imm>>32 - 1] (name strs[uint32(imm)]; imm>>32 == 0: search by name)
 	opCatPush  // push regs[b].Val onto the cat/extern arena
 	opCatDo    // regs[a] = val.Cat of the top c arena entries (popped)
 
@@ -208,10 +208,6 @@ type stageProg struct {
 	// extern fault-delay sites are live (they add stall points).
 	needsTxn       bool
 	needsTxnFaults bool
-	// writes lists, once each, the slots the stage's code may write
-	// (opStoreLoc, opStorePend, opSpecSpawnFin): the only slots a
-	// firing's write-back has to visit.
-	writes []int32
 }
 
 // funcProg is the compiled form of an in-language combinational
@@ -245,10 +241,6 @@ type program struct {
 	funcs  []funcProg  // sorted name order
 	strs   []string    // panic messages and field names
 	pool   []V         // record constants (opConstV)
-	// layouts are the record layouts (sorted field names) opField
-	// indices were resolved against; opField's imm>>32 is a layout's
-	// index plus one, 0 when the index is unknown.
-	layouts [][]string
 	// maxStageRegs sizes a machine's initial register file: the widest
 	// stage window (function calls grow the file on demand).
 	maxStageRegs int

@@ -9,7 +9,7 @@
 // Register discipline: each stage compiles into one window. Registers
 // [0,nslots) are pinned, one per latched variable slot; a compile-time
 // cache tracks whether the pinned register currently mirrors the slot's
-// visible value so repeated reads skip the three-way opLoadSlot probe.
+// visible value so repeated reads skip the opLoadSlot load.
 // Temporaries live above the pinned range and are reset per statement.
 // Constant subtrees fold at compile time (guarded: a folding panic, e.g.
 // an out-of-range constant slice, falls back to runtime evaluation so the
@@ -21,9 +21,7 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 
 	"xpdl/internal/pdl/ast"
 	"xpdl/internal/val"
@@ -49,7 +47,6 @@ func (p *Plan) compileVM() *program {
 		prog:    &program{stages: make([]stageProg, p.nstages)},
 		funcIdx: make(map[string]int),
 		strIdx:  make(map[string]int32),
-		layIdx:  make(map[string]int),
 	}
 	c.compileFuncs()
 	for _, pp := range p.pipes {
@@ -70,7 +67,6 @@ type bcCompiler struct {
 	prog    *program
 	funcIdx map[string]int
 	strIdx  map[string]int32
-	layIdx  map[string]int
 }
 
 func (c *bcCompiler) intern(s string) int32 {
@@ -81,22 +77,6 @@ func (c *bcCompiler) intern(s string) int32 {
 	c.prog.strs = append(c.prog.strs, s)
 	c.strIdx[s] = i
 	return i
-}
-
-// layout interns a record layout and returns its opField tag: the
-// index in program.layouts plus one, or 0 for an unknown layout.
-func (c *bcCompiler) layout(names []string) uint64 {
-	if len(names) == 0 {
-		return 0
-	}
-	key := strings.Join(names, "\x00")
-	i, ok := c.layIdx[key]
-	if !ok {
-		i = len(c.prog.layouts)
-		c.prog.layouts = append(c.prog.layouts, names)
-		c.layIdx[key] = i
-	}
-	return uint64(i) + 1
 }
 
 func (c *bcCompiler) pool(v V) int {
@@ -175,27 +155,9 @@ func (c *bcCompiler) compileStage(pp *pipePlan, gid int, main, commit, exc []ast
 	sp.nRegs = sc.maxReg
 	sc.patchCalls()
 	c.analyzeStage(sp)
-	sp.writes = c.stageWrites(sp)
 	if sp.nRegs > c.prog.maxStageRegs {
 		c.prog.maxStageRegs = sp.nRegs
 	}
-}
-
-// stageWrites lists the slots a stage's three segments may write, in
-// first-write order. Function bodies write registers, never slots.
-func (c *bcCompiler) stageWrites(sp *stageProg) []int32 {
-	var out []int32
-	for _, seg := range []segment{sp.main, sp.commit, sp.exc} {
-		for _, in := range c.prog.code[seg.off:seg.end] {
-			switch in.op {
-			case opStoreLoc, opStorePend, opSpecSpawnFin:
-				if !slices.Contains(out, in.a) {
-					out = append(out, in.a)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -683,16 +645,12 @@ func (sc *segc) expr(e ast.Expr, want int) int {
 		x := sc.expr(n.X, -1)
 		fr, ok := sc.c.p.fieldIdx[n]
 		if !ok {
-			fr.idx = -1
-		}
-		lay := uint64(0)
-		if fr.idx >= 0 {
-			lay = sc.c.layout(fr.layout)
+			fr = unknownField
 		}
 		dst := sc.dstReg(want)
 		sc.wrote(dst)
 		sc.emit(instr{op: opField, a: int32(dst), b: int16(x), c: int16(fr.idx),
-			imm: uint64(sc.c.intern(n.Field)) | lay<<32})
+			imm: uint64(sc.c.intern(n.Field)) | uint64(fr.lay+1)<<32})
 		return dst
 	}
 	sc.panicOp(fmt.Sprintf("sim: unhandled expression %T", e))

@@ -1,6 +1,6 @@
 // The vm engine's stage body: the bytecode dispatch loop. It runs
 // inside the one firing protocol (Machine.fire) and works on the one
-// firing record — its inputs, outcome flags, slot scratch and arenas —
+// firing record — its inputs, outcome flags, slot journal and arenas —
 // and on the machine's own state, so the engines differ only in how a
 // stage's statements execute, never in what a firing means.
 //
@@ -23,14 +23,12 @@ import (
 // execution can stall at or after a lock mutation (stageProg.needsTxn)
 // skip Begin/Commit entirely: a successful firing applies the same
 // mutations either way, and a stalling one has nothing to roll back.
-// Write-back visits only the slots the stage's code can write.
 func (m *Machine) lowerVM() {
 	p := m.plan.vmProgram()
 	m.regs = make([]V, p.maxStageRegs+64)
 	for _, ps := range m.pipeList {
 		for _, n := range ps.nodes {
 			sp := &p.stages[n.gid]
-			n.writes = sp.writes
 			n.txn = sp.needsTxn || (m.faults != nil && sp.needsTxnFaults)
 		}
 	}
@@ -102,16 +100,7 @@ func (f *firing) runSeg(p *program, seg segment, base int) bool {
 		case opMove:
 			regs[base+int(i.a)] = regs[base+int(i.b)]
 		case opLoadSlot:
-			s := int(i.b)
-			var v V
-			if f.locEp[s] == f.epoch {
-				v = f.loc[s]
-			} else if sv := in.vars[s]; sv.ok {
-				v = sv.v
-			} else {
-				v = f.node.pipe.zeroes[s]
-			}
-			regs[base+int(i.a)] = v
+			regs[base+int(i.a)] = f.load(int(i.b))
 		case opStoreLoc:
 			f.setLocal(int(i.a), regs[base+int(i.b)])
 		case opStorePend:
@@ -265,12 +254,8 @@ func (f *firing) runSeg(p *program, seg segment, base int) bool {
 		case opSignExtI:
 			regs[base+int(i.a)] = V{Val: regs[base+int(i.b)].Val.SignExt(int(i.c))}
 		case opField:
-			x := regs[base+int(i.b)]
-			if x.Rec != nil && m.fieldLayout(p, x.Rec, i.imm>>32) {
-				regs[base+int(i.a)] = V{Val: x.Rec.Vals[i.c]}
-			} else {
-				regs[base+int(i.a)] = V{Val: fieldByName(p, i, x)}
-			}
+			fr := fieldRef{idx: int(i.c), lay: int(i.imm>>32) - 1}
+			regs[base+int(i.a)] = V{Val: m.field(regs[base+int(i.b)], fr, p.strs[uint32(i.imm)])}
 		case opCatPush:
 			f.extArgs = append(f.extArgs, regs[base+int(i.b)].Val)
 		case opCatDo:
@@ -467,56 +452,6 @@ func (f *firing) runSeg(p *program, seg segment, base int) bool {
 		}
 	}
 	return false
-}
-
-// fieldLayout reports whether rec's names slice is the one this machine
-// has found to hold the program's record layout tag (opField's
-// Imm>>32; 0 = unknown), so the field index resolved at compile time is
-// valid for it. Records are immutable and one names slice serves every
-// record of a layout (SortedRecord), so the first record seen with
-// a layout is compared name by name and its names slice remembered;
-// after that the test is a pointer and a length compare. A record with
-// another names slice takes fieldByName, the by-name path.
-func (m *Machine) fieldLayout(p *program, rec *Rec, tag uint64) bool {
-	if tag == 0 || len(rec.Names) == 0 {
-		return false
-	}
-	l := int(tag - 1)
-	lay := p.layouts[l]
-	if len(rec.Names) != len(lay) {
-		return false
-	}
-	if l < len(m.layoutNames) && m.layoutNames[l] != nil {
-		return m.layoutNames[l] == &rec.Names[0]
-	}
-	for i, n := range rec.Names {
-		if n != lay[i] {
-			return false
-		}
-	}
-	for len(m.layoutNames) <= l {
-		m.layoutNames = append(m.layoutNames, nil)
-	}
-	m.layoutNames[l] = &rec.Names[0]
-	return true
-}
-
-// fieldByName is opField for a record of another layout, or a scalar:
-// the index still serves when it names the field, else a search by
-// name, and a panic when the field does not exist.
-func fieldByName(p *program, i instr, x V) val.Value {
-	name := p.strs[uint32(i.imm)]
-	if x.Rec == nil {
-		panic(fmt.Sprintf("sim: field access .%s on scalar", name))
-	}
-	if idx := int(i.c); idx >= 0 && idx < len(x.Rec.Names) && x.Rec.Names[idx] == name {
-		return x.Rec.Vals[idx]
-	}
-	fv, ok := x.Rec.Field(name)
-	if !ok {
-		panic(fmt.Sprintf("sim: record has no field %q", name))
-	}
-	return fv
 }
 
 // binApply dispatches a reg-reg ALU opcode on already-adapted operands;
